@@ -7,6 +7,18 @@ the blend sit as far from the benign references as the benign spread
 allows, then tunes the attack-gradient scale over a grid under the same
 constraint. A crafted update is "feasible" when its largest angle to any
 benign reference stays within the largest benign pairwise angle.
+References with norm at or below NORM_FLOOR carry no direction and are
+skipped.
+
+The search is batched. The gradient of a mean loss is the mean of the
+per-example gradients, so the mask pool's per-example gradients come from
+one backprop per craft, and each greedy candidate's blend is
+alpha * g_attack + (sum of selected rows + candidate row) / m. All of a
+step's candidates, or the whole alpha grid, are scored by one
+(candidates x d) @ (d x refs) product against unit references. Objectives
+within TIE_TOL of the budget or of a rival are recomputed with
+mlp.gradient and angle_between, so every decision (mask indices, step
+feasibility, chosen alpha) is the one the per-pair computation makes.
 """
 
 import math
@@ -16,16 +28,28 @@ import numpy as np
 
 from . import mlp
 from .errors import (
+    DegenerateGradient,
     EmptyBatch,
     EmptyMaskBudget,
     SingleClassDataset,
     TooFewReferences,
 )
 from .rngstream import substream
-from .vectors import _as_matrix, angle_between, pairwise_angles, scaled_add
+from .vectors import (
+    NORM_FLOOR,
+    _as_matrix,
+    angle_between,
+    as_vector,
+    pairwise_angles,
+    scaled_add,
+)
 
 ADAPTIVE_MAX_ITERS = 50
 AGREVADER_MAX_HALVINGS = 20
+# Batched objectives differ from per-pair angle_between values only by
+# float reordering (below 1e-15 rad on desk-shaped instances). Objectives
+# this close (radians) to the budget or to a rival are recomputed per pair.
+TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,17 +116,65 @@ def attack_gradient(params: mlp.ModelParams, features, flipped_labels) -> np.nda
     return mlp.gradient(params, features, flipped_labels)
 
 
-def benign_angle_budget(benign_grads) -> float:
-    """Largest pairwise angle among the benign references."""
+def usable_references(benign_grads) -> np.ndarray:
+    """Stack the references and drop those too short to carry a direction.
+
+    A benign gradient can underflow to norm ~1e-83 on a well-fit shard;
+    the attacker skips it rather than failing on its undefined angle.
+    """
     G = _as_matrix(benign_grads)
+    G = G[np.linalg.norm(G, axis=1) > NORM_FLOOR]
     if G.shape[0] < 2:
-        raise TooFewReferences(f"need at least 2 references, got {G.shape[0]}")
-    A = pairwise_angles(G)
-    return float(A.max())
+        raise TooFewReferences(f"need at least 2 usable references, got {G.shape[0]}")
+    return G
+
+
+def benign_angle_budget(benign_grads) -> float:
+    """Largest pairwise angle among the usable benign references."""
+    return float(pairwise_angles(usable_references(benign_grads)).max())
 
 
 def _max_angle_to_refs(g, refs) -> float:
     return max(angle_between(g, r) for r in refs)
+
+
+def _max_angles(blends, refs) -> np.ndarray:
+    """Largest angle from each row of `blends` to any reference.
+
+    One (rows x d) @ (d x refs) product against unit references, with
+    angle_between's checks made once for the whole batch.
+    """
+    if not np.all(np.isfinite(blends)):
+        raise DegenerateGradient("blend contains NaN or Inf entries")
+    norms = np.linalg.norm(blends, axis=1)
+    bad = np.flatnonzero(norms <= NORM_FLOOR)
+    if bad.size:
+        raise DegenerateGradient(f"blend norm {norms[bad[0]]:.3e} below floor {NORM_FLOOR}")
+    unit_refs = refs / np.linalg.norm(refs, axis=1)[:, None]
+    cos = (blends @ unit_refs.T).min(axis=1) / norms
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def _recompute(objectives, which, exact) -> None:
+    """Overwrite the batched objectives flagged in `which` by exact(i)."""
+    for i in np.flatnonzero(which):
+        objectives[i] = exact(int(i))
+
+
+def _best_feasible(objectives, angle_budget: float, exact):
+    """Index of the largest objective within the budget (first on ties), or None.
+
+    Objectives within TIE_TOL of the budget, or of each other at the top,
+    are first replaced by exact(i), their per-pair value.
+    """
+    _recompute(objectives, np.abs(objectives - angle_budget) <= TIE_TOL, exact)
+    feasible = objectives <= angle_budget
+    if not feasible.any():
+        return None
+    top = feasible & (objectives >= objectives[feasible].max() - TIE_TOL)
+    if np.count_nonzero(top) > 1:
+        _recompute(objectives, top, exact)
+    return int(np.argmax(np.where(feasible, objectives, -np.inf)))
 
 
 def greedy_mask_select(
@@ -129,31 +201,38 @@ def greedy_mask_select(
         raise EmptyMaskBudget(
             f"mask_fraction {mask_fraction} of {X.shape[0]} samples selects nothing"
         )
-    refs = _as_matrix(benign_grads)
+    refs = usable_references(benign_grads)
     angle_budget = benign_angle_budget(refs)
+    g_attack = as_vector(g_attack)
+    base = float(alpha_fixed) * g_attack
+    P = mlp.per_example_gradients(params, X, y)
+    picked_sum = np.zeros(P.shape[1])
 
     selected: list[int] = []
     trace: list[GreedyStep] = []
     for _ in range(budget):
-        candidates = [k for k in range(X.shape[0]) if k not in selected]
-        objectives = np.empty(len(candidates))
-        for ci, k in enumerate(candidates):
-            trial = selected + [k]
+        candidates = np.setdiff1d(np.arange(X.shape[0]), selected)
+        m = len(selected) + 1
+        objectives = _max_angles(base + (picked_sum + P[candidates]) / m, refs)
+
+        def exact(ci):
+            trial = selected + [int(candidates[ci])]
             g_mask = mlp.gradient(params, X[trial], y[trial])
-            g_mal = scaled_add(alpha_fixed, np.asarray(g_attack), g_mask)
-            objectives[ci] = _max_angle_to_refs(g_mal, refs)
-        feas = objectives <= angle_budget
-        if feas.any():
-            masked = np.where(feas, objectives, -np.inf)
-            pick = int(np.argmax(masked))
-            step_ok = True
-        else:
+            return _max_angle_to_refs(scaled_add(alpha_fixed, g_attack, g_mask), refs)
+
+        pick = _best_feasible(objectives, angle_budget, exact)
+        step_ok = pick is not None
+        if not step_ok:
+            low = objectives <= objectives.min() + TIE_TOL
+            if np.count_nonzero(low) > 1:
+                _recompute(objectives, low, exact)
             pick = int(np.argmin(objectives))
-            step_ok = False
-        selected.append(candidates[pick])
+        chosen = int(candidates[pick])
+        selected.append(chosen)
+        picked_sum += P[chosen]
         trace.append(
             GreedyStep(
-                chosen_index=candidates[pick],
+                chosen_index=chosen,
                 objective=float(objectives[pick]),
                 feasible=step_ok,
             )
@@ -170,20 +249,20 @@ def optimize_alpha(
     (lowest scale on ties), or (0, False) when no point satisfies the
     benign-spread constraint.
     """
-    refs = _as_matrix(benign_grads)
+    refs = usable_references(benign_grads)
     angle_budget = benign_angle_budget(refs)
-    g_attack = np.asarray(g_attack, dtype=np.float64)
-    g_mask = np.asarray(g_mask, dtype=np.float64)
-    best_alpha = 0.0
-    best_obj = -np.inf
-    feasible = False
-    for alpha in alpha_grid:
-        obj = _max_angle_to_refs(scaled_add(alpha, g_attack, g_mask), refs)
-        if obj <= angle_budget and obj > best_obj:
-            best_alpha = float(alpha)
-            best_obj = obj
-            feasible = True
-    return best_alpha, feasible
+    g_attack = as_vector(g_attack)
+    g_mask = as_vector(g_mask)
+    alphas = np.asarray(alpha_grid, dtype=np.float64)
+    objectives = _max_angles(alphas[:, None] * g_attack + g_mask, refs)
+
+    def exact(i):
+        return _max_angle_to_refs(scaled_add(alphas[i], g_attack, g_mask), refs)
+
+    pick = _best_feasible(objectives, angle_budget, exact)
+    if pick is None:
+        return 0.0, False
+    return float(alphas[pick]), True
 
 
 def craft_fedpoisonmia(
@@ -192,6 +271,7 @@ def craft_fedpoisonmia(
     """Full pipeline: flip labels, build the attack gradient, greedily pick
     mask samples (scale fixed at 1), then tune the scale on the grid.
     """
+    refs = usable_references(benign_grads)
     flipped = flip_labels(ctx.attack_labels, ctx.num_classes, ctx.flip_seed)
     g_attack = attack_gradient(params, ctx.attack_features, flipped)
     selected, _trace = greedy_mask_select(
@@ -201,13 +281,13 @@ def craft_fedpoisonmia(
         params,
         g_attack,
         1.0,
-        benign_grads,
+        refs,
     )
     idx = list(selected)
     g_mask = mlp.gradient(params, ctx.mask_features[idx], ctx.mask_labels[idx])
-    alpha, feasible = optimize_alpha(g_attack, g_mask, benign_grads, ctx.alpha_grid)
+    alpha, feasible = optimize_alpha(g_attack, g_mask, refs, ctx.alpha_grid)
     g_mal = scaled_add(alpha, g_attack, g_mask)
-    objective = _max_angle_to_refs(g_mal, _as_matrix(benign_grads))
+    objective = _max_angle_to_refs(g_mal, refs)
     return CraftResult(
         g_malicious=g_mal,
         chosen_alpha=alpha,
@@ -242,11 +322,12 @@ def craft_agrevader(
     refs = _as_matrix(benign_grads)
     g_attack = mlp.gradient(params, flipped_features, flipped_labels)
     g_mask = mlp.gradient(params, mask_features, mask_labels)
-    if refs.shape[0] >= 2:
-        diffs = refs[:, None, :] - refs[None, :, :]
-        dist_budget = float(np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs).max()))
-    else:
-        dist_budget = 0.0
+    # benign diameter, one row of squared distances at a time: O(r*d) memory
+    sq_diameter = 0.0
+    for i in range(refs.shape[0]):
+        D = refs - refs[i]
+        sq_diameter = max(sq_diameter, float(np.einsum("jk,jk->j", D, D).max()))
+    dist_budget = float(np.sqrt(sq_diameter))
     scale = 1.0
     for _ in range(AGREVADER_MAX_HALVINGS + 1):
         g = scale * g_attack + g_mask

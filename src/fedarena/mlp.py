@@ -123,10 +123,8 @@ def loss(params: ModelParams, X, y) -> float:
     return float(np.mean(lse - logits[np.arange(len(y)), y]))
 
 
-def gradient(params: ModelParams, X, y) -> np.ndarray:
-    """Backprop gradient of loss() w.r.t. the flat parameter vector."""
-    X, y = _check_batch(params, X, y)
-    layers = unflatten(params)
+def _output_delta(layers, X, y):
+    """Activations entering each layer, and d(per-example loss)/d(logits)."""
     acts = [X]
     a = X
     for W, b in layers[:-1]:
@@ -137,23 +135,48 @@ def gradient(params: ModelParams, X, y) -> np.ndarray:
 
     zmax = logits.max(axis=1, keepdims=True)
     ez = np.exp(logits - zmax)
-    probs = ez / ez.sum(axis=1, keepdims=True)
-    delta = probs
+    delta = ez / ez.sum(axis=1, keepdims=True)
     delta[np.arange(len(y)), y] -= 1.0
-    delta /= len(y)
+    return acts, delta
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
+
+def _layer_deltas(layers, acts, delta):
+    """Yield (layer input, output delta) per layer, last layer first."""
     for li in range(len(layers) - 1, -1, -1):
-        W, _ = layers[li]
-        a_in = acts[li]
-        dW = a_in.T @ delta
-        db = delta.sum(axis=0)
-        grads.append((dW, db))
+        yield acts[li], delta
         if li > 0:
-            delta = delta @ W.T
+            delta = delta @ layers[li][0].T
             delta[acts[li] <= 0.0] = 0.0
+
+
+def gradient(params: ModelParams, X, y) -> np.ndarray:
+    """Backprop gradient of loss() w.r.t. the flat parameter vector."""
+    X, y = _check_batch(params, X, y)
+    layers = unflatten(params)
+    acts, delta = _output_delta(layers, X, y)
+    delta /= len(y)
+    grads = [(a_in.T @ d, d.sum(axis=0)) for a_in, d in _layer_deltas(layers, acts, delta)]
     grads.reverse()
     return flatten_layers(grads)
+
+
+def per_example_gradients(params: ModelParams, X, y) -> np.ndarray:
+    """(n, dim) matrix whose row i is gradient() on example i alone.
+
+    One batched backprop: the per-example weight gradients are the outer
+    products of each row's layer input and output delta. The mean of any
+    subset of rows is the gradient on that subset, up to float rounding.
+    """
+    X, y = _check_batch(params, X, y)
+    layers = unflatten(params)
+    acts, delta = _output_delta(layers, X, y)
+    n = len(y)
+    pieces = []
+    for a_in, d in _layer_deltas(layers, acts, delta):
+        pieces.append(d)
+        pieces.append((a_in[:, :, None] * d[:, None, :]).reshape(n, -1))
+    pieces.reverse()
+    return np.concatenate(pieces, axis=1)
 
 
 def apply_update(params: ModelParams, g, lr: float) -> ModelParams:

@@ -1,7 +1,8 @@
 """Built-in sanity suites behind the `selftest` subcommand.
 
 These duplicate a slice of the test suite with naive re-implementations,
-so a deployed copy can vouch for itself without pytest installed.
+so a deployed copy can vouch for itself without pytest installed. The
+public naive_* references are the oracles the test suite imports too.
 """
 
 import math
@@ -10,8 +11,15 @@ import numpy as np
 
 from . import mlp
 from .aggregation import atm
+from .attacks import (
+    benign_angle_budget,
+    greedy_mask_select,
+    mask_budget,
+    optimize_alpha,
+    usable_references,
+)
 from .theory import AngleSample, TruncatedGaussian, deviation_bound, lemma_order_stats_check, monte_carlo_deviation
-from .vectors import angle_between
+from .vectors import angle_between, scaled_add
 
 
 def _check_angles():
@@ -27,7 +35,8 @@ def _check_angles():
         assert abs(angle_between(u, -u) - math.pi) < 1e-7, "antiparallel != pi"
 
 
-def _naive_atm_kept(G, b):
+def naive_atm_kept(G, b):
+    """Independent reference: double-loop mean angles, explicit sort."""
     n = len(G)
     means = []
     for i in range(n):
@@ -40,6 +49,51 @@ def _naive_atm_kept(G, b):
     return tuple(sorted(order[: n - 2 * b]))
 
 
+def _naive_objective(g, refs):
+    return max(angle_between(g, r) for r in refs)
+
+
+def naive_greedy_mask_select(
+    mask_features, mask_labels, mask_fraction, params, g_attack, alpha_fixed, benign_grads
+):
+    """Per-candidate reference for attacks.greedy_mask_select: one
+    mlp.gradient and one angle_between per (candidate, reference) pair.
+    Returns (selected indices, per-step feasibility)."""
+    X = np.asarray(mask_features, dtype=np.float64)
+    y = np.asarray(mask_labels, dtype=np.int64)
+    refs = usable_references(benign_grads)
+    angle_budget = benign_angle_budget(refs)
+    selected, feasible = [], []
+    for _ in range(mask_budget(mask_fraction, X.shape[0])):
+        candidates = [k for k in range(X.shape[0]) if k not in selected]
+        objectives = np.empty(len(candidates))
+        for ci, k in enumerate(candidates):
+            trial = selected + [k]
+            g_mask = mlp.gradient(params, X[trial], y[trial])
+            g_mal = scaled_add(alpha_fixed, np.asarray(g_attack), g_mask)
+            objectives[ci] = _naive_objective(g_mal, refs)
+        feas = objectives <= angle_budget
+        if feas.any():
+            pick = int(np.argmax(np.where(feas, objectives, -np.inf)))
+        else:
+            pick = int(np.argmin(objectives))
+        selected.append(candidates[pick])
+        feasible.append(bool(feas.any()))
+    return tuple(selected), tuple(feasible)
+
+
+def naive_optimize_alpha(g_attack, g_mask, benign_grads, alpha_grid):
+    """Per-point reference for attacks.optimize_alpha."""
+    refs = usable_references(benign_grads)
+    angle_budget = benign_angle_budget(refs)
+    best_alpha, best_obj, feasible = 0.0, -np.inf, False
+    for alpha in alpha_grid:
+        obj = _naive_objective(scaled_add(alpha, g_attack, g_mask), refs)
+        if obj <= angle_budget and obj > best_obj:
+            best_alpha, best_obj, feasible = float(alpha), obj, True
+    return best_alpha, feasible
+
+
 def _check_atm():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -47,7 +101,7 @@ def _check_atm():
         b = int(rng.integers(0, (n - 1) // 2 + 1))
         G = rng.normal(size=(n, 6))
         kept = atm(G, b).kept_indices
-        assert kept == _naive_atm_kept(G, b), "trim selection mismatch"
+        assert kept == naive_atm_kept(G, b), "trim selection mismatch"
 
 
 def _check_gradient():
@@ -74,6 +128,33 @@ def _check_gradient():
             ) / (2 * h)
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel <= 1e-4, f"finite differences disagree (rel={rel:.2e})"
+
+
+def _check_crafting():
+    rng = np.random.default_rng(13)
+    for trial in range(10):
+        params = mlp.init_params(((8, 6), (6, 3)), seed=trial)
+        params = mlp.ModelParams(
+            flat=params.flat + 0.4 * rng.normal(size=params.dim),
+            layer_shapes=params.layer_shapes,
+        )
+        refs = np.stack(
+            [mlp.gradient(params, rng.normal(size=(6, 8)), rng.integers(0, 3, size=6)) for _ in range(3)]
+        )
+        g_attack = mlp.gradient(params, rng.normal(size=(10, 8)), rng.integers(0, 3, size=10))
+        X = rng.normal(size=(8, 8))
+        y = rng.integers(0, 3, size=8)
+        selected, trace = greedy_mask_select(X, y, 0.5, params, g_attack, 1.0, refs)
+        expected = naive_greedy_mask_select(X, y, 0.5, params, g_attack, 1.0, refs)
+        assert (selected, tuple(s.feasible for s in trace)) == expected, "greedy mask mismatch"
+        for size, step in enumerate(trace, start=1):
+            idx = list(selected[:size])
+            g = scaled_add(1.0, g_attack, mlp.gradient(params, X[idx], y[idx]))
+            assert abs(step.objective - _naive_objective(g, refs)) < 1e-9, "greedy objective drift"
+        g_mask = mlp.gradient(params, X[list(selected)], y[list(selected)])
+        grid = tuple(np.geomspace(0.01, 100.0, 25))
+        got = optimize_alpha(g_attack, g_mask, refs, grid)
+        assert got == naive_optimize_alpha(g_attack, g_mask, refs, grid), "alpha mismatch"
 
 
 def _check_lemma():
@@ -104,6 +185,7 @@ SUITES = (
     ("angles", _check_angles),
     ("angular-trim", _check_atm),
     ("gradient-fd", _check_gradient),
+    ("crafting", _check_crafting),
     ("order-stats", _check_lemma),
     ("deviation-bound", _check_bound),
 )

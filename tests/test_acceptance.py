@@ -26,6 +26,7 @@ from fedarena.attacks import (
     greedy_mask_select,
 )
 from fedarena.engine import ExperimentConfig, run_sync
+from fedarena.selftest import naive_atm_kept
 from fedarena.theory import (
     AngleSample,
     TruncatedGaussian,
@@ -142,19 +143,6 @@ def test_criterion_02_order_stats_inequalities():
     elapsed = time.time() - t0
     ok = failures == 0 and elapsed <= 5.0
     report(2, "order-stats-inequalities", ok, f"{trials} instances, {failures} failures, {elapsed:.1f}s")
-
-
-def naive_atm_kept(G, b):
-    n = len(G)
-    means = []
-    for i in range(n):
-        tot = 0.0
-        for j in range(n):
-            if i != j:
-                tot += angle_between(G[i], G[j])
-        means.append(tot / (n - 1))
-    order = sorted(range(n), key=lambda i: (means[i], i))
-    return tuple(sorted(order[: n - 2 * b]))
 
 
 def test_criterion_03_atm_oracle_equivalence():

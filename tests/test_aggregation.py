@@ -25,21 +25,7 @@ from fedarena.errors import (
     TrimTooLarge,
     WeightMismatch,
 )
-from fedarena.vectors import angle_between
-
-
-def naive_atm_kept(G, b):
-    """Independent reference: double-loop mean angles, explicit sort."""
-    n = len(G)
-    means = []
-    for i in range(n):
-        tot = 0.0
-        for j in range(n):
-            if i != j:
-                tot += angle_between(G[i], G[j])
-        means.append(tot / (n - 1))
-    order = sorted(range(n), key=lambda i: (means[i], i))
-    return tuple(sorted(order[: n - 2 * b]))
+from fedarena.selftest import naive_atm_kept
 
 
 class TestFedAvg:

@@ -20,8 +20,15 @@ from fedarena.attacks import (
     mask_budget,
     optimize_alpha,
     passive_infer,
+    usable_references,
 )
-from fedarena.errors import EmptyMaskBudget, SingleClassDataset, TooFewReferences
+from fedarena.errors import (
+    DegenerateGradient,
+    EmptyMaskBudget,
+    SingleClassDataset,
+    TooFewReferences,
+)
+from fedarena.selftest import naive_greedy_mask_select, naive_optimize_alpha
 from fedarena.vectors import angle_between, pairwise_angles, scaled_add
 
 
@@ -91,6 +98,29 @@ class TestBenignAngleBudget:
     def test_too_few_references(self):
         with pytest.raises(TooFewReferences):
             benign_angle_budget([np.array([1.0, 0.0])])
+
+
+class TestUsableReferences:
+    def test_drops_degenerate_rows(self, rng):
+        G = rng.normal(size=(3, 5))
+        tiny = 3e-83 * rng.normal(size=5)
+        out = usable_references([G[0], np.zeros(5), G[1], tiny, G[2]])
+        assert np.array_equal(out, G)
+
+    def test_budget_ignores_degenerate(self, rng):
+        G = rng.normal(size=(4, 5))
+        with_zero = np.vstack([G, np.zeros(5)])
+        assert benign_angle_budget(with_zero) == benign_angle_budget(G)
+
+    def test_too_few_usable(self, rng):
+        with pytest.raises(TooFewReferences):
+            usable_references([rng.normal(size=4), np.zeros(4)])
+
+    def test_non_finite_still_rejected(self, rng):
+        bad = rng.normal(size=4)
+        bad[1] = np.nan
+        with pytest.raises(DegenerateGradient):
+            usable_references([rng.normal(size=4), rng.normal(size=4), bad])
 
 
 class TestMaskBudget:
@@ -209,6 +239,16 @@ class TestOptimizeAlpha:
         }
         assert objs[alpha] == max(objs.values())
 
+    def test_degenerate_blend_raises(self, rng):
+        g = rng.normal(size=6)
+        refs = rng.normal(size=(3, 6))
+        with pytest.raises(DegenerateGradient):
+            optimize_alpha(g, -g, refs, (0.5, 1.0))  # alpha 1 blends to zero
+        g_bad = g.copy()
+        g_bad[0] = np.inf
+        with pytest.raises(DegenerateGradient):
+            optimize_alpha(g_bad, g, refs, (0.5, 1.0))
+
     def test_infeasible_returns_zero(self, rng):
         refs = np.stack([np.array([1.0, 0.0]), np.array([0.999, 0.01])])
         g_attack = np.array([-1.0, 0.0])
@@ -244,6 +284,99 @@ class TestOptimizeAlpha:
                 if inside.size:
                     worst_window = max(worst_window, float(inside.max() - inside.min()))
             assert coarse_obj >= best_fine - worst_window - 1e-9
+
+
+class TestBatchedDecisionEquivalence:
+    """The batched crafter against the per-pair loop it replaced
+    (fedarena.selftest.naive_*), on desk-shaped instances: 64 features,
+    32 hidden units, 3 classes, a 16-sample mask pool, gamma 0.3 and 7
+    benign references."""
+
+    GRID = tuple(np.geomspace(0.01, 100.0, 25))
+
+    def _instance(self, rng, seed, centers):
+        def blobs(n):
+            y = rng.integers(0, 3, size=n)
+            return centers[y] + 0.6 * rng.normal(size=(n, 64)), y
+
+        params = perturbed(mlp.init_params(((64, 32), (32, 3)), seed=seed), 0.1, rng)
+        refs = np.stack([mlp.gradient(params, *blobs(6)) for _ in range(7)])
+        att_X, att_y = blobs(20)
+        g_attack = attack_gradient(params, att_X, flip_labels(att_y, 3, seed))
+        mask_X, mask_y = blobs(16)
+        return params, mask_X, mask_y, g_attack, refs
+
+    def test_decisions_match_per_pair_oracle(self, rng):
+        centers = rng.normal(size=(3, 64))
+        step_feasibility = set()
+        alpha_feasibility = set()
+        for seed in range(120):
+            params, mask_X, mask_y, g_attack, refs = self._instance(rng, seed, centers)
+            selected, trace = greedy_mask_select(
+                mask_X, mask_y, 0.3, params, g_attack, 1.0, refs
+            )
+            feasible = tuple(step.feasible for step in trace)
+            assert (selected, feasible) == naive_greedy_mask_select(
+                mask_X, mask_y, 0.3, params, g_attack, 1.0, refs
+            )
+            step_feasibility.update(feasible)
+            g_mask = mlp.gradient(params, mask_X[list(selected)], mask_y[list(selected)])
+            got = optimize_alpha(g_attack, g_mask, refs, self.GRID)
+            assert got == naive_optimize_alpha(g_attack, g_mask, refs, self.GRID)
+            alpha_feasibility.add(got[1])
+        # both branches of each rule were exercised
+        assert step_feasibility == {True, False}
+        assert alpha_feasibility == {True, False}
+
+
+class TestNearTies:
+    """Objectives equal up to rounding: the batched and per-pair float sums
+    can order them differently, so these decisions are recomputed per pair
+    and must match the per-pair oracle exactly."""
+
+    GRID = (0.5, 1.0, 2.0)
+
+    def test_collinear_alpha_grid(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            g = rng.normal(size=10)
+            refs = np.stack([g + 0.1 * rng.normal(size=10) for _ in range(3)])
+            assert optimize_alpha(g, g, refs, self.GRID) == naive_optimize_alpha(
+                g, g, refs, self.GRID
+            )
+
+    def test_blend_on_the_budget(self):
+        # a blend parallel to one end of the widest benign pair sits at the
+        # budget angle, so its feasibility is decided by rounding
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            refs = rng.normal(size=(4, 10))
+            i = int(np.argmax(pairwise_angles(refs).max(axis=1)))
+            g = refs[i]
+            assert optimize_alpha(g, g, refs, self.GRID) == naive_optimize_alpha(
+                g, g, refs, self.GRID
+            )
+
+    def test_attack_dominated_greedy_steps(self):
+        # with a huge fixed scale every candidate's blend points along the
+        # attack gradient and the candidates tie to within rounding
+        steps = set()
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            params = perturbed(tiny_net(seed=seed), 0.4, rng)
+            refs = gradient_like_refs(rng, params, 4)
+            mask_X = rng.normal(size=(6, 6))
+            mask_y = rng.integers(0, 3, size=6)
+            g_attack = (-1) ** seed * refs.mean(axis=0)
+            selected, trace = greedy_mask_select(
+                mask_X, mask_y, 0.5, params, g_attack, 1e14, refs
+            )
+            feasible = tuple(step.feasible for step in trace)
+            assert (selected, feasible) == naive_greedy_mask_select(
+                mask_X, mask_y, 0.5, params, g_attack, 1e14, refs
+            )
+            steps.update(feasible)
+        assert steps == {True, False}
 
 
 class TestCraftFedPoisonMia:
@@ -292,6 +425,19 @@ class TestCraftFedPoisonMia:
         assert np.array_equal(
             result.g_malicious, scaled_add(alpha, g_attack, g_mask)
         )
+
+    def test_degenerate_references_skipped(self, rng):
+        for trial in range(5):
+            params = perturbed(tiny_net(seed=trial), 0.4, rng)
+            ctx = self._ctx(rng, params)
+            refs = gradient_like_refs(rng, params, 4)
+            base = craft_fedpoisonmia(ctx, params, refs)
+            for junk in (np.zeros(params.dim), np.full(params.dim, 1e-84)):
+                got = craft_fedpoisonmia(ctx, params, np.vstack([refs, junk]))
+                assert got.selected_mask_indices == base.selected_mask_indices
+                assert got.chosen_alpha == base.chosen_alpha
+                assert got.feasible == base.feasible
+                assert np.array_equal(got.g_malicious, base.g_malicious)
 
     def test_deterministic(self, rng):
         params = perturbed(tiny_net(seed=23), 0.4, rng)

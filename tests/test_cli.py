@@ -234,4 +234,4 @@ class TestDefaults:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6

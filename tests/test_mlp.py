@@ -156,6 +156,46 @@ class TestGradient:
             mlp.gradient(tiny_net(), np.empty((0, 6)), np.empty(0, dtype=int))
 
 
+def assert_rel_close(actual, expected, rtol=1e-12):
+    assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
+
+
+class TestPerExampleGradients:
+    SHAPES = (((6, 8), (8, 3)), ((5, 7), (7, 6), (6, 4)), ((64, 32), (32, 3)))
+
+    def _instance(self, rng, shapes, n):
+        params = perturbed(mlp.init_params(shapes, seed=n), 0.3, rng)
+        X = rng.normal(size=(n, shapes[0][0]))
+        y = rng.integers(0, shapes[-1][1], size=n)
+        return params, X, y
+
+    def test_row_is_single_example_gradient(self, rng):
+        for shapes in self.SHAPES:
+            params, X, y = self._instance(rng, shapes, 9)
+            P = mlp.per_example_gradients(params, X, y)
+            assert P.shape == (9, params.dim)
+            for i in range(9):
+                assert_rel_close(P[i], mlp.gradient(params, X[i], y[i]))
+
+    def test_subset_mean_is_subset_gradient(self, rng):
+        for shapes in self.SHAPES:
+            params, X, y = self._instance(rng, shapes, 16)
+            P = mlp.per_example_gradients(params, X, y)
+            for _ in range(20):
+                idx = rng.choice(16, size=int(rng.integers(1, 17)), replace=False)
+                assert_rel_close(P[idx].mean(axis=0), mlp.gradient(params, X[idx], y[idx]))
+
+    def test_single_1d_example(self, rng):
+        params, X, y = self._instance(rng, self.SHAPES[0], 1)
+        P = mlp.per_example_gradients(params, X[0], y[0])
+        assert P.shape == (1, params.dim)
+        assert_rel_close(P[0], mlp.gradient(params, X, y))
+
+    def test_empty_batch(self):
+        with pytest.raises(EmptyBatch):
+            mlp.per_example_gradients(tiny_net(), np.empty((0, 6)), np.empty(0, dtype=int))
+
+
 class TestApplyUpdate:
     def test_zero_lr_unchanged(self, rng):
         p = tiny_net()
