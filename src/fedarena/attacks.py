@@ -345,9 +345,7 @@ def craft_adaptive(benign_grads, g_attack, trim_b: int) -> np.ndarray:
     Each failed check averages the attack gradient with the benign
     gradient farthest from it in angle.
     """
-    refs = _as_matrix(benign_grads)
-    if refs.shape[0] < 2:
-        raise TooFewReferences(f"need at least 2 references, got {refs.shape[0]}")
+    refs = usable_references(benign_grads)
     g = np.asarray(g_attack, dtype=np.float64)
     if trim_b <= 0:
         return g  # nothing is ever trimmed

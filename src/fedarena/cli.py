@@ -7,9 +7,13 @@ Subcommands:
   selftest  quick built-in property checks
 
 Config files are flat `key = value` lines (# comments allowed). Unknown
-keys are rejected; missing keys take the documented defaults. Outputs use
-fixed column orders and 9-significant-digit decimals so reruns diff
-clean. FEDARENA_THREADS caps sweep parallelism (0 = sequential).
+keys are rejected; missing keys take their defaults. Each key in `KEYS`
+maps onto one ExperimentConfig field, whose dataclass declares the
+default and `engine.validate_config` the check; the few keys only the CLI
+reads carry their own default and check here. Every rejected value,
+`--seed` included, exits 1 naming its key. Outputs use fixed column
+orders and 9-significant-digit decimals so reruns diff clean.
+FEDARENA_THREADS caps sweep parallelism (0 = sequential).
 """
 
 import argparse
@@ -18,16 +22,17 @@ import math
 import multiprocessing
 import os
 import sys
+from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .aggregation import KINDS as RULE_KINDS
 from .aggregation import AggregationRule
-from .attacks import KINDS as ATTACK_KINDS
 from .attacks import AttackStrategy
 from .engine import ExperimentConfig, ExperimentResult, run, validate_config
-from .errors import ConfigError, FedArenaError
+from .errors import ConfigError, FedArenaError, InvalidConfig
 from .theory import (
     ADVERSARIES,
     TruncatedGaussian,
@@ -42,81 +47,97 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_ACCEPTANCE = 3
 
-_D = ExperimentConfig()
-_R = AggregationRule()
-_A = AttackStrategy()
 
-# key -> (default, parser); order here is the canonical emission order
-DEFAULTS: dict[str, tuple] = {
-    "n_clients": (_D.n_clients, int),
-    "malicious_fraction": (_D.malicious_fraction, float),
-    "C": (_D.participation, float),
-    "lr": (_D.lr, float),
-    "rounds": (_D.rounds, int),
-    "batch_size": (_D.batch_size, int),
-    "rule": (_R.kind, str),
-    "trim_b": (_R.trim_b, int),
-    "dp_sigma": (_R.dp_sigma, float),
-    "top_k": (_R.top_k, int),
-    "krum_f": (_R.krum_f, int),
-    "krum_count": (_R.krum_count, int),
-    "fang_mode": (_R.fang_mode, str),
-    "fang_remove": (_R.fang_remove, int),
-    "inner_rule": ("fedavg", str),
-    "attack": (_A.kind, str),
-    "gamma": (_A.mask_fraction, float),
-    "alpha_min": (0.01, float),
-    "alpha_max": (100.0, float),
-    "alpha_points": (25, int),
-    "knowledge": (_A.knowledge, str),
-    "ga_scale": (_A.ga_scale, float),
-    "dataset": (_D.dataset, str),
-    "csv_path": (_D.csv_path, str),
-    "classes": (_D.classes, int),
-    "features": (_D.features, int),
-    "per_class": (_D.per_class, int),
-    "spread": (_D.spread, float),
-    "partition": (_D.partition, str),
-    "beta": (_D.beta, float),
-    "train_fraction": (_D.train_fraction, float),
-    "holdout_fraction": (_D.holdout_fraction, float),
-    "val_fraction": (_D.val_fraction, float),
-    "n_attack": (_D.n_attack, int),
-    "n_mask": (_D.n_mask, int),
-    "async": (_D.asynchronous, bool),
-    "tau_max": (_D.tau_max, int),
-    "seed": (_D.seed, int),
-    "theory_n": (20, int),
-    "theory_mu": (math.pi / 2, float),
-    "theory_sigma": (0.3, float),
-    "theory_m_values": ((0, 2, 4), "int_list"),
-    "theory_b_max": (5, int),
-    "theory_trials": (2000, int),
-    "theory_adversaries": (ADVERSARIES, "str_list"),
+@dataclass(frozen=True)
+class CliOnly:
+    """A key no ExperimentConfig field holds, with its default."""
+
+    default: object
+
+
+# key -> dotted ExperimentConfig field path, or CliOnly(default); order
+# here is the canonical emission order
+KEYS: dict[str, object] = {
+    "n_clients": "n_clients",
+    "malicious_fraction": "malicious_fraction",
+    "C": "participation",
+    "lr": "lr",
+    "rounds": "rounds",
+    "batch_size": "batch_size",
+    "rule": "rule.kind",
+    "trim_b": "rule.trim_b",
+    "dp_sigma": "rule.dp_sigma",
+    "top_k": "rule.top_k",
+    "krum_f": "rule.krum_f",
+    "krum_count": "rule.krum_count",
+    "fang_mode": "rule.fang_mode",
+    "fang_remove": "rule.fang_remove",
+    "inner_rule": CliOnly(AggregationRule.kind),  # rule.inner under dp|topk
+    "attack": "attack.kind",
+    "gamma": "attack.mask_fraction",
+    # attack.alpha_grid = geomspace(alpha_min, alpha_max, alpha_points)
+    "alpha_min": CliOnly(float(AttackStrategy.alpha_grid[0])),
+    "alpha_max": CliOnly(float(AttackStrategy.alpha_grid[-1])),
+    "alpha_points": CliOnly(len(AttackStrategy.alpha_grid)),
+    "knowledge": "attack.knowledge",
+    "ga_scale": "attack.ga_scale",
+    "dataset": "dataset",
+    "csv_path": "csv_path",
+    "classes": "classes",
+    "features": "features",
+    "per_class": "per_class",
+    "spread": "spread",
+    "partition": "partition",
+    "beta": "beta",
+    "train_fraction": "train_fraction",
+    "holdout_fraction": "holdout_fraction",
+    "val_fraction": "val_fraction",
+    "n_attack": "n_attack",
+    "n_mask": "n_mask",
+    "async": "asynchronous",
+    "tau_max": "tau_max",
+    "seed": "seed",
+    "theory_n": CliOnly(20),
+    "theory_mu": CliOnly(math.pi / 2),
+    "theory_sigma": CliOnly(0.3),
+    "theory_m_values": CliOnly((0, 2, 4)),
+    "theory_b_max": CliOnly(5),
+    "theory_trials": CliOnly(2000),
+    "theory_adversaries": CliOnly(ADVERSARIES),
 }
+_KEY_OF_PATH = {row: key for key, row in KEYS.items() if isinstance(row, str)}
+
+
+def _defaults() -> dict:
+    base = ExperimentConfig()
+    return {
+        key: row.default if isinstance(row, CliOnly) else reduce(getattr, row.split("."), base)
+        for key, row in KEYS.items()
+    }
+
+
+DEFAULTS = _defaults()
+
+
+def _convert(raw: str, default):
+    """Parse `raw` as the type of `default`; a tuple takes a comma list."""
+    if isinstance(default, tuple):
+        return tuple(_convert(v.strip(), default[0]) for v in raw.split(",") if v.strip())
+    if isinstance(default, bool):
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(raw)
+    return type(default)(raw)
 
 
 def _coerce(key: str, raw: str):
-    default, kind = DEFAULTS[key]
     raw = raw.strip()
     if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
         raw = raw[1:-1]
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "int_list":
-            return tuple(int(v) for v in raw.split(",") if v.strip() != "")
-        if kind == "str_list":
-            return tuple(v.strip() for v in raw.split(",") if v.strip() != "")
-        return raw
+        return _convert(raw, DEFAULTS[key])
     except ValueError:
         raise ConfigError(key, f"cannot parse {raw!r}") from None
 
@@ -134,7 +155,7 @@ def _fmt_value(value) -> str:
 
 
 def parse_config_text(text: str) -> dict:
-    values = {key: default for key, (default, _) in DEFAULTS.items()}
+    values = dict(DEFAULTS)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -146,58 +167,8 @@ def parse_config_text(text: str) -> dict:
         if key not in DEFAULTS:
             raise ConfigError(key, "unknown key")
         values[key] = _coerce(key, raw)
-    _validate_values(values)
+    to_experiment_config(values)  # the check; the config itself is rebuilt per run
     return values
-
-
-def _validate_values(v: dict) -> None:
-    if not 0 < v["C"] <= 1:
-        raise ConfigError("C", f"{v['C']} outside (0, 1]")
-    if not 0 <= v["malicious_fraction"] < 0.5:
-        raise ConfigError("malicious_fraction", f"{v['malicious_fraction']} outside [0, 0.5)")
-    if v["rule"] not in RULE_KINDS:
-        raise ConfigError("rule", f"{v['rule']!r} not one of {RULE_KINDS}")
-    if v["inner_rule"] not in RULE_KINDS or v["inner_rule"] in ("dp", "topk"):
-        raise ConfigError("inner_rule", f"{v['inner_rule']!r} cannot nest")
-    if v["attack"] not in ATTACK_KINDS:
-        raise ConfigError("attack", f"{v['attack']!r} not one of {ATTACK_KINDS}")
-    if v["attack"] != "none" and not 0 < v["gamma"] < 1:
-        raise ConfigError("gamma", f"{v['gamma']} outside (0, 1)")
-    if v["knowledge"] not in ("full", "partial"):
-        raise ConfigError("knowledge", f"{v['knowledge']!r} not full|partial")
-    if v["dataset"] not in ("synthetic", "csv"):
-        raise ConfigError("dataset", f"{v['dataset']!r} not synthetic|csv")
-    if v["partition"] not in ("iid", "noniid"):
-        raise ConfigError("partition", f"{v['partition']!r} not iid|noniid")
-    if not 0 < v["beta"] <= 1:
-        raise ConfigError("beta", f"{v['beta']} outside (0, 1]")
-    if v["fang_mode"] not in ("err", "lfr"):
-        raise ConfigError("fang_mode", f"{v['fang_mode']!r} not err|lfr")
-    if v["alpha_min"] <= 0 or v["alpha_max"] < v["alpha_min"] or v["alpha_points"] < 1:
-        raise ConfigError("alpha_min", "need 0 < alpha_min <= alpha_max, alpha_points >= 1")
-    if v["lr"] <= 0:
-        raise ConfigError("lr", f"{v['lr']} must be positive")
-    if v["rounds"] < 1:
-        raise ConfigError("rounds", f"{v['rounds']} must be >= 1")
-    if v["tau_max"] < 0:
-        raise ConfigError("tau_max", f"{v['tau_max']} must be >= 0")
-    if v["classes"] < 2:
-        raise ConfigError("classes", f"{v['classes']} must be >= 2")
-    if v["features"] < 1 or v["per_class"] < 1:
-        raise ConfigError("features", "features and per_class must be positive")
-    if v["spread"] < 0:
-        raise ConfigError("spread", f"{v['spread']} must be >= 0")
-    if v["n_attack"] < 1 or v["n_mask"] < 0:
-        raise ConfigError("n_attack", "need n_attack >= 1 and n_mask >= 0")
-    if not 0 < v["train_fraction"] + v["holdout_fraction"] + v["val_fraction"] < 1:
-        raise ConfigError("train_fraction", "data fractions must leave room for a test split")
-    if v["theory_sigma"] < 0:
-        raise ConfigError("theory_sigma", f"{v['theory_sigma']} must be >= 0")
-    if v["theory_trials"] < 1:
-        raise ConfigError("theory_trials", f"{v['theory_trials']} must be >= 1")
-    for adv in v["theory_adversaries"]:
-        if adv not in ADVERSARIES:
-            raise ConfigError("theory_adversaries", f"{adv!r} not one of {ADVERSARIES}")
 
 
 def parse_config(path) -> dict:
@@ -209,63 +180,51 @@ def parse_config(path) -> dict:
 
 def default_config_text() -> str:
     lines = ["# fedarena configuration (defaults)"]
-    for key, (default, _) in DEFAULTS.items():
+    for key, default in DEFAULTS.items():
         lines.append(f"{key} = {_fmt_value(default)}")
     return "\n".join(lines) + "\n"
 
 
+def _check_cli_keys(v: dict) -> None:
+    """Range checks of the keys no ExperimentConfig field holds."""
+    if v["inner_rule"] not in RULE_KINDS or v["inner_rule"] in ("dp", "topk"):
+        raise ConfigError("inner_rule", f"{v['inner_rule']!r} cannot nest")
+    if v["alpha_min"] <= 0 or v["alpha_max"] < v["alpha_min"] or v["alpha_points"] < 1:
+        raise ConfigError("alpha_min", "need 0 < alpha_min <= alpha_max, alpha_points >= 1")
+    if v["theory_sigma"] < 0:
+        raise ConfigError("theory_sigma", f"{v['theory_sigma']} must be >= 0")
+    if v["theory_trials"] < 1:
+        raise ConfigError("theory_trials", f"{v['theory_trials']} must be >= 1")
+    for adv in v["theory_adversaries"]:
+        if adv not in ADVERSARIES:
+            raise ConfigError("theory_adversaries", f"{adv!r} not one of {ADVERSARIES}")
+
+
 def to_experiment_config(values: dict) -> ExperimentConfig:
+    """Check every value and set it on its field; a rejected value raises
+    ConfigError naming its key."""
+    _check_cli_keys(values)
+    fields = {"": {}, "rule": {}, "attack": {}}
+    for key, row in KEYS.items():
+        if isinstance(row, str):
+            owner, _, name = row.rpartition(".")
+            fields[owner][name] = values[key]
     inner = None
     if values["rule"] in ("dp", "topk"):
         inner = AggregationRule(kind=values["inner_rule"])
-    rule = AggregationRule(
-        kind=values["rule"],
-        trim_b=values["trim_b"],
-        dp_sigma=values["dp_sigma"],
-        top_k=values["top_k"],
-        krum_f=values["krum_f"],
-        krum_count=values["krum_count"],
-        fang_mode=values["fang_mode"],
-        fang_remove=values["fang_remove"],
-        inner=inner,
-    )
     grid = tuple(
         float(a)
         for a in np.geomspace(values["alpha_min"], values["alpha_max"], values["alpha_points"])
     )
-    attack = AttackStrategy(
-        kind=values["attack"],
-        mask_fraction=values["gamma"],
-        alpha_grid=grid,
-        knowledge=values["knowledge"],
-        ga_scale=values["ga_scale"],
-    )
     cfg = ExperimentConfig(
-        n_clients=values["n_clients"],
-        malicious_fraction=values["malicious_fraction"],
-        participation=values["C"],
-        lr=values["lr"],
-        rounds=values["rounds"],
-        batch_size=values["batch_size"],
-        rule=rule,
-        attack=attack,
-        dataset=values["dataset"],
-        csv_path=values["csv_path"],
-        classes=values["classes"],
-        features=values["features"],
-        per_class=values["per_class"],
-        spread=values["spread"],
-        partition=values["partition"],
-        beta=values["beta"],
-        train_fraction=values["train_fraction"],
-        holdout_fraction=values["holdout_fraction"],
-        val_fraction=values["val_fraction"],
-        n_attack=values["n_attack"],
-        n_mask=values["n_mask"],
-        asynchronous=values["async"],
-        tau_max=values["tau_max"],
-        seed=values["seed"],
+        **fields[""],
+        rule=AggregationRule(**fields["rule"], inner=inner),
+        attack=AttackStrategy(**fields["attack"], alpha_grid=grid),
     )
+    try:
+        validate_config(cfg)
+    except InvalidConfig as exc:
+        raise ConfigError(_KEY_OF_PATH[exc.path], str(exc)) from None
     return cfg
 
 
@@ -277,7 +236,8 @@ def _round9(x: float) -> float:
     return float(_fmt9(x))
 
 
-def write_outputs(out_dir: Path, values: dict, result: ExperimentResult) -> None:
+def write_outputs(out_dir: Path, values: dict, result: ExperimentResult) -> dict:
+    """Write the three artifacts; returns the summary written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     truth = np.asarray(result.member_flags, dtype=bool)
     rows = ["round,test_acc,mem_correct,mem_total,kept_count"]
@@ -305,6 +265,7 @@ def write_outputs(out_dir: Path, values: dict, result: ExperimentResult) -> None
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+    return summary
 
 
 def _manifest_value(v):
@@ -313,13 +274,10 @@ def _manifest_value(v):
     return v
 
 
-def run_experiment(values: dict, out_dir) -> int:
-    """Execute one configured run and write its artifacts."""
-    cfg = to_experiment_config(values)
-    validate_config(cfg)
-    result = run(cfg)
-    write_outputs(Path(out_dir), values, result)
-    return EXIT_OK
+def run_experiment(values: dict, out_dir) -> dict:
+    """Execute one configured run, write its artifacts, return its summary."""
+    result = run(to_experiment_config(values))
+    return write_outputs(Path(out_dir), values, result)
 
 
 def theory_grid(values: dict):
@@ -372,21 +330,6 @@ def _worker_threads() -> int:
         return 0
 
 
-def _sweep_one(args) -> tuple[str, dict]:
-    values, out_dir = args
-    cfg = to_experiment_config(values)
-    validate_config(cfg)
-    result = run(cfg)
-    write_outputs(Path(out_dir), values, result)
-    summary = {
-        "attack_accuracy": _round9(result.attack_acc),
-        "precision": _round9(result.attack_prec),
-        "recall": _round9(result.attack_rec),
-        "final_test_acc": _round9(result.final_test_acc),
-    }
-    return str(out_dir), summary
-
-
 def run_sweep(values: dict, sweep_spec: str, out_dir) -> int:
     if "=" not in sweep_spec:
         raise ConfigError("sweep", f"expected key=v1,v2,..., got {sweep_spec!r}")
@@ -398,16 +341,16 @@ def run_sweep(values: dict, sweep_spec: str, out_dir) -> int:
     for raw in raw_values.split(","):
         v = dict(values)
         v[key] = _coerce(key, raw)
-        _validate_values(v)
+        to_experiment_config(v)
         points.append((v, Path(out_dir) / f"{key}={raw.strip()}"))
     threads = _worker_threads()
     if threads > 1:
         with multiprocessing.get_context("spawn").Pool(threads) as pool:
-            outcomes = pool.map(_sweep_one, points)
+            summaries = pool.starmap(run_experiment, points)
     else:
-        outcomes = [_sweep_one(p) for p in points]
+        summaries = [run_experiment(v, out) for v, out in points]
     rows = ["value,attack_accuracy,precision,recall,final_test_acc"]
-    for (v, _), (_, summary) in zip(points, outcomes):
+    for (v, _), summary in zip(points, summaries):
         rows.append(
             f"{_fmt_value(v[key])},{_fmt9(summary['attack_accuracy'])},"
             f"{_fmt9(summary['precision'])},{_fmt9(summary['recall'])},"
@@ -480,8 +423,10 @@ def main(argv=None) -> int:
         )
         if args.seed is not None:
             values["seed"] = args.seed
+            to_experiment_config(values)
         if args.command == "run":
-            return run_experiment(values, args.out)
+            run_experiment(values, args.out)
+            return EXIT_OK
         if args.command == "sweep":
             return run_sweep(values, args.sweep, args.out)
         if args.command == "theory":

@@ -19,12 +19,15 @@ smaller than they require.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
 from . import data as datamod
 from . import mlp
+from .aggregation import KINDS as RULE_KINDS
 from .aggregation import AggregationRule, apply_rule
+from .attacks import KINDS as ATTACK_KINDS
 from .attacks import (
     AttackerContext,
     AttackStrategy,
@@ -99,23 +102,42 @@ class ExperimentResult:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if not 0 < cfg.participation <= 1:
-        raise InvalidC(f"participation {cfg.participation} outside (0, 1]")
-    if not 0 <= cfg.malicious_fraction < 0.5:
-        raise InvalidConfig(f"malicious fraction {cfg.malicious_fraction} outside [0, 0.5)")
-    if cfg.rounds < 1 or cfg.n_clients < 1 or cfg.batch_size < 1:
-        raise InvalidConfig("rounds, clients, and batch size must be positive")
-    if cfg.lr <= 0:
-        raise InvalidConfig(f"lr {cfg.lr} must be positive")
-    if cfg.tau_max < 0:
-        raise InvalidConfig(f"tau_max {cfg.tau_max} must be >= 0")
-    if cfg.attack.kind != "none" and not 0 < cfg.attack.mask_fraction < 1:
-        raise InvalidConfig(f"mask fraction {cfg.attack.mask_fraction} outside (0, 1)")
-    if cfg.n_attack < 1 or cfg.n_mask < 0:
-        raise InvalidConfig("n_attack must be >= 1 and n_mask >= 0")
-    fr = cfg.train_fraction + cfg.holdout_fraction + cfg.val_fraction
-    if not 0 < fr < 1:
-        raise InvalidConfig("train/holdout/val fractions must leave room for a test split")
+    """The one range check of every config field: raises InvalidConfig
+    (InvalidC for participation) carrying the dotted field path of the
+    first rejected value."""
+    rule, attack = cfg.rule, cfg.attack
+    fractions = cfg.train_fraction + cfg.holdout_fraction + cfg.val_fraction
+    checks = (
+        ("participation", 0 < cfg.participation <= 1, "in (0, 1]"),
+        ("malicious_fraction", 0 <= cfg.malicious_fraction < 0.5, "in [0, 0.5)"),
+        ("rule.kind", rule.kind in RULE_KINDS, f"one of {RULE_KINDS}"),
+        ("attack.kind", attack.kind in ATTACK_KINDS, f"one of {ATTACK_KINDS}"),
+        ("attack.mask_fraction", attack.kind == "none" or 0 < attack.mask_fraction < 1,
+         "in (0, 1) under an attack"),
+        ("attack.knowledge", attack.knowledge in ("full", "partial"), "full|partial"),
+        ("dataset", cfg.dataset in ("synthetic", "csv"), "synthetic|csv"),
+        ("partition", cfg.partition in ("iid", "noniid"), "iid|noniid"),
+        ("beta", 0 < cfg.beta <= 1, "in (0, 1]"),
+        ("rule.fang_mode", rule.fang_mode in ("err", "lfr"), "err|lfr"),
+        ("lr", cfg.lr > 0, "positive"),
+        ("rounds", cfg.rounds >= 1, ">= 1"),
+        ("tau_max", cfg.tau_max >= 0, ">= 0"),
+        ("classes", cfg.classes >= 2, ">= 2"),
+        ("features", cfg.features >= 1, ">= 1"),
+        ("per_class", cfg.per_class >= 1, ">= 1"),
+        ("spread", cfg.spread >= 0, ">= 0"),
+        ("n_attack", cfg.n_attack >= 1, ">= 1"),
+        ("n_mask", cfg.n_mask >= 0, ">= 0"),
+        ("train_fraction", 0 < fractions < 1, "room for a test split after holdout and val"),
+        ("n_clients", cfg.n_clients >= 1, ">= 1"),
+        ("batch_size", cfg.batch_size >= 1, ">= 1"),
+        ("seed", cfg.seed >= 0, ">= 0"),
+    )
+    for path, ok, need in checks:
+        if not ok:
+            value = reduce(getattr, path.split("."), cfg)
+            error = InvalidC if path == "participation" else InvalidConfig
+            raise error(f"{path} = {value!r}, need {need}", path)
 
 
 def num_malicious(cfg: ExperimentConfig) -> int:
@@ -189,14 +211,12 @@ class _World:
 
 def build_world(cfg: ExperimentConfig) -> _World:
     validate_config(cfg)
-    if cfg.dataset == "synthetic":
+    if cfg.dataset == "csv":
+        base = datamod.load_csv(cfg.csv_path)
+    else:
         base = datamod.synth_dataset(
             cfg.classes, cfg.features, cfg.per_class, cfg.spread, cfg.seed
         )
-    elif cfg.dataset == "csv":
-        base = datamod.load_csv(cfg.csv_path)
-    else:
-        raise InvalidConfig(f"unknown dataset kind {cfg.dataset!r}")
 
     perm = substream(cfg.seed, "split").permutation(base.size)
     n_train = int(base.size * cfg.train_fraction)
@@ -207,12 +227,10 @@ def build_world(cfg: ExperimentConfig) -> _World:
     val = datamod.take(base, perm[n_train + n_hold : n_train + n_hold + n_val])
     test = datamod.take(base, perm[n_train + n_hold + n_val :])
 
-    if cfg.partition == "iid":
-        part = datamod.partition_iid(train, cfg.n_clients, cfg.seed)
-    elif cfg.partition == "noniid":
+    if cfg.partition == "noniid":
         part = datamod.partition_noniid(train, cfg.n_clients, cfg.beta, cfg.seed)
     else:
-        raise InvalidConfig(f"unknown partition kind {cfg.partition!r}")
+        part = datamod.partition_iid(train, cfg.n_clients, cfg.seed)
 
     n_mal = num_malicious(cfg)
     malicious_ids = tuple(range(cfg.n_clients - n_mal, cfg.n_clients))

@@ -29,7 +29,12 @@ class EmptyBatch(FedArenaError):
 
 # data layer
 class InvalidConfig(FedArenaError):
-    pass
+    """A rejected config value; `path` names its ExperimentConfig field
+    (dotted, e.g. "rule.kind") when the value came from one."""
+
+    def __init__(self, message: str, path: str | None = None):
+        super().__init__(message)
+        self.path = path
 
 
 class ParseError(FedArenaError):
@@ -97,7 +102,7 @@ class EmptyMaskBudget(FedArenaError):
 
 
 # engine layer
-class InvalidC(FedArenaError):
+class InvalidC(InvalidConfig):
     pass
 
 

@@ -563,6 +563,16 @@ class TestAdaptive:
                 assert n - 1 in kept
 
 
+    def test_degenerate_references_skipped(self, rng):
+        params = perturbed(tiny_net(seed=7), 0.4, rng)
+        refs = gradient_like_refs(rng, params, 5)
+        g = -refs.mean(axis=0)
+        base = craft_adaptive(refs, g, trim_b=1)
+        for tiny in (0.0, 1e-84):
+            padded = np.vstack([refs, np.full(params.dim, tiny)])
+            assert np.array_equal(craft_adaptive(padded, g, trim_b=1), base)
+
+
 class TestPassiveInfer:
     def test_constant_model_flags_its_class(self, rng):
         params = tiny_net()

@@ -69,6 +69,82 @@ class TestParseConfig:
         assert cfg.attack.alpha_grid == pytest.approx((0.1, 1.0, 10.0))
 
 
+REJECTIONS = [
+    ("C = 1.5", "C"),
+    ("C = 0", "C"),
+    ("malicious_fraction = 0.5", "malicious_fraction"),
+    ("malicious_fraction = -0.1", "malicious_fraction"),
+    ("n_clients = 0", "n_clients"),
+    ("batch_size = 0", "batch_size"),
+    ("rule = krum", "rule"),
+    ("rule = dp\ninner_rule = dp", "inner_rule"),
+    ("inner_rule = bogus", "inner_rule"),
+    ("attack = teleport", "attack"),
+    ("attack = passive\ngamma = 0", "gamma"),
+    ("attack = passive\ngamma = 1", "gamma"),
+    ("knowledge = some", "knowledge"),
+    ("dataset = mnist", "dataset"),
+    ("partition = dirichlet", "partition"),
+    ("beta = 0", "beta"),
+    ("beta = 1.5", "beta"),
+    ("fang_mode = acc", "fang_mode"),
+    ("alpha_min = 0", "alpha_min"),
+    ("alpha_min = 2\nalpha_max = 1", "alpha_min"),
+    ("alpha_points = 0", "alpha_min"),
+    ("lr = 0", "lr"),
+    ("rounds = 0", "rounds"),
+    ("tau_max = -1", "tau_max"),
+    ("classes = 1", "classes"),
+    ("features = 0", "features"),
+    ("per_class = 0", "per_class"),
+    ("spread = -0.1", "spread"),
+    ("n_attack = 0", "n_attack"),
+    ("n_mask = -1", "n_mask"),
+    ("train_fraction = 0.9", "train_fraction"),
+    ("seed = -1", "seed"),
+    ("theory_sigma = -0.1", "theory_sigma"),
+    ("theory_trials = 0", "theory_trials"),
+    ("theory_adversaries = extreme_high,sideways", "theory_adversaries"),
+    ("rounds = soon", "rounds"),
+    ("async = maybe", "async"),
+    ("warp_speed = 9", "warp_speed"),
+    ("rounds 7", "line 1"),
+]
+
+
+class TestRejections:
+    @pytest.mark.parametrize("text,key", REJECTIONS)
+    def test_rejected_value_names_key(self, text, key, tmp_path, capsys):
+        with pytest.raises(ConfigError) as exc:
+            cli.to_experiment_config(cli.parse_config_text(text))
+        assert exc.value.key == key
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--out", "o"],
+            ["sweep", "--out", "o", "--sweep", "rounds=1,2"],
+            ["theory", "--out", "t.csv"],
+        ],
+    )
+    def test_negative_seed_override_rejected(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv + ["--seed", "-1"]) == 1
+        assert "config key 'seed'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_in_sweep_values_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--out", str(out), "--sweep", "seed=0,-1"]) == 1
+        assert "config key 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRunCommand:
     def test_smoke_run_under_five_seconds(self, tmp_path):
         cfg = tmp_path / "cfg"
