@@ -7,6 +7,7 @@ inputs (noise injection takes an explicit seed).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     WeightMismatch,
 )
 from .rngstream import substream
-from .vectors import _as_matrix, pairwise_angles
+from .vectors import _as_matrix, pairwise_angles, pairwise_sq_distances
 
 
 @dataclass(frozen=True)
@@ -149,19 +150,13 @@ def multi_krum(grads, num_malicious: int, count: int) -> AggregationOutcome:
         raise InvalidKrumParams(f"n-f-1 = {n - f - 1} < 1")
     if not 1 <= count <= n:
         raise InvalidKrumParams(f"count {count} outside [1, {n}]")
-    diffs = G[:, None, :] - G[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+    d2 = pairwise_sq_distances(G)
+    np.fill_diagonal(d2, np.inf)  # sorts last, so never its own neighbour
     remaining = list(range(n))
     chosen: list[int] = []
     while len(chosen) < count:
-        scores = []
-        for r in remaining:
-            others = [o for o in remaining if o != r]
-            neigh = min(n - f - 1, len(others))
-            if neigh == 0:
-                scores.append(0.0)
-            else:
-                scores.append(float(np.sort(d2[r, others])[:neigh].sum()))
+        neigh = min(n - f - 1, len(remaining) - 1)
+        scores = np.sort(d2[np.ix_(remaining, remaining)], axis=1)[:, :neigh].sum(axis=1)
         best = remaining[int(np.argmin(scores))]
         chosen.append(best)
         remaining.remove(best)
@@ -190,10 +185,9 @@ def topk_wrap(grads, k: int, inner: Callable) -> AggregationOutcome:
     d = G.shape[1]
     if not 1 <= k <= d:
         raise InvalidK(f"k {k} outside [1, {d}]")
+    keep = np.argsort(-np.abs(G), axis=1, kind="stable")[:, :k]
     sparse = np.zeros_like(G)
-    for i in range(G.shape[0]):
-        keep = np.argsort(-np.abs(G[i]), kind="stable")[:k]
-        sparse[i, keep] = G[i, keep]
+    np.put_along_axis(sparse, keep, np.take_along_axis(G, keep, axis=1), axis=1)
     return inner(sparse)
 
 
@@ -270,20 +264,16 @@ def apply_rule(
         count = rule.krum_count if rule.krum_count > 0 else n - rule.krum_f
         return multi_krum(G, rule.krum_f, count)
     if kind in ("dp", "topk"):
-        inner_rule = rule.inner if rule.inner is not None else AggregationRule("fedavg")
-
-        def inner(g):
-            return apply_rule(
-                inner_rule,
-                g,
-                weights,
-                seed=seed,
-                params=params,
-                val_features=val_features,
-                val_labels=val_labels,
-                lr=lr,
-            )
-
+        inner = partial(
+            apply_rule,
+            rule.inner if rule.inner is not None else AggregationRule("fedavg"),
+            weights=weights,
+            seed=seed,
+            params=params,
+            val_features=val_features,
+            val_labels=val_labels,
+            lr=lr,
+        )
         if kind == "dp":
             return dp_wrap(G, rule.dp_sigma, inner, seed)
         k = rule.top_k if rule.top_k > 0 else d

@@ -41,6 +41,7 @@ from .vectors import (
     angle_between,
     as_vector,
     pairwise_angles,
+    pairwise_sq_distances,
     scaled_add,
 )
 
@@ -245,9 +246,11 @@ def optimize_alpha(
 ) -> tuple[float, bool]:
     """Grid-search the attack-gradient scale.
 
-    Returns the feasible grid point with the largest max-angle objective
-    (lowest scale on ties), or (0, False) when no point satisfies the
-    benign-spread constraint.
+    Returns the feasible grid point with the largest max-angle objective,
+    or (0, False) when no point satisfies the benign-spread constraint.
+    Near-tied objectives are compared by their per-pair angle_between
+    values. The lowest scale wins only among objectives equal as floats, so
+    scales that tie mathematically are decided by how each angle rounds.
     """
     refs = usable_references(benign_grads)
     angle_budget = benign_angle_budget(refs)
@@ -322,12 +325,7 @@ def craft_agrevader(
     refs = _as_matrix(benign_grads)
     g_attack = mlp.gradient(params, flipped_features, flipped_labels)
     g_mask = mlp.gradient(params, mask_features, mask_labels)
-    # benign diameter, one row of squared distances at a time: O(r*d) memory
-    sq_diameter = 0.0
-    for i in range(refs.shape[0]):
-        D = refs - refs[i]
-        sq_diameter = max(sq_diameter, float(np.einsum("jk,jk->j", D, D).max()))
-    dist_budget = float(np.sqrt(sq_diameter))
+    dist_budget = float(np.sqrt(pairwise_sq_distances(refs).max()))
     scale = 1.0
     for _ in range(AGREVADER_MAX_HALVINGS + 1):
         g = scale * g_attack + g_mask

@@ -32,7 +32,7 @@ from .aggregation import KINDS as RULE_KINDS
 from .aggregation import AggregationRule
 from .attacks import AttackStrategy
 from .engine import ExperimentConfig, ExperimentResult, run, validate_config
-from .errors import ConfigError, FedArenaError, InvalidConfig
+from .errors import ConfigError, FedArenaError, InvalidConfig, InvalidParams
 from .theory import (
     ADVERSARIES,
     TruncatedGaussian,
@@ -198,6 +198,13 @@ def _check_cli_keys(v: dict) -> None:
     for adv in v["theory_adversaries"]:
         if adv not in ADVERSARIES:
             raise ConfigError("theory_adversaries", f"{adv!r} not one of {ADVERSARIES}")
+    for n, m, b, _ in theory_grid(v):
+        try:
+            deviation_bound(n, m, b, 0.0)
+        except InvalidParams as exc:
+            raise ConfigError("theory_n", f"grid point m={m} b={b}: {exc}") from None
+        if 2 * b >= n:
+            raise ConfigError("theory_n", f"grid point b={b} trims all {n} values")
 
 
 def to_experiment_config(values: dict) -> ExperimentConfig:
@@ -211,7 +218,7 @@ def to_experiment_config(values: dict) -> ExperimentConfig:
             fields[owner][name] = values[key]
     inner = None
     if values["rule"] in ("dp", "topk"):
-        inner = AggregationRule(kind=values["inner_rule"])
+        inner = AggregationRule(**{**fields["rule"], "kind": values["inner_rule"]})
     grid = tuple(
         float(a)
         for a in np.geomspace(values["alpha_min"], values["alpha_max"], values["alpha_points"])
@@ -224,7 +231,8 @@ def to_experiment_config(values: dict) -> ExperimentConfig:
     try:
         validate_config(cfg)
     except InvalidConfig as exc:
-        raise ConfigError(_KEY_OF_PATH[exc.path], str(exc)) from None
+        # the CLI's rule keys also configure the inner rule of dp|topk
+        raise ConfigError(_KEY_OF_PATH[exc.path.replace(".inner", "")], str(exc)) from None
     return cfg
 
 
@@ -259,19 +267,13 @@ def write_outputs(out_dir: Path, values: dict, result: ExperimentResult) -> dict
     )
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
-        "config": {k: _manifest_value(v) for k, v in values.items()},
+        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()},
         "outputs": ["rounds.csv", "summary.json"],
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     return summary
-
-
-def _manifest_value(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def run_experiment(values: dict, out_dir) -> dict:
@@ -416,11 +418,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(text)
             return EXIT_OK
-        values = (
-            parse_config(args.config)
-            if args.config
-            else parse_config_text("")
-        )
+        values = parse_config(args.config) if args.config else parse_config_text("")
         if args.seed is not None:
             values["seed"] = args.seed
             to_experiment_config(values)
@@ -429,9 +427,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "sweep":
             return run_sweep(values, args.sweep, args.out)
-        if args.command == "theory":
-            return run_theory_suite(values, args.out)
-        raise ConfigError("command", f"unknown command {args.command!r}")
+        return run_theory_suite(values, args.out)  # argparse admits no other command
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -39,12 +39,7 @@ from .attacks import (
     flip_labels,
     passive_infer,
 )
-from .errors import (
-    EmptyHistory,
-    EmptySet,
-    InvalidC,
-    InvalidConfig,
-)
+from .errors import EmptyHistory, EmptySet, InvalidC, InvalidConfig
 from .rngstream import derive_seed, substream
 
 HIDDEN_WIDTH = 32
@@ -107,8 +102,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     first rejected value."""
     rule, attack = cfg.rule, cfg.attack
     fractions = cfg.train_fraction + cfg.holdout_fraction + cfg.val_fraction
+    # dp|topk hand the gradients to their inner rule; a sync round
+    # aggregates every participant, async runs clamp trim_b to the buffer
+    trimmer = rule.inner if rule.kind in ("dp", "topk") and rule.inner is not None else rule
+    trim_path = "rule.trim_b" if trimmer is rule else "rule.inner.trim_b"
+    trims = trimmer.kind in ("trimmed_mean", "atm")
+    valid_c = 0 < cfg.participation <= 1
+    per_round = participant_count(cfg.n_clients, cfg.participation) if valid_c else 0
     checks = (
-        ("participation", 0 < cfg.participation <= 1, "in (0, 1]"),
+        ("participation", valid_c, "in (0, 1]"),
         ("malicious_fraction", 0 <= cfg.malicious_fraction < 0.5, "in [0, 0.5)"),
         ("rule.kind", rule.kind in RULE_KINDS, f"one of {RULE_KINDS}"),
         ("attack.kind", attack.kind in ATTACK_KINDS, f"one of {ATTACK_KINDS}"),
@@ -132,6 +134,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         ("n_clients", cfg.n_clients >= 1, ">= 1"),
         ("batch_size", cfg.batch_size >= 1, ">= 1"),
         ("seed", cfg.seed >= 0, ">= 0"),
+        ("rule.dp_sigma", rule.dp_sigma >= 0, ">= 0"),
+        (trim_path, not trims or trimmer.trim_b >= 0, ">= 0"),
+        (trim_path, not trims or cfg.asynchronous or 2 * trimmer.trim_b < per_round,
+         f"2*trim_b < {per_round} updates per synchronous round"),
     )
     for path, ok, need in checks:
         if not ok:
@@ -146,13 +152,17 @@ def num_malicious(cfg: ExperimentConfig) -> int:
     return math.floor(cfg.malicious_fraction * cfg.n_clients + 1e-9)
 
 
+def participant_count(n: int, participation: float) -> int:
+    """ceil(C*n), nudged so 0.55 * 100 style products stay exact."""
+    return math.ceil(participation * n - 1e-9)
+
+
 def select_clients(n: int, participation: float, round_idx: int, seed: int) -> np.ndarray:
     """ceil(C*n) distinct client ids, uniform, deterministic per (seed, round)."""
     if not 0 < participation <= 1:
         raise InvalidC(f"participation {participation} outside (0, 1]")
-    count = math.ceil(participation * n - 1e-9)
     rng = substream(seed, "select", round_idx)
-    return np.sort(rng.choice(n, size=count, replace=False))
+    return np.sort(rng.choice(n, size=participant_count(n, participation), replace=False))
 
 
 def test_accuracy(params: mlp.ModelParams, features, labels) -> float:
@@ -321,10 +331,8 @@ def _craft_update(
         if craft_observer is not None:
             craft_observer(round_idx, result, [np.array(r) for r in refs])
         return result.g_malicious
+    flipped = flip_labels(att.attack_labels, world.train.num_classes, world.attack_ctx.flip_seed)
     if kind == "agrevader":
-        flipped = flip_labels(
-            att.attack_labels, world.train.num_classes, world.attack_ctx.flip_seed
-        )
         return craft_agrevader(
             params,
             att.attack_features,
@@ -334,9 +342,6 @@ def _craft_update(
             refs,
         )
     if kind == "adaptive":
-        flipped = flip_labels(
-            att.attack_labels, world.train.num_classes, world.attack_ctx.flip_seed
-        )
         g_attack = attack_gradient(params, att.attack_features, flipped)
         return craft_adaptive(refs, g_attack, max(cfg.rule.trim_b, 1))
     raise InvalidConfig(f"unknown attack kind {kind!r}")

@@ -33,10 +33,6 @@ class ModelParams:
         return self.layer_shapes[-1][1]
 
 
-def param_count(layer_shapes) -> int:
-    return sum(fi * fo + fo for fi, fo in layer_shapes)
-
-
 def init_params(layer_shapes, seed: int) -> ModelParams:
     """Glorot-uniform weights (scale sqrt(6/(fan_in+fan_out))), zero biases."""
     shapes = tuple((int(fi), int(fo)) for fi, fo in layer_shapes)

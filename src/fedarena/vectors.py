@@ -59,6 +59,17 @@ def pairwise_angles(grads) -> np.ndarray:
     return theta
 
 
+def pairwise_sq_distances(G: np.ndarray) -> np.ndarray:
+    """(n, n) squared Euclidean distances between the rows of a matrix the
+    caller has already checked (see `_as_matrix`), computed one row at a
+    time so working memory stays O(n*d)."""
+    d2 = np.empty((G.shape[0], G.shape[0]))
+    for i in range(G.shape[0]):
+        D = G - G[i]
+        d2[i] = np.einsum("jk,jk->j", D, D)
+    return d2
+
+
 def scaled_add(a: float, u, v) -> np.ndarray:
     """Elementwise a*u + v."""
     u = as_vector(u)

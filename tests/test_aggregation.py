@@ -170,11 +170,13 @@ class TestMultiKrum:
                 remaining.remove(best)
             return tuple(chosen)
 
-        for _ in range(40):
-            n = 6
-            f = int(rng.integers(0, 3))
+        for trial in range(40):
+            n = int(rng.integers(2, 41))  # up to 39 neighbours per score
+            f = int(rng.integers(0, n - 1))
             count = int(rng.integers(1, n + 1))
             G = rng.normal(size=(n, 4))
+            if trial % 2:  # duplicated rows tie exactly
+                G[rng.integers(0, n, size=n // 3)] = G[rng.integers(0, n, size=n // 3)]
             assert multi_krum(G, f, count).kept_indices == oracle(G, f, count)
 
     def test_invalid_params(self):

@@ -105,6 +105,12 @@ REJECTIONS = [
     ("theory_sigma = -0.1", "theory_sigma"),
     ("theory_trials = 0", "theory_trials"),
     ("theory_adversaries = extreme_high,sideways", "theory_adversaries"),
+    ("theory_n = 3", "theory_n"),
+    ("theory_n = 4\ntheory_m_values = 0\ntheory_b_max = 2", "theory_n"),
+    ("rule = dp\ndp_sigma = -1", "dp_sigma"),
+    ("rule = atm\ntrim_b = 5\nn_clients = 4", "trim_b"),
+    ("rule = dp\ninner_rule = trimmed_mean\ntrim_b = 4", "trim_b"),
+    ("rule = trimmed_mean\ntrim_b = -1", "trim_b"),
     ("rounds = soon", "rounds"),
     ("async = maybe", "async"),
     ("warp_speed = 9", "warp_speed"),
@@ -204,6 +210,23 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(cfg2), "--out", str(out2)]) == 0
         assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_wrapper_passes_knobs_to_inner_rule(self, tmp_path):
+        base = "n_clients = 10\nrounds = 6\nlr = 0.1\nfeatures = 8\nper_class = 40\nbatch_size = 8\n"
+        dp = base + "rule = dp\ndp_sigma = 0\ninner_rule = trimmed_mean\n"
+        texts = {
+            "dp3": dp + "trim_b = 3",
+            "dp1": dp + "trim_b = 1",
+            "tm3": base + "rule = trimmed_mean\ntrim_b = 3",
+        }
+        outs = {}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+            out = tmp_path / f"{name}_out"
+            assert cli.main(["run", "--config", str(tmp_path / name), "--out", str(out)]) == 0
+            outs[name] = [(out / f).read_bytes() for f in ("rounds.csv", "summary.json")]
+        assert outs["dp3"] == outs["tm3"]
+        assert outs["dp3"] != outs["dp1"]
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg"

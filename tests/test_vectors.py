@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedarena.errors import DegenerateGradient, DimensionMismatch
-from fedarena.vectors import angle_between, pairwise_angles, scaled_add
+from fedarena.vectors import angle_between, pairwise_angles, pairwise_sq_distances, scaled_add
 
 finite_vec = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=2, max_size=16
@@ -112,6 +112,17 @@ class TestPairwiseAngles:
         assert np.array_equal(A, A.T)
         assert np.allclose(np.diag(A), 0.0)
         assert np.all((A >= 0) & (A <= math.pi))
+
+
+class TestPairwiseSqDistances:
+    def test_equals_difference_tensor(self, rng):
+        for n, d in [(1, 3), (2, 1), (7, 40), (23, 300)]:
+            G = rng.normal(size=(n, d))
+            G[n // 2] = G[0]  # a duplicated row: an exact zero off the diagonal
+            diffs = G[:, None, :] - G[None, :, :]
+            assert np.array_equal(
+                pairwise_sq_distances(G), np.einsum("ijk,ijk->ij", diffs, diffs)
+            )
 
 
 class TestScaledAdd:
