@@ -14,6 +14,7 @@ import numpy as np
 
 from . import mlp
 from .errors import (
+    DimensionMismatch,
     EmptyInput,
     EmptyValidationSet,
     InvalidConfig,
@@ -107,8 +108,11 @@ def mean_angles(grads, include_self: bool = False) -> np.ndarray:
     The self-angle is zero, so including it and dividing by n instead of
     n-1 rescales every score by the same factor and cannot change the
     ranking; both conventions are exposed so that equivalence is testable.
+    A gradient with norm <= NORM_FLOOR sits at angle pi to every other one,
+    so it scores pi, the most deviant score, and adds the same pi/(n-1) to
+    every other score, which leaves their ranking as it was.
     """
-    A = pairwise_angles(grads)
+    A = pairwise_angles(grads, degenerate_far=True)
     n = A.shape[0]
     if include_self:
         return A.sum(axis=1) / n
@@ -119,7 +123,8 @@ def atm(grads, trim_b: int, include_self: bool = False) -> AggregationOutcome:
     """Angular trimmed-mean: drop the 2b gradients with the largest mean
     angle to the rest, average the survivors.
 
-    Ties in the mean angle keep the lower client index.
+    Ties in the mean angle keep the lower client index. A zero-norm
+    gradient ranks as most deviant (see `mean_angles`).
     """
     G = _as_matrix(grads)
     n = G.shape[0]
@@ -138,10 +143,14 @@ def atm(grads, trim_b: int, include_self: bool = False) -> AggregationOutcome:
     )
 
 
-def multi_krum(grads, num_malicious: int, count: int) -> AggregationOutcome:
+def multi_krum(grads, num_malicious: int, count: int, sq_dists=None) -> AggregationOutcome:
     """Iteratively pick the gradient whose n-f-1 nearest (remaining)
     neighbours are closest in squared distance, until `count` are chosen;
     the aggregate is their mean.
+
+    `sq_dists` is the (n, n) squared-distance block of `grads` when the
+    caller keeps one (async runs update it one row per arrival); it must
+    equal `pairwise_sq_distances(grads)` and is not modified.
     """
     G = _as_matrix(grads)
     n = G.shape[0]
@@ -150,7 +159,12 @@ def multi_krum(grads, num_malicious: int, count: int) -> AggregationOutcome:
         raise InvalidKrumParams(f"n-f-1 = {n - f - 1} < 1")
     if not 1 <= count <= n:
         raise InvalidKrumParams(f"count {count} outside [1, {n}]")
-    d2 = pairwise_sq_distances(G)
+    if sq_dists is None:
+        d2 = pairwise_sq_distances(G)
+    else:
+        d2 = np.array(sq_dists, dtype=np.float64)
+        if d2.shape != (n, n):
+            raise DimensionMismatch(f"distance block shaped {d2.shape} for {n} gradients")
     np.fill_diagonal(d2, np.inf)  # sorts last, so never its own neighbour
     remaining = list(range(n))
     chosen: list[int] = []
@@ -246,9 +260,12 @@ def apply_rule(
     val_features=None,
     val_labels=None,
     lr: float = 0.01,
+    sq_dists=None,
 ) -> AggregationOutcome:
     """Dispatch a configured rule. Weights reach fedavg only; wrapper rules
-    recurse into their `inner` configuration."""
+    recurse into their `inner` configuration. `sq_dists`, the squared
+    distances of `grads` (see `multi_krum`), reaches a top-level multi_krum
+    only: dp and topk change the gradients before their inner rule runs."""
     G = _as_matrix(grads)
     n, d = G.shape
     kind = rule.kind
@@ -262,7 +279,7 @@ def apply_rule(
         return atm(G, rule.trim_b)
     if kind == "multi_krum":
         count = rule.krum_count if rule.krum_count > 0 else n - rule.krum_f
-        return multi_krum(G, rule.krum_f, count)
+        return multi_krum(G, rule.krum_f, count, sq_dists)
     if kind in ("dp", "topk"):
         inner = partial(
             apply_rule,

@@ -231,9 +231,13 @@ def to_experiment_config(values: dict) -> ExperimentConfig:
     try:
         validate_config(cfg)
     except InvalidConfig as exc:
-        # the CLI's rule keys also configure the inner rule of dp|topk
-        raise ConfigError(_KEY_OF_PATH[exc.path.replace(".inner", "")], str(exc)) from None
+        raise _config_error(exc) from None
     return cfg
+
+
+def _config_error(exc: InvalidConfig) -> ConfigError:
+    # the CLI's rule keys also configure the inner rule of dp|topk
+    return ConfigError(_KEY_OF_PATH[exc.path.replace(".inner", "")], str(exc))
 
 
 def _fmt9(x: float) -> str:
@@ -278,7 +282,13 @@ def write_outputs(out_dir: Path, values: dict, result: ExperimentResult) -> dict
 
 def run_experiment(values: dict, out_dir) -> dict:
     """Execute one configured run, write its artifacts, return its summary."""
-    result = run(to_experiment_config(values))
+    cfg = to_experiment_config(values)
+    try:
+        result = run(cfg)
+    except InvalidConfig as exc:
+        if exc.path is None:
+            raise
+        raise _config_error(exc) from None  # a check that needed the CSV loaded
     return write_outputs(Path(out_dir), values, result)
 
 

@@ -14,7 +14,12 @@ per client (stale entries retained). Arrivals queued from earlier rounds
 are applied before the current round's dispatches; a delay of zero means
 the update is applied immediately, before the next client dispatches.
 Trim-style rules clamp their parameters while the buffer is still
-smaller than they require.
+smaller than they require. The buffer is one (n_clients, d) matrix with a
+row per client id; under multi_krum it also keeps the (n_clients,
+n_clients) squared distances between those rows, and an arrival rewrites
+only its client's row and column, at O(n*d) instead of the O(n^2*d) a
+recompute costs. Each entry depends only on its two rows, so the kept
+block is bitwise the full recompute and Krum's choices do not change.
 """
 
 import math
@@ -41,6 +46,7 @@ from .attacks import (
 )
 from .errors import EmptyHistory, EmptySet, InvalidC, InvalidConfig
 from .rngstream import derive_seed, substream
+from .vectors import sq_distances_to
 
 HIDDEN_WIDTH = 32
 
@@ -96,19 +102,26 @@ class ExperimentResult:
     final_test_acc: float
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def validate_config(cfg: ExperimentConfig, dim: int | None = None) -> None:
     """The one range check of every config field: raises InvalidConfig
     (InvalidC for participation) carrying the dotted field path of the
-    first rejected value."""
+    first rejected value. `dim` is the model dimension; a synthetic
+    dataset implies it, a CSV one sets it only once loaded (`build_world`
+    checks again then)."""
     rule, attack = cfg.rule, cfg.attack
     fractions = cfg.train_fraction + cfg.holdout_fraction + cfg.val_fraction
     # dp|topk hand the gradients to their inner rule; a sync round
-    # aggregates every participant, async runs clamp trim_b to the buffer
-    trimmer = rule.inner if rule.kind in ("dp", "topk") and rule.inner is not None else rule
-    trim_path = "rule.trim_b" if trimmer is rule else "rule.inner.trim_b"
-    trims = trimmer.kind in ("trimmed_mean", "atm")
+    # aggregates every participant, async runs clamp trim_b and the Krum
+    # keys to the buffer
+    target = rule.inner if rule.kind in ("dp", "topk") and rule.inner is not None else rule
+    at = "rule." if target is rule else "rule.inner."
+    trims = target.kind in ("trimmed_mean", "atm")
+    krum = target.kind == "multi_krum"
+    topk = rule.kind == "topk"
     valid_c = 0 < cfg.participation <= 1
     per_round = participant_count(cfg.n_clients, cfg.participation) if valid_c else 0
+    if dim is None and cfg.dataset == "synthetic":
+        dim = model_dim(cfg.features, cfg.classes)
     checks = (
         ("participation", valid_c, "in (0, 1]"),
         ("malicious_fraction", 0 <= cfg.malicious_fraction < 0.5, "in [0, 0.5)"),
@@ -135,9 +148,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         ("batch_size", cfg.batch_size >= 1, ">= 1"),
         ("seed", cfg.seed >= 0, ">= 0"),
         ("rule.dp_sigma", rule.dp_sigma >= 0, ">= 0"),
-        (trim_path, not trims or trimmer.trim_b >= 0, ">= 0"),
-        (trim_path, not trims or cfg.asynchronous or 2 * trimmer.trim_b < per_round,
+        (at + "trim_b", not trims or target.trim_b >= 0, ">= 0"),
+        (at + "trim_b", not trims or cfg.asynchronous or 2 * target.trim_b < per_round,
          f"2*trim_b < {per_round} updates per synchronous round"),
+        (at + "krum_f", not krum or target.krum_f >= 0, ">= 0"),
+        (at + "krum_f", not krum or cfg.asynchronous or target.krum_f <= per_round - 2,
+         f"krum_f + 2 <= {per_round} updates per synchronous round"),
+        (at + "krum_count", not krum or target.krum_count >= 0, ">= 0 (0 means n - krum_f)"),
+        (at + "krum_count", not krum or cfg.asynchronous or target.krum_count <= per_round,
+         f"krum_count <= {per_round} updates per synchronous round"),
+        ("rule.top_k", not topk or rule.top_k >= 0, ">= 0 (0 keeps every dimension)"),
+        ("rule.top_k", not topk or dim is None or rule.top_k <= dim,
+         f"<= {dim}, the model dimension"),
     )
     for path, ok, need in checks:
         if not ok:
@@ -150,6 +172,11 @@ def num_malicious(cfg: ExperimentConfig) -> int:
     if cfg.attack.kind == "none":
         return 0
     return math.floor(cfg.malicious_fraction * cfg.n_clients + 1e-9)
+
+
+def model_dim(features: int, classes: int) -> int:
+    """Length of the flat parameter vector of the one-hidden-layer MLP."""
+    return (features + 1) * HIDDEN_WIDTH + (HIDDEN_WIDTH + 1) * classes
 
 
 def participant_count(n: int, participation: float) -> int:
@@ -223,6 +250,7 @@ def build_world(cfg: ExperimentConfig) -> _World:
     validate_config(cfg)
     if cfg.dataset == "csv":
         base = datamod.load_csv(cfg.csv_path)
+        validate_config(cfg, model_dim(base.feature_dim, base.num_classes))
     else:
         base = datamod.synth_dataset(
             cfg.classes, cfg.features, cfg.per_class, cfg.spread, cfg.seed
@@ -347,7 +375,7 @@ def _craft_update(
     raise InvalidConfig(f"unknown attack kind {kind!r}")
 
 
-def _aggregate(world: _World, rule, grads, weights, params, seed_tag):
+def _aggregate(world: _World, rule, grads, weights, params, seed_tag, sq_dists=None):
     return apply_rule(
         rule,
         grads,
@@ -357,6 +385,7 @@ def _aggregate(world: _World, rule, grads, weights, params, seed_tag):
         val_features=world.val.features,
         val_labels=world.val.labels,
         lr=world.cfg.lr,
+        sq_dists=sq_dists,
     )
 
 
@@ -447,6 +476,31 @@ def _clamp_rule(rule: AggregationRule, size: int) -> AggregationRule:
     return rule
 
 
+class UpdateBuffer:
+    """The latest update of each client, one row per client id, and
+    optionally the squared distances between the rows held, kept one row
+    and column per arrival (see the module docstring)."""
+
+    def __init__(self, n_clients: int, dim: int, distances: bool):
+        self.rows = np.zeros((n_clients, dim))
+        self.held = np.zeros(n_clients, dtype=bool)
+        self.sq_dists = np.zeros((n_clients, n_clients)) if distances else None
+
+    def put(self, client: int, g: np.ndarray):
+        """Store `g` as the client's update. Returns the ids held (ascending),
+        their rows and their squared-distance block (None unless kept)."""
+        self.rows[client] = g
+        self.held[client] = True
+        order = np.flatnonzero(self.held)
+        G = self.rows[order]
+        if self.sq_dists is None:
+            return order, G, None
+        row = sq_distances_to(G, self.rows[client])
+        self.sq_dists[client, order] = row
+        self.sq_dists[order, client] = row
+        return order, G, self.sq_dists[np.ix_(order, order)]
+
+
 def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     """Event-queue simulation: updates arrive with integer delays and each
     arrival re-aggregates the per-client buffer and steps the model."""
@@ -454,23 +508,23 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     params = world.params0
     malicious = set(world.malicious_ids)
     passive_like = cfg.attack.kind in ("none", "passive")
-    buffer: dict[int, np.ndarray] = {}
+    # only a top-level multi_krum reads distances; dp|topk change the rows first
+    buffer = UpdateBuffer(cfg.n_clients, params.flat.size, cfg.rule.kind == "multi_krum")
     attacker_view: dict[int, np.ndarray] = {}  # freshest benign gradient per client
     pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     records: list[RoundRecord] = []
 
     def apply_arrival(t_now: int, t_dispatch: int, client: int, g: np.ndarray, staleness_log):
         nonlocal params
-        buffer[client] = g
-        order = sorted(buffer)
-        rule = _clamp_rule(cfg.rule, len(order))
+        order, G, sq_dists = buffer.put(client, g)
         outcome = _aggregate(
             world,
-            rule,
-            np.stack([buffer[k] for k in order]),
+            _clamp_rule(cfg.rule, order.size),
+            G,
             world.shard_sizes[order],
             params,
             (t_now, len(staleness_log)),
+            sq_dists,
         )
         params = mlp.apply_update(params, outcome.aggregate, cfg.lr)
         staleness_log.append(t_now - t_dispatch)

@@ -125,3 +125,8 @@ class ConfigError(FedArenaError):
         detail = f": {message}" if message else ""
         super().__init__(f"config key '{key}'{detail}")
         self.key = key
+        self.message = message
+
+    def __reduce__(self):
+        # a sweep worker's error reaches the parent through pickle
+        return type(self), (self.key, self.message)

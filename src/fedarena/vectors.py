@@ -40,33 +40,51 @@ def angle_between(u, v) -> float:
     return float(np.arccos(min(1.0, max(-1.0, cos))))
 
 
-def pairwise_angles(grads) -> np.ndarray:
-    """Symmetric zero-diagonal matrix of angles between all gradient pairs."""
+def pairwise_angles(grads, degenerate_far: bool = False) -> np.ndarray:
+    """Symmetric zero-diagonal matrix of angles between all gradient pairs.
+
+    A gradient with norm <= NORM_FLOOR has no direction: it raises
+    DegenerateGradient, or with `degenerate_far` sits at angle pi to every
+    other gradient, the most deviant an angle can be.
+    """
     G = _as_matrix(grads)
     n = G.shape[0]
     if n < 2:
         raise DimensionMismatch(f"need at least 2 gradients, got {n}")
     norms = np.linalg.norm(G, axis=1)
-    bad = np.nonzero(norms <= NORM_FLOOR)[0]
-    if bad.size:
-        raise DegenerateGradient(f"gradient {int(bad[0])} has norm {norms[bad[0]]:.3e}")
-    unit = G / norms[:, None]
+    bad = norms <= NORM_FLOOR
+    if bad.any() and not degenerate_far:
+        i = int(np.argmax(bad))
+        raise DegenerateGradient(f"gradient {i} has norm {norms[i]:.3e}")
+    unit = G / np.where(bad, 1.0, norms)[:, None]
     cos = np.clip(unit @ unit.T, -1.0, 1.0)
     theta = np.arccos(cos)
+    theta[bad] = np.pi
+    theta[:, bad] = np.pi
     # mirror the strict upper triangle so symmetry is exact, not just close
     theta = np.triu(theta, k=1)
     theta = theta + theta.T
     return theta
 
 
+def sq_distances_to(G: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from `g` to each row of a matrix the
+    caller has already checked (see `_as_matrix`), in O(n*d) memory.
+
+    Entry j depends only on G[j] and g, and (a-b)**2 == (b-a)**2, so it is
+    bitwise the same whichever of the two is the row and wherever G[j]
+    sits in G; a cache of these rows equals a full recompute.
+    """
+    D = G - g
+    return np.einsum("jk,jk->j", D, D)
+
+
 def pairwise_sq_distances(G: np.ndarray) -> np.ndarray:
-    """(n, n) squared Euclidean distances between the rows of a matrix the
-    caller has already checked (see `_as_matrix`), computed one row at a
-    time so working memory stays O(n*d)."""
+    """(n, n) squared Euclidean distances between the rows of a checked
+    matrix, one `sq_distances_to` row at a time."""
     d2 = np.empty((G.shape[0], G.shape[0]))
     for i in range(G.shape[0]):
-        D = G - G[i]
-        d2[i] = np.einsum("jk,jk->j", D, D)
+        d2[i] = sq_distances_to(G, G[i])
     return d2
 
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import perturbed, tiny_net
 from fedarena import mlp
 from fedarena.aggregation import (
+    KINDS,
     AggregationRule,
     apply_rule,
     atm,
@@ -19,6 +20,7 @@ from fedarena.aggregation import (
     trimmed_mean,
 )
 from fedarena.errors import (
+    DimensionMismatch,
     EmptyValidationSet,
     InvalidK,
     InvalidKrumParams,
@@ -26,6 +28,7 @@ from fedarena.errors import (
     WeightMismatch,
 )
 from fedarena.selftest import naive_atm_kept
+from fedarena.vectors import pairwise_sq_distances
 
 
 class TestFedAvg:
@@ -137,6 +140,18 @@ class TestAtm:
         with pytest.raises(TrimTooLarge):
             atm(np.eye(3), 2)
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-300])
+    def test_zero_norm_update_ranks_most_deviant(self, rng, scale):
+        G = rng.normal(size=(7, 5))
+        G[2] = scale * rng.normal(size=5)
+        out = atm(G, 1)
+        scores = out.diagnostics["mean_angles"]
+        assert scores[2] == math.pi
+        assert 2 not in out.kept_indices
+        # the pi it adds to every other score leaves their ranking alone
+        rest = [0, 1, 3, 4, 5, 6]
+        assert np.array_equal(np.argsort(scores[rest]), np.argsort(mean_angles(G[rest])))
+
 
 class TestMultiKrum:
     def test_select_all_is_mean(self, rng):
@@ -184,6 +199,24 @@ class TestMultiKrum:
             multi_krum(np.ones((3, 2)), 2, 1)
         with pytest.raises(InvalidKrumParams):
             multi_krum(np.ones((3, 2)), 0, 4)
+
+    def test_given_distances_are_read_not_modified(self, rng):
+        G = rng.normal(size=(6, 3))
+        block = pairwise_sq_distances(G)
+        before = block.copy()
+        # a block with two rows' distances swapped must change the choice
+        fake = block.copy()
+        fake[[0, 5]] = fake[[5, 0]]
+        fake[:, [0, 5]] = fake[:, [5, 0]]
+        assert multi_krum(G, 1, 1, block).kept_indices == multi_krum(G, 1, 1).kept_indices
+        assert np.array_equal(block, before)
+        swapped = multi_krum(G[[5, 1, 2, 3, 4, 0]], 1, 1).kept_indices[0]
+        assert multi_krum(G, 1, 1, fake).kept_indices[0] == swapped
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 5), (6,), (6, 6, 1)])
+    def test_wrongly_shaped_distances_raise(self, rng, shape):
+        with pytest.raises(DimensionMismatch):
+            multi_krum(rng.normal(size=(6, 3)), 1, 2, np.zeros(shape))
 
 
 class TestDpWrap:
@@ -316,6 +349,38 @@ class TestApplyRule:
             assert out.aggregate.shape == (params.dim,)
             assert np.all(np.isfinite(out.aggregate))
             assert set(out.kept_indices) <= set(range(5))
+
+    @pytest.mark.parametrize(
+        "rule",
+        [AggregationRule(kind=k, trim_b=1, krum_f=1, top_k=10) for k in KINDS]
+        + [
+            AggregationRule(w, dp_sigma=0.0, top_k=10, inner=AggregationRule(k, trim_b=1))
+            for w in ("dp", "topk")
+            for k in ("atm", "multi_krum")
+        ],
+        ids=lambda r: r.kind + (f"-{r.inner.kind}" if r.inner else ""),
+    )
+    def test_zero_vector_client_survives_every_rule(self, rng, rule):
+        params = perturbed(tiny_net(seed=2), 0.3, rng)
+        G = np.stack([mlp.gradient(params, rng.normal(size=(4, 6)), rng.integers(0, 3, 4)) for _ in range(5)])
+        G[3] = 0.0
+        X = rng.normal(size=(10, 6))
+        y = rng.integers(0, 3, size=10)
+        out = apply_rule(rule, G, seed=3, params=params, val_features=X, val_labels=y, lr=0.1)
+        assert np.all(np.isfinite(out.aggregate))
+        if "atm" in (rule.kind, rule.inner and rule.inner.kind):
+            assert 3 not in out.kept_indices
+
+    def test_distances_reach_top_level_krum_only(self, rng):
+        G = rng.normal(size=(5, 4))
+        wrong = np.zeros((2, 2))
+        with pytest.raises(DimensionMismatch):
+            apply_rule(AggregationRule("multi_krum"), G, sq_dists=wrong)
+        for kind in ("dp", "topk"):
+            rule = AggregationRule(kind, dp_sigma=0.0, inner=AggregationRule("multi_krum"))
+            plain = apply_rule(rule, G)
+            given = apply_rule(rule, G, sq_dists=wrong)
+            assert given.kept_indices == plain.kept_indices
 
     def test_wrapper_nests_inner_rule(self, rng):
         G = rng.normal(size=(5, 4))

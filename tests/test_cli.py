@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import stat
 import time
 
@@ -111,6 +112,14 @@ REJECTIONS = [
     ("rule = atm\ntrim_b = 5\nn_clients = 4", "trim_b"),
     ("rule = dp\ninner_rule = trimmed_mean\ntrim_b = 4", "trim_b"),
     ("rule = trimmed_mean\ntrim_b = -1", "trim_b"),
+    ("rule = multi_krum\nkrum_f = 3\nn_clients = 4", "krum_f"),
+    ("rule = multi_krum\nkrum_count = 9\nn_clients = 4", "krum_count"),
+    ("rule = topk\ntop_k = 100000\nn_clients = 4", "top_k"),
+    ("rule = dp\ninner_rule = multi_krum\nkrum_f = 3\nn_clients = 4", "krum_f"),
+    ("rule = topk\ninner_rule = multi_krum\nkrum_count = 9\nn_clients = 4", "krum_count"),
+    ("rule = multi_krum\nkrum_f = -1", "krum_f"),
+    ("rule = multi_krum\nkrum_count = -1", "krum_count"),
+    ("rule = topk\ntop_k = -1", "top_k"),
     ("rounds = soon", "rounds"),
     ("async = maybe", "async"),
     ("warp_speed = 9", "warp_speed"),
@@ -129,6 +138,30 @@ class TestRejections:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_top_k_beyond_csv_model_dimension(self, tmp_path, capsys):
+        from fedarena import data
+
+        csv = tmp_path / "data.csv"
+        data.save_csv(data.synth_dataset(3, 4, 40, 0.4, seed=0), csv)
+        # 4 features, 3 classes: (4 + 1) * 32 + (32 + 1) * 3 = 259 parameters
+        for top_k, code in ((259, 0), (260, 1)):
+            cfg = tmp_path / f"cfg{top_k}"
+            cfg.write_text(f"dataset = csv\ncsv_path = {csv}\nrule = topk\ntop_k = {top_k}\nrounds = 2\n")
+            out = tmp_path / f"o{top_k}"
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert "config key 'top_k'" in capsys.readouterr().err
+
+    def test_config_error_survives_pickle(self):
+        # sweep workers raise it in another process
+        exc = pickle.loads(pickle.dumps(ConfigError("top_k", "need <= 259")))
+        assert (exc.key, str(exc)) == ("top_k", "config key 'top_k': need <= 259")
+
+    def test_async_krum_keys_follow_the_buffer(self):
+        # async runs clamp krum_f and krum_count to the buffer, so no round bounds them
+        text = "async = true\nrule = multi_krum\nkrum_f = 3\nkrum_count = 9\nn_clients = 4"
+        assert cli.to_experiment_config(cli.parse_config_text(text)).rule.krum_count == 9
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from fedarena import cli, mlp
 from fedarena import engine as eng
-from fedarena import mlp
-from fedarena.aggregation import AggregationRule, apply_rule
+from fedarena.aggregation import AggregationRule, apply_rule, multi_krum
 from fedarena.attacks import AttackStrategy, passive_infer
 from fedarena.engine import (
     ExperimentConfig,
@@ -18,6 +20,7 @@ from fedarena.engine import (
 )
 from fedarena.engine import test_accuracy as model_test_accuracy
 from fedarena.errors import EmptyHistory, EmptySet, InvalidC, InvalidConfig
+from fedarena.vectors import pairwise_sq_distances
 
 FAST = dict(
     rounds=25,
@@ -319,6 +322,82 @@ class TestRunAsync:
         )
         res = run_async(cfg)
         assert len(res.records) == 10
+
+
+class TestUpdateBuffer:
+    @pytest.mark.parametrize("d", [1, 7, 2179])
+    def test_kept_distances_equal_recompute(self, rng, d):
+        for _ in range(8):
+            n = int(rng.integers(1, 13))
+            buf = eng.UpdateBuffer(n, d, distances=True)
+            held = {}
+            # every buffer size 1..n, then re-arrivals of the same clients
+            arrivals = list(rng.permutation(n)) + list(rng.integers(0, n, size=2 * n))
+            for step, client in enumerate(int(c) for c in arrivals):
+                g = rng.normal(size=d)
+                if held and step % 3 == 0:  # a copy of a held row: exact ties
+                    g = held[list(held)[int(rng.integers(0, len(held)))]].copy()
+                held[client] = g
+                order, G, block = buf.put(client, g)
+                assert order.tolist() == sorted(held)
+                assert np.array_equal(G, np.stack([held[k] for k in sorted(held)]))
+                assert np.array_equal(block, pairwise_sq_distances(G))
+                m = order.size
+                if m < 2:
+                    continue
+                f = int(rng.integers(0, m - 1))
+                count = int(rng.integers(1, m + 1))
+                cached = multi_krum(G, f, count, block)
+                fresh = multi_krum(G, f, count)
+                assert cached.kept_indices == fresh.kept_indices
+                assert cached.diagnostics == fresh.diagnostics
+                assert np.array_equal(cached.aggregate, fresh.aggregate)
+
+    def test_no_distances_unless_asked(self, rng):
+        buf = eng.UpdateBuffer(3, 4, distances=False)
+        order, G, block = buf.put(2, rng.normal(size=4))
+        assert order.tolist() == [2] and G.shape == (1, 4) and block is None
+
+
+# sha256 of rounds.csv + summary.json, recorded before async Krum kept its
+# distances between arrivals; the kept block must not change a choice
+ASYNC_KRUM = """n_clients = 12
+malicious_fraction = 0.25
+rounds = 12
+lr = 0.1
+features = 8
+per_class = 40
+batch_size = 8
+n_attack = 8
+n_mask = 6
+attack = fedpoisonmia
+gamma = 0.34
+async = true
+tau_max = 3
+seed = 4
+krum_f = 2
+"""
+ASYNC_KRUM_DIGESTS = {
+    "rule = multi_krum": "bc1e180b79b0d49157d8d75a34d973c83367b0a88add08d7af7da9fb9d1eba4a",
+    "rule = dp\ninner_rule = multi_krum\ndp_sigma = 0.01":
+        "f32da474f8e4d1378bbecac4300433222a71efd2354aa91aae51faa9b8f43306",
+    "rule = topk\ninner_rule = multi_krum\ntop_k = 100":
+        "e86f059b5ed2b0d636c3757c322707af4c55245aa8b4338b3c28d804c2ba8ab8",
+}
+
+
+class TestAsyncKrumGolden:
+    @pytest.mark.parametrize("rule_lines", list(ASYNC_KRUM_DIGESTS))
+    def test_outputs_match_recorded_digest(self, tmp_path, rule_lines):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(ASYNC_KRUM + rule_lines + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        h = hashlib.sha256()
+        for name in ("rounds.csv", "summary.json"):
+            h.update((out / name).read_bytes())
+            h.update(b"\0")
+        assert h.hexdigest() == ASYNC_KRUM_DIGESTS[rule_lines]
 
 
 class TestRuleAndDataModes:
