@@ -2,7 +2,8 @@
 
 Subcommands:
   run       one experiment -> manifest.json, rounds.csv, summary.json
-  sweep     grid over one config key, one run per value
+  sweep     grid over config keys (`--sweep key=v1,v2,...`, repeatable),
+            one run per point of their Cartesian product
   theory    deviation-bound verification suite -> CSV
   selftest  quick built-in property checks
 
@@ -17,6 +18,7 @@ FEDARENA_THREADS caps sweep parallelism (0 = sequential).
 """
 
 import argparse
+import itertools
 import json
 import math
 import multiprocessing
@@ -120,7 +122,8 @@ DEFAULTS = _defaults()
 
 
 def _convert(raw: str, default):
-    """Parse `raw` as the type of `default`; a tuple takes a comma list."""
+    """Parse `raw` as the type of `default`; a tuple takes a comma list.
+    A float must be finite."""
     if isinstance(default, tuple):
         return tuple(_convert(v.strip(), default[0]) for v in raw.split(",") if v.strip())
     if isinstance(default, bool):
@@ -129,7 +132,10 @@ def _convert(raw: str, default):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(raw)
-    return type(default)(raw)
+    value = type(default)(raw)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(raw)
+    return value
 
 
 def _coerce(key: str, raw: str):
@@ -342,32 +348,52 @@ def _worker_threads() -> int:
         return 0
 
 
-def run_sweep(values: dict, sweep_spec: str, out_dir) -> int:
-    if "=" not in sweep_spec:
-        raise ConfigError("sweep", f"expected key=v1,v2,..., got {sweep_spec!r}")
-    key, raw_values = sweep_spec.split("=", 1)
-    key = key.strip()
-    if key not in DEFAULTS:
-        raise ConfigError(key, "unknown sweep key")
+def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[str], list]:
+    """The swept keys, and one (values, out_dir) pair per point of the
+    Cartesian product of `key=v1,v2,...` specs, the last spec varying
+    fastest; each point writes into nested `key=value` directories.
+    Every point is checked before it is returned."""
+    keys, axes = [], []
+    for spec in sweep_specs:
+        if "=" not in spec:
+            raise ConfigError("sweep", f"expected key=v1,v2,..., got {spec!r}")
+        key, raw_values = spec.split("=", 1)
+        key = key.strip()
+        if key not in DEFAULTS:
+            raise ConfigError(key, "unknown sweep key")
+        if key in keys:
+            raise ConfigError(key, "swept by two --sweep specs")
+        keys.append(key)
+        axes.append([(raw.strip(), _coerce(key, raw)) for raw in raw_values.split(",")])
     points = []
-    for raw in raw_values.split(","):
-        v = dict(values)
-        v[key] = _coerce(key, raw)
-        to_experiment_config(v)
-        points.append((v, Path(out_dir) / f"{key}={raw.strip()}"))
+    for combo in itertools.product(*axes):
+        v, out = dict(values), Path(out_dir)
+        for key, (raw, value) in zip(keys, combo):
+            v[key] = value
+            out = out / f"{key}={raw}"
+        try:
+            to_experiment_config(v)
+        except ConfigError as exc:
+            where = out.relative_to(out_dir).as_posix()
+            raise ConfigError(exc.key, f"{exc.message} (at {where})") from None
+        points.append((v, out))
+    return keys, points
+
+
+def run_sweep(values: dict, sweep_specs: list[str], out_dir) -> int:
+    keys, points = sweep_points(values, sweep_specs, out_dir)
     threads = _worker_threads()
     if threads > 1:
         with multiprocessing.get_context("spawn").Pool(threads) as pool:
             summaries = pool.starmap(run_experiment, points)
     else:
         summaries = [run_experiment(v, out) for v, out in points]
-    rows = ["value,attack_accuracy,precision,recall,final_test_acc"]
+    metrics = ["attack_accuracy", "precision", "recall", "final_test_acc"]
+    header = keys if len(keys) > 1 else ["value"]  # the one-key layout predates grids
+    rows = [",".join(header + metrics)]
     for (v, _), summary in zip(points, summaries):
-        rows.append(
-            f"{_fmt_value(v[key])},{_fmt9(summary['attack_accuracy'])},"
-            f"{_fmt9(summary['precision'])},{_fmt9(summary['recall'])},"
-            f"{_fmt9(summary['final_test_acc'])}"
-        )
+        cells = [_fmt_value(v[key]) for key in keys] + [_fmt9(summary[m]) for m in metrics]
+        rows.append(",".join(cells))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep_summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -398,10 +424,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None)
 
-    p_sweep = sub.add_parser("sweep", help="grid over one config key")
+    p_sweep = sub.add_parser("sweep", help="grid over config keys")
     p_sweep.add_argument("--config", default=None)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--sweep", required=True, metavar="key=v1,v2,...")
+    p_sweep.add_argument(
+        "--sweep", required=True, action="append", metavar="key=v1,v2,...",
+        help="repeat for a grid: the product of the specs, the last varying fastest",
+    )
     p_sweep.add_argument("--seed", type=int, default=None)
 
     p_theory = sub.add_parser("theory", help="deviation-bound suite")

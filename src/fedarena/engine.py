@@ -157,6 +157,7 @@ def validate_config(cfg: ExperimentConfig, dim: int | None = None) -> None:
         (at + "krum_count", not krum or target.krum_count >= 0, ">= 0 (0 means n - krum_f)"),
         (at + "krum_count", not krum or cfg.asynchronous or target.krum_count <= per_round,
          f"krum_count <= {per_round} updates per synchronous round"),
+        (at + "fang_remove", target.kind != "fang" or target.fang_remove >= 0, ">= 0"),
         ("rule.top_k", not topk or rule.top_k >= 0, ">= 0 (0 keeps every dimension)"),
         ("rule.top_k", not topk or dim is None or rule.top_k <= dim,
          f"<= {dim}, the model dimension"),
@@ -468,8 +469,7 @@ def _clamp_rule(rule: AggregationRule, size: int) -> AggregationRule:
         f = min(rule.krum_f, size - 2)
         if f < 0:
             return AggregationRule("fedavg")
-        count = rule.krum_count if rule.krum_count > 0 else size - f
-        return replace(rule, krum_f=f, krum_count=min(count, size))
+        return replace(rule, krum_f=f, krum_count=min(rule.krum_count, size))
     if rule.kind in ("dp", "topk"):
         inner = rule.inner if rule.inner is not None else AggregationRule("fedavg")
         return replace(rule, inner=_clamp_rule(inner, size))

@@ -1,8 +1,11 @@
+import itertools
 import json
 import os
 import pickle
+import re
 import stat
 import time
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +123,13 @@ REJECTIONS = [
     ("rule = multi_krum\nkrum_f = -1", "krum_f"),
     ("rule = multi_krum\nkrum_count = -1", "krum_count"),
     ("rule = topk\ntop_k = -1", "top_k"),
+    ("rule = fang\nfang_remove = -3", "fang_remove"),
+    ("rule = dp\ninner_rule = fang\nfang_remove = -3", "fang_remove"),
+    ("lr = inf", "lr"),
+    ("spread = inf", "spread"),
+    ("attack = gradient_ascent\nga_scale = nan", "ga_scale"),
+    ("attack = fedpoisonmia\nalpha_max = inf", "alpha_max"),
+    ("theory_mu = -inf", "theory_mu"),
     ("rounds = soon", "rounds"),
     ("async = maybe", "async"),
     ("warp_speed = 9", "warp_speed"),
@@ -332,8 +342,45 @@ class TestSweepCommand:
         assert (out / "seed=0" / "summary.json").exists()
         assert (out / "seed=1" / "summary.json").exists()
         rows = (out / "sweep_summary.csv").read_text().strip().splitlines()
-        assert rows[0].startswith("value,attack_accuracy")
-        assert len(rows) == 3
+        assert rows[0] == "value,attack_accuracy,precision,recall,final_test_acc"
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "1"]
+
+    def test_grid_runs_the_product_in_nested_dirs(self, tmp_path):
+        base = SMOKE.replace("rounds = 10", "rounds = 4")
+        cfg = tmp_path / "cfg"
+        cfg.write_text(base)
+        out = tmp_path / "grid"
+        axes = {"attack": ("passive", "fedpoisonmia"), "rule": ("atm", "topk"), "seed": ("0", "1")}
+        specs = [arg for key, vals in axes.items() for arg in ("--sweep", f"{key}={','.join(vals)}")]
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)] + specs) == 0
+        rows = (out / "sweep_summary.csv").read_text().strip().splitlines()
+        assert rows[0] == "attack,rule,seed,attack_accuracy,precision,recall,final_test_acc"
+        points = list(itertools.product(*axes.values()))
+        assert [tuple(row.split(",")[:3]) for row in rows[1:]] == points
+        for attack, rule, seed in points:
+            point = out / f"attack={attack}" / f"rule={rule}" / f"seed={seed}"
+            single_cfg = tmp_path / "single"
+            single_cfg.write_text(f"{base}\nattack = {attack}\nrule = {rule}\nseed = {seed}\n")
+            single = tmp_path / f"single_{attack}_{rule}_{seed}"
+            assert cli.main(["run", "--config", str(single_cfg), "--out", str(single)]) == 0
+            for name in ("rounds.csv", "summary.json", "manifest.json"):
+                assert (point / name).read_bytes() == (single / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "specs,key",
+        [
+            (["seed=0,1", "rule=atm,fedavg", "seed=2"], "seed"),
+            (["rule=fedavg,atm", "n_clients=10,4"], "trim_b"),  # atm trims all 4 at trim_b = 2
+        ],
+    )
+    def test_rejected_grid_writes_nothing(self, specs, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMOKE + "trim_b = 2\n")
+        out = tmp_path / "o"
+        specs = [arg for spec in specs for arg in ("--sweep", spec)]
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)] + specs) == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_thread_count_does_not_change_metrics(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"
@@ -347,6 +394,17 @@ class TestSweepCommand:
             ) == 0
             results[threads] = (out / "sweep_summary.csv").read_bytes()
         assert results["0"] == results["2"]
+
+    def test_readme_matrix_grid_is_valid(self, tmp_path):
+        # the attack x defense matrix is documented as a config block and one grid command
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"cat > matrix.cfg <<EOF\n(.*?)\nEOF\n(.*?)\n```", readme, re.S)
+        values = cli.parse_config_text(block.group(1))
+        specs = re.findall(r"--sweep (\S+)", block.group(2))
+        keys, points = cli.sweep_points(values, specs, tmp_path)
+        assert keys == ["attack", "rule", "seed"]
+        assert len(points) == 5 * 8 * 5
+        assert {v["rule"] for v, _ in points} == set(cli.RULE_KINDS)
 
     def test_unknown_sweep_key(self, tmp_path):
         cfg = tmp_path / "cfg"
