@@ -352,7 +352,8 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
     """The swept keys, and one (values, out_dir) pair per point of the
     Cartesian product of `key=v1,v2,...` specs, the last spec varying
     fastest; each point writes into nested `key=value` directories.
-    Every point is checked before it is returned."""
+    Every point is checked before it is returned, and two values of one
+    key that parse to the same value are rejected."""
     keys, axes = [], []
     for spec in sweep_specs:
         if "=" not in spec:
@@ -365,6 +366,11 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
             raise ConfigError(key, "swept by two --sweep specs")
         keys.append(key)
         axes.append([(raw.strip(), _coerce(key, raw)) for raw in raw_values.split(",")])
+        first: dict = {}  # coerced value -> its first spelling
+        for raw, value in axes[-1]:
+            if value in first:
+                raise ConfigError(key, f"{raw!r} repeats the value of {first[value]!r}")
+            first[value] = raw
     points = []
     for combo in itertools.product(*axes):
         v, out = dict(values), Path(out_dir)

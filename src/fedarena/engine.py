@@ -7,6 +7,18 @@ crafts (the attacker needs those references in full-knowledge mode). All
 stochastic choices draw from tagged substreams of the experiment seed, so
 two runs of the same config are bit-identical.
 
+Dispatch: both loops draw a round's updates from `_client_updates`. A
+benign client, and any client under `none`/`passive`, sends its shard
+gradient; a benign one is also recorded as the attacker's reference for
+its id. A malicious client sends a crafted update, built against the
+references held (a sync round's benign gradients; in async the freshest
+benign gradient per client). Within a round a malicious client reuses the
+last craft while the model object is unchanged: the references cannot
+change between two malicious dispatches (their ids are the highest), and
+a craft depends only on the model, the round and the references, so the
+reuse changes no output. Sync therefore crafts once per round, async once
+per model version. Both loops step the model through `_step`.
+
 Async semantics: each round dispatches the selected clients in id order;
 every update arrives after an integer delay uniform on {0..tau_max} and
 is applied individually, re-aggregating the most recent update buffered
@@ -42,6 +54,7 @@ from .attacks import (
     craft_fedpoisonmia,
     craft_gradient_ascent,
     flip_labels,
+    mask_budget,
     passive_infer,
 )
 from .errors import EmptyHistory, EmptySet, InvalidC, InvalidConfig
@@ -148,6 +161,8 @@ def validate_config(cfg: ExperimentConfig, dim: int | None = None) -> None:
         ("batch_size", cfg.batch_size >= 1, ">= 1"),
         ("seed", cfg.seed >= 0, ">= 0"),
         ("rule.dp_sigma", rule.dp_sigma >= 0, ">= 0"),
+        (at + "kind", target.kind not in ("atm", "fang") or cfg.asynchronous or per_round >= 2,
+         f">= 2 updates per synchronous round, got {per_round}"),
         (at + "trim_b", not trims or target.trim_b >= 0, ">= 0"),
         (at + "trim_b", not trims or cfg.asynchronous or 2 * target.trim_b < per_round,
          f"2*trim_b < {per_round} updates per synchronous round"),
@@ -161,6 +176,14 @@ def validate_config(cfg: ExperimentConfig, dim: int | None = None) -> None:
         ("rule.top_k", not topk or rule.top_k >= 0, ">= 0 (0 keeps every dimension)"),
         ("rule.top_k", not topk or dim is None or rule.top_k <= dim,
          f"<= {dim}, the model dimension"),
+        # the first craft needs 2 references, a mask sample and a nonempty mask budget
+        ("attack.knowledge", attack.knowledge == "full" or num_malicious(cfg) >= 2
+         or attack.kind not in ("fedpoisonmia", "adaptive"), "full, or >= 2 malicious clients"),
+        ("n_mask", cfg.n_mask >= 1 or attack.kind not in ("agrevader", "fedpoisonmia"),
+         ">= 1 under agrevader|fedpoisonmia"),
+        ("attack.mask_fraction", attack.kind != "fedpoisonmia"
+         or mask_budget(attack.mask_fraction, cfg.n_mask) >= 1,
+         f"a mask budget of at least 1 of the {cfg.n_mask} mask samples"),
     )
     for path, ok, need in checks:
         if not ok:
@@ -340,7 +363,8 @@ def _craft_update(
     benign_grads: list[np.ndarray],
     craft_observer=None,
 ):
-    """One crafted gradient shared by every malicious client this round."""
+    """One crafted update for the model `params`, against the references
+    `benign_grads` (or, under partial knowledge, the malicious shards)."""
     cfg = world.cfg
     kind = cfg.attack.kind
     att = world.attacker
@@ -348,12 +372,9 @@ def _craft_update(
         return craft_gradient_ascent(
             params, att.attack_features, att.attack_labels, cfg.attack.ga_scale
         )
+    proxies = []
     if cfg.attack.knowledge == "partial":
-        proxies = [
-            _shard_gradient(world, params, round_idx, k) for k in world.malicious_ids
-        ]
-    else:
-        proxies = []
+        proxies = [_shard_gradient(world, params, round_idx, k) for k in world.malicious_ids]
     refs = attacker_references(cfg.attack.knowledge, benign_grads, proxies)
     if kind == "fedpoisonmia":
         result = craft_fedpoisonmia(world.attack_ctx, params, refs)
@@ -376,11 +397,35 @@ def _craft_update(
     raise InvalidConfig(f"unknown attack kind {kind!r}")
 
 
-def _aggregate(world: _World, rule, grads, weights, params, seed_tag, sq_dists=None):
-    return apply_rule(
+def _client_updates(world: _World, t: int, participants, view, model, craft_observer=None):
+    """Yield (client, update) per participant in id order (see the module
+    docstring). `view` maps client id -> benign reference and gains this
+    round's benign gradients; `model()` returns the current model, which an
+    async arrival may step between two dispatches."""
+    crafts = world.cfg.attack.kind not in ("none", "passive")
+    crafted_for = crafted = None
+    for k in (int(k) for k in participants):
+        params = model()
+        if k in world.malicious_ids and crafts:
+            if crafted_for is not params:
+                refs = [view[i] for i in sorted(view)]
+                crafted = _craft_update(world, params, t, refs, craft_observer)
+                crafted_for = params
+            yield k, crafted
+        else:
+            g = _shard_gradient(world, params, t, k)
+            if k not in world.malicious_ids:
+                view[k] = g
+            yield k, g
+
+
+def _step(world: _World, rule, params, order, G, seed_tag, sq_dists=None):
+    """Aggregate the rows `G` of clients `order` and apply the aggregate to
+    `params`; returns the new model and the AggregationOutcome."""
+    outcome = apply_rule(
         rule,
-        grads,
-        weights,
+        G,
+        world.shard_sizes[order],
         seed=derive_seed(world.cfg.seed, "agg", seed_tag),
         params=params,
         val_features=world.val.features,
@@ -388,6 +433,7 @@ def _aggregate(world: _World, rule, grads, weights, params, seed_tag, sq_dists=N
         lr=world.cfg.lr,
         sq_dists=sq_dists,
     )
+    return mlp.apply_update(params, outcome.aggregate, world.cfg.lr), outcome
 
 
 def _record(world: _World, params, round_idx, participants, diagnostics) -> RoundRecord:
@@ -418,40 +464,15 @@ def run_sync(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     """Synchronous rounds: all selected clients report, one aggregate step."""
     world = build_world(cfg)
     params = world.params0
-    malicious = set(world.malicious_ids)
-    passive_like = cfg.attack.kind in ("none", "passive")
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
         participants = select_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
-        grads: dict[int, np.ndarray] = {}
-        benign_part = [int(k) for k in participants if k not in malicious]
-        mal_part = [int(k) for k in participants if k in malicious]
-        for k in benign_part:
-            grads[k] = _shard_gradient(world, params, t, k)
-        if mal_part:
-            if passive_like:
-                for k in mal_part:
-                    grads[k] = _shard_gradient(world, params, t, k)
-            else:
-                g_mal = _craft_update(
-                    world, params, t, [grads[k] for k in benign_part], craft_observer
-                )
-                for k in mal_part:
-                    grads[k] = g_mal
-        order = [int(k) for k in participants]
-        G = np.stack([grads[k] for k in order])
-        weights = world.shard_sizes[order]
-        outcome = _aggregate(world, cfg.rule, G, weights, params, t)
-        params = mlp.apply_update(params, outcome.aggregate, cfg.lr)
-        records.append(
-            _record(
-                world,
-                params,
-                t,
-                participants,
-                {"kept": outcome.kept_indices},
-            )
-        )
+        # a fresh view: the attacker references this round's benign gradients
+        updates = dict(_client_updates(world, t, participants, {}, lambda: params, craft_observer))
+        order = list(updates)
+        G = np.stack([updates[k] for k in order])
+        params, outcome = _step(world, cfg.rule, params, order, G, t)
+        records.append(_record(world, params, t, participants, {"kept": outcome.kept_indices}))
     return _finish(world, records)
 
 
@@ -506,8 +527,6 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     arrival re-aggregates the per-client buffer and steps the model."""
     world = build_world(cfg)
     params = world.params0
-    malicious = set(world.malicious_ids)
-    passive_like = cfg.attack.kind in ("none", "passive")
     # only a top-level multi_krum reads distances; dp|topk change the rows first
     buffer = UpdateBuffer(cfg.n_clients, params.flat.size, cfg.rule.kind == "multi_krum")
     attacker_view: dict[int, np.ndarray] = {}  # freshest benign gradient per client
@@ -517,56 +536,36 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     def apply_arrival(t_now: int, t_dispatch: int, client: int, g: np.ndarray, staleness_log):
         nonlocal params
         order, G, sq_dists = buffer.put(client, g)
-        outcome = _aggregate(
-            world,
-            _clamp_rule(cfg.rule, order.size),
-            G,
-            world.shard_sizes[order],
-            params,
-            (t_now, len(staleness_log)),
-            sq_dists,
-        )
-        params = mlp.apply_update(params, outcome.aggregate, cfg.lr)
+        rule = _clamp_rule(cfg.rule, order.size)
+        params, outcome = _step(world, rule, params, order, G, (t_now, len(staleness_log)), sq_dists)
         staleness_log.append(t_now - t_dispatch)
         return outcome
 
     for t in range(cfg.rounds):
         staleness_log: list[int] = []
         last_outcome = None
-        for t_disp, client, g in sorted(
-            pending.pop(t, []), key=lambda e: (e[0], e[1])
-        ):
+        for t_disp, client, g in sorted(pending.pop(t, []), key=lambda e: (e[0], e[1])):
             last_outcome = apply_arrival(t, t_disp, client, g, staleness_log)
         participants = select_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
-        for k in (int(k) for k in participants):
-            if k in malicious and not passive_like:
-                refs = [attacker_view[i] for i in sorted(attacker_view)]
-                g = _craft_update(world, params, t, refs, craft_observer)
-            else:
-                g = _shard_gradient(world, params, t, k)
-                if k not in malicious:
-                    attacker_view[k] = g
+        updates = _client_updates(
+            world, t, participants, attacker_view, lambda: params, craft_observer
+        )
+        for k, g in updates:
             delay = _draw_delay(substream(cfg.seed, "delay", t, k), cfg.tau_max)
             if delay == 0:
                 last_outcome = apply_arrival(t, t, k, g, staleness_log)
             else:
                 pending.setdefault(t + delay, []).append((t, k, g))
-        records.append(
-            _record(
-                world,
-                params,
-                t,
-                participants,
-                {
-                    "kept": last_outcome.kept_indices if last_outcome else (),
-                    "staleness": tuple(staleness_log),
-                },
-            )
-        )
+        kept = last_outcome.kept_indices if last_outcome else ()
+        diagnostics = {"kept": kept, "staleness": tuple(staleness_log)}
+        records.append(_record(world, params, t, participants, diagnostics))
     return _finish(world, records)
 
 
 def run(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
+    """Run the config sync or async. `craft_observer(round, CraftResult,
+    references)` fires once per fedpoisonmia craft, not once per malicious
+    client: a reused craft (see the module docstring) does not fire it."""
     if cfg.asynchronous:
         return run_async(cfg, craft_observer)
     return run_sync(cfg, craft_observer)

@@ -125,6 +125,15 @@ REJECTIONS = [
     ("rule = topk\ntop_k = -1", "top_k"),
     ("rule = fang\nfang_remove = -3", "fang_remove"),
     ("rule = dp\ninner_rule = fang\nfang_remove = -3", "fang_remove"),
+    ("rule = atm\ntrim_b = 0\nn_clients = 2\nC = 0.5", "rule"),
+    ("rule = fang\nn_clients = 2\nC = 0.5", "rule"),
+    ("rule = topk\ninner_rule = atm\ntrim_b = 0\nn_clients = 2\nC = 0.5", "rule"),
+    ("rule = dp\ninner_rule = fang\nn_clients = 2\nC = 0.5", "rule"),
+    ("attack = fedpoisonmia\nknowledge = partial", "knowledge"),
+    ("attack = adaptive\nknowledge = partial", "knowledge"),
+    ("attack = fedpoisonmia\ngamma = 0.05", "gamma"),
+    ("attack = fedpoisonmia\nn_mask = 0", "n_mask"),
+    ("attack = agrevader\nn_mask = 0", "n_mask"),
     ("lr = inf", "lr"),
     ("spread = inf", "spread"),
     ("attack = gradient_ascent\nga_scale = nan", "ga_scale"),
@@ -167,6 +176,21 @@ class TestRejections:
         # sweep workers raise it in another process
         exc = pickle.loads(pickle.dumps(ConfigError("top_k", "need <= 259")))
         assert (exc.key, str(exc)) == ("top_k", "config key 'top_k': need <= 259")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "async = true\nrule = atm\ntrim_b = 0\nn_clients = 2\nC = 0.5",  # async clamps
+            "attack = fedpoisonmia\nknowledge = partial\nmalicious_fraction = 0.2",
+            "attack = adaptive\nknowledge = partial\nmalicious_fraction = 0.2",
+            "attack = fedpoisonmia\ngamma = 0.0625",  # floor(0.0625 * 16) = 1 mask sample
+            "attack = gradient_ascent\nn_mask = 0",
+        ],
+    )
+    def test_edge_of_first_round_checks_runs(self, text, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text + "\nrounds = 2\nfeatures = 8\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_async_krum_keys_follow_the_buffer(self):
         # async runs clamp krum_f and krum_count to the buffer, so no round bounds them
@@ -371,6 +395,8 @@ class TestSweepCommand:
         [
             (["seed=0,1", "rule=atm,fedavg", "seed=2"], "seed"),
             (["rule=fedavg,atm", "n_clients=10,4"], "trim_b"),  # atm trims all 4 at trim_b = 2
+            (["lr=0.1,0.10", "seed=0,1"], "lr"),  # two spellings of one value
+            (["seed=0,0"], "seed"),
         ],
     )
     def test_rejected_grid_writes_nothing(self, specs, key, tmp_path, capsys):

@@ -324,6 +324,35 @@ class TestRunAsync:
         assert len(res.records) == 10
 
 
+class TestCraftCount:
+    ATTACKED = dict(
+        rounds=10,
+        malicious_fraction=0.3,
+        rule=AggregationRule("atm", trim_b=1),
+        attack=AttackStrategy("fedpoisonmia", mask_fraction=0.3),
+        seed=2,
+    )
+
+    def crafts_and_attacked_rounds(self, cfg):
+        crafts = []
+        res = eng.run(cfg, craft_observer=lambda t, result, refs: crafts.append(t))
+        malicious = set(build_world(cfg).malicious_ids)
+        dispatched = [k for r in res.records for k in r.participants if k in malicious]
+        attacked = [r.round for r in res.records if malicious & set(r.participants)]
+        return crafts, dispatched, attacked
+
+    def test_sync_crafts_once_per_attacked_round(self):
+        crafts, dispatched, attacked = self.crafts_and_attacked_rounds(fast_cfg(**self.ATTACKED))
+        assert crafts == attacked
+        assert len(dispatched) > len(attacked)  # some round holds two malicious clients
+
+    def test_async_reuses_a_craft_until_the_model_steps(self):
+        cfg = fast_cfg(asynchronous=True, tau_max=3, **self.ATTACKED)
+        crafts, dispatched, attacked = self.crafts_and_attacked_rounds(cfg)
+        assert sorted(set(crafts)) == attacked
+        assert len(crafts) < len(dispatched)
+
+
 class TestUpdateBuffer:
     @pytest.mark.parametrize("d", [1, 7, 2179])
     def test_kept_distances_equal_recompute(self, rng, d):
@@ -383,6 +412,9 @@ ASYNC_KRUM_DIGESTS = {
         "f32da474f8e4d1378bbecac4300433222a71efd2354aa91aae51faa9b8f43306",
     "rule = topk\ninner_rule = multi_krum\ntop_k = 100":
         "e86f059b5ed2b0d636c3757c322707af4c55245aa8b4338b3c28d804c2ba8ab8",
+    # recorded while async still crafted once per malicious participant;
+    # reusing a craft until the model steps must not change an output
+    "rule = atm": "9b013e3cf18447458c20bcb03f1e5f25eab71e4d425c51dc83cd87222a886670",
 }
 
 
