@@ -52,6 +52,13 @@ class AggregationRule:
 KINDS = ("fedavg", "median", "trimmed_mean", "atm", "multi_krum", "dp", "topk", "fang")
 
 
+# fang's batched leave-one-out scores differ from per-candidate ones only by
+# float reordering (about 1e-15 relative on desk-shaped instances); losses
+# this close (relative) to the best, and predictions decided by a top-2
+# logit margin this small, are recomputed per candidate.
+FANG_TIE_TOL = 1e-9
+
+
 def fedavg(grads, weights=None) -> AggregationOutcome:
     """Weighted mean of the gradients (uniform when weights is None).
 
@@ -213,10 +220,36 @@ def fang_filter(
     mode: str,
     lr: float,
     remove_count: int = 1,
+    val_products=None,
 ) -> AggregationOutcome:
-    """Leave-one-out validation filter: repeatedly drop the gradient whose
-    removal gives the best validation score (error rate or loss), then
+    """Leave-one-out validation filter (Fang et al. ERR/LFR): repeatedly
+    drop the gradient whose removal gives the best validation score (error
+    rate under err, mean loss under lfr; the first position on ties), then
     average the survivors.
+
+    A pass scores its k candidates in one batch. Candidate i steps the
+    model by the mean of the other rows, (S - g_i)/(k-1), S the sum of the
+    rows held. The first layer is linear in that step, so the candidate's
+    first-layer pre-activation on the validation examples X is
+    X@W1 + b1_i - lr/(k-1) * (XS - XG_i), where XG_i = X @ W1-block(g_i)
+    is the row's (v, h) block (`mlp.input_products`) and XS the sum of the
+    held blocks. Only the later parameters (b1 onward) are formed per
+    candidate, and every layer after the first is one stacked matmul.
+    `val_products` is the (n, v, h) stack of the blocks when the caller
+    keeps them (async runs store one per arrival); it must equal the stack
+    this function would compute.
+
+    Batched scores round differently from stepping each candidate model
+    (by about 1e-15 relative). So under lfr every candidate whose loss is
+    within FANG_TIE_TOL (relative) of the best, and under err every
+    candidate with a validation example whose top-2 logit margin is within
+    FANG_TIE_TOL, is rescored on the per-candidate path before the argmin;
+    a pass with a non-finite loss is rescored whole. Each removal is then
+    the one the per-candidate loop (`selftest.naive_fang_kept`) makes.
+
+    diagnostics: `removed`, the positions dropped in removal order, and
+    `scores`, the last pass's score per candidate (the positions held
+    before its removal, ascending; empty when nothing is removed).
     """
     G = _as_matrix(grads)
     n = G.shape[0]
@@ -228,26 +261,96 @@ def fang_filter(
         raise EmptyValidationSet("validation set is empty")
     if mode not in ("err", "lfr"):
         raise InvalidConfig(f"unknown fang mode {mode!r}")
+    shapes = params.layer_shapes
+    if G.shape[1] != params.dim:
+        raise DimensionMismatch(f"gradients of length {G.shape[1]} for a model of {params.dim}")
+    if X.ndim != 2 or X.shape[1] != params.input_dim or y.shape != (X.shape[0],):
+        raise DimensionMismatch(f"validation shapes {X.shape}/{y.shape} incompatible with model")
+    if val_products is None:
+        P = np.stack([mlp.input_products(X, g, shapes) for g in G])
+    else:
+        P = np.asarray(val_products, dtype=np.float64)
+        if P.shape != (n, X.shape[0], shapes[0][1]):
+            raise DimensionMismatch(f"product block shaped {P.shape} for {n} gradients")
+    first = shapes[0][0] * shapes[0][1]
+    XW1 = X @ params.flat[:first].reshape(shapes[0])
 
-    def score(model: mlp.ModelParams) -> float:
-        if mode == "err":
-            return float(np.mean(mlp.predict_batch(model, X) != y))
-        return mlp.loss(model, X, y)
-
-    kept = list(range(n))
+    kept = np.arange(n)
+    removed: list[int] = []
+    scores = np.empty(0)
     for _ in range(min(remove_count, n - 1)):
-        scores = []
-        for i in kept:
-            rest = [j for j in kept if j != i]
-            candidate = mlp.apply_update(params, G[rest].mean(axis=0), lr)
-            scores.append(score(candidate))
-        worst = kept[int(np.argmin(scores))]
-        kept.remove(worst)
+        held = P if kept.size == n else P[kept]
+        logits = _loo_logits(params, XW1, held, G[kept, first:], lr)
+        scores = _scores(logits, y, mode)
+        if mode == "err":
+            recheck = ~_clear_margins(logits)
+        elif np.isfinite(scores).all():
+            best = scores.min()
+            recheck = scores <= best + FANG_TIE_TOL * max(1.0, abs(best))
+        else:
+            recheck = np.ones(kept.size, dtype=bool)
+        for i in np.flatnonzero(recheck):
+            step = G[np.delete(kept, i)].mean(axis=0)
+            scores[i] = _candidate_score(mlp.apply_update(params, step, lr), X, y, mode)
+        pick = int(np.argmin(scores))
+        removed.append(int(kept[pick]))
+        kept = np.delete(kept, pick)
     return AggregationOutcome(
         aggregate=G[kept].mean(axis=0),
-        kept_indices=tuple(kept),
-        diagnostics={"mode": mode},
+        kept_indices=tuple(int(k) for k in kept),
+        diagnostics={"mode": mode, "removed": tuple(removed), "scores": scores},
     )
+
+
+def _loo_logits(params: mlp.ModelParams, XW1, P, T, lr: float) -> np.ndarray:
+    """(k, c, v) class-major validation logits of the k leave-one-out
+    models, from the held rows' first-layer products P (k, v, h) and
+    parameter tails T (k, d - d_in*h): candidate i steps by lr times the
+    mean of the other rows."""
+    k = P.shape[0]
+    c = lr / (k - 1)
+    shapes = params.layer_shapes
+    tails = params.flat[shapes[0][0] * shapes[0][1] :] - c * (T.sum(axis=0) - T)
+    a = P * c
+    a += XW1 - c * P.sum(axis=0)
+    offset = 0
+    for li, (fi, fo) in enumerate(shapes):
+        if li > 0:
+            a = a @ tails[:, offset : offset + fi * fo].reshape(k, fi, fo)
+            offset += fi * fo
+        a += tails[:, None, offset : offset + fo]
+        offset += fo
+        if li < len(shapes) - 1:
+            np.maximum(a, 0.0, out=a)
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
+
+
+def _scores(logits, y, mode: str) -> np.ndarray:
+    """Per-candidate error rate (err) or mean cross-entropy (lfr) from
+    class-major logits."""
+    if mode == "err":
+        return np.mean(logits.argmax(axis=1) != y, axis=1)
+    zmax = logits.max(axis=1)
+    lse = zmax + np.log(np.exp(logits - zmax[:, None, :]).sum(axis=1))
+    return np.mean(lse - logits[:, y, np.arange(y.shape[0])], axis=1)
+
+
+def _clear_margins(logits) -> np.ndarray:
+    """Per candidate: whether every example's top logit is finite and beats
+    the runner-up by more than FANG_TIE_TOL (relative), so no rounding can
+    change its predictions."""
+    if logits.shape[1] < 2:
+        return np.isfinite(logits).all(axis=(1, 2))
+    top2 = np.partition(logits, -2, axis=1)[:, -2:]
+    top = top2[:, 1]
+    clear = (top - top2[:, 0] > FANG_TIE_TOL * np.maximum(1.0, np.abs(top))) & np.isfinite(top)
+    return clear.all(axis=1)
+
+
+def _candidate_score(model: mlp.ModelParams, X, y, mode: str) -> float:
+    if mode == "err":
+        return float(np.mean(mlp.predict_batch(model, X) != y))
+    return mlp.loss(model, X, y)
 
 
 def apply_rule(
@@ -261,11 +364,14 @@ def apply_rule(
     val_labels=None,
     lr: float = 0.01,
     sq_dists=None,
+    val_products=None,
 ) -> AggregationOutcome:
     """Dispatch a configured rule. Weights reach fedavg only; wrapper rules
     recurse into their `inner` configuration. `sq_dists`, the squared
     distances of `grads` (see `multi_krum`), reaches a top-level multi_krum
-    only: dp and topk change the gradients before their inner rule runs."""
+    only, and `val_products`, the first-layer products of `grads` (see
+    `fang_filter`), a top-level fang only: dp and topk change the gradients
+    before their inner rule runs."""
     G = _as_matrix(grads)
     n, d = G.shape
     kind = rule.kind
@@ -299,6 +405,6 @@ def apply_rule(
         if params is None:
             raise InvalidConfig("fang rule needs the current model")
         return fang_filter(
-            G, params, val_features, val_labels, rule.fang_mode, lr, rule.fang_remove
+            G, params, val_features, val_labels, rule.fang_mode, lr, rule.fang_remove, val_products
         )
     raise InvalidConfig(f"unknown aggregation kind {kind!r}")

@@ -27,16 +27,20 @@ are applied before the current round's dispatches; a delay of zero means
 the update is applied immediately, before the next client dispatches.
 Trim-style rules clamp their parameters while the buffer is still
 smaller than they require. The buffer is one (n_clients, d) matrix with a
-row per client id; under multi_krum it also keeps the (n_clients,
+row per client id. Under multi_krum it also keeps the (n_clients,
 n_clients) squared distances between those rows, and an arrival rewrites
 only its client's row and column, at O(n*d) instead of the O(n^2*d) a
-recompute costs. Each entry depends only on its two rows, so the kept
-block is bitwise the full recompute and Krum's choices do not change.
+recompute costs. Under fang it keeps each row's (v, h) first-layer
+product with the validation examples (`mlp.input_products`, the block
+fang scores every leave-one-out candidate from), and an arrival computes
+only its client's block. Each entry depends only on its own rows, and the
+fresh path runs the same kernel per row, so a kept block is bitwise the
+recompute and no choice of Krum or fang changes.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -135,6 +139,12 @@ def validate_config(cfg: ExperimentConfig, dim: int | None = None) -> None:
     per_round = participant_count(cfg.n_clients, cfg.participation) if valid_c else 0
     if dim is None and cfg.dataset == "synthetic":
         dim = model_dim(cfg.features, cfg.classes)
+    # the fewest references a fedpoisonmia|adaptive craft can get: the
+    # malicious shards' proxies, or under full knowledge a round's benign
+    # participants when every malicious client is selected
+    n_mal = num_malicious(cfg)
+    refs = n_mal if attack.knowledge == "partial" else per_round - n_mal
+    crafts_on_refs = attack.kind in ("fedpoisonmia", "adaptive")
     checks = (
         ("participation", valid_c, "in (0, 1]"),
         ("malicious_fraction", 0 <= cfg.malicious_fraction < 0.5, "in [0, 0.5)"),
@@ -176,9 +186,15 @@ def validate_config(cfg: ExperimentConfig, dim: int | None = None) -> None:
         ("rule.top_k", not topk or rule.top_k >= 0, ">= 0 (0 keeps every dimension)"),
         ("rule.top_k", not topk or dim is None or rule.top_k <= dim,
          f"<= {dim}, the model dimension"),
-        # the first craft needs 2 references, a mask sample and a nonempty mask budget
-        ("attack.knowledge", attack.knowledge == "full" or num_malicious(cfg) >= 2
-         or attack.kind not in ("fedpoisonmia", "adaptive"), "full, or >= 2 malicious clients"),
+        # a craft needs 2 references, a mask sample and a nonempty mask budget
+        ("attack.knowledge", not crafts_on_refs or refs >= 2,
+         ">= 2 malicious clients" if attack.knowledge == "partial" else
+         f">= 2 benign participants in a round that selects every malicious client, "
+         f"got {per_round} - {n_mal}"),
+        # the adaptive attacker trims at least 1 per side, among its
+        # references and its own update
+        ("rule.trim_b", attack.kind != "adaptive" or 2 * max(rule.trim_b, 1) < refs + 1,
+         f"2*max(trim_b, 1) < {refs + 1}, the adaptive attacker's references and update"),
         ("n_mask", cfg.n_mask >= 1 or attack.kind not in ("agrevader", "fedpoisonmia"),
          ">= 1 under agrevader|fedpoisonmia"),
         ("attack.mask_fraction", attack.kind != "fedpoisonmia"
@@ -419,9 +435,10 @@ def _client_updates(world: _World, t: int, participants, view, model, craft_obse
             yield k, g
 
 
-def _step(world: _World, rule, params, order, G, seed_tag, sq_dists=None):
+def _step(world: _World, rule, params, order, G, seed_tag, **cached):
     """Aggregate the rows `G` of clients `order` and apply the aggregate to
-    `params`; returns the new model and the AggregationOutcome."""
+    `params`; returns the new model and the AggregationOutcome. `cached`
+    holds the buffer's block for the rule (`sq_dists` or `val_products`)."""
     outcome = apply_rule(
         rule,
         G,
@@ -431,7 +448,7 @@ def _step(world: _World, rule, params, order, G, seed_tag, sq_dists=None):
         val_features=world.val.features,
         val_labels=world.val.labels,
         lr=world.cfg.lr,
-        sq_dists=sq_dists,
+        **cached,
     )
     return mlp.apply_update(params, outcome.aggregate, world.cfg.lr), outcome
 
@@ -498,28 +515,42 @@ def _clamp_rule(rule: AggregationRule, size: int) -> AggregationRule:
 
 
 class UpdateBuffer:
-    """The latest update of each client, one row per client id, and
-    optionally the squared distances between the rows held, kept one row
-    and column per arrival (see the module docstring)."""
+    """The latest update of each client, one row per client id, plus at
+    most one block the rule reads, kept one client per arrival (see the
+    module docstring): the squared distances between the rows held when
+    `distances`, or each row's validation first-layer product when
+    `products` (a function of one row, `mlp.input_products` bound to the
+    validation examples) is given."""
 
-    def __init__(self, n_clients: int, dim: int, distances: bool):
+    def __init__(self, n_clients: int, dim: int, distances: bool, products=None):
         self.rows = np.zeros((n_clients, dim))
         self.held = np.zeros(n_clients, dtype=bool)
         self.sq_dists = np.zeros((n_clients, n_clients)) if distances else None
+        self.product_of = products
+        self.products = None  # (n_clients, v, h), allocated at the first put
 
     def put(self, client: int, g: np.ndarray):
         """Store `g` as the client's update. Returns the ids held (ascending),
-        their rows and their squared-distance block (None unless kept)."""
+        their rows and their block of the kept cache (None if none is kept).
+        Once every client is held the rows and the block come back as
+        views, valid until the next put."""
         self.rows[client] = g
         self.held[client] = True
+        full = self.held.all()
         order = np.flatnonzero(self.held)
-        G = self.rows[order]
+        G = self.rows if full else self.rows[order]
+        if self.product_of is not None:
+            block = self.product_of(self.rows[client])
+            if self.products is None:
+                self.products = np.zeros((self.held.size,) + block.shape)
+            self.products[client] = block
+            return order, G, self.products if full else self.products[order]
         if self.sq_dists is None:
             return order, G, None
         row = sq_distances_to(G, self.rows[client])
         self.sq_dists[client, order] = row
         self.sq_dists[order, client] = row
-        return order, G, self.sq_dists[np.ix_(order, order)]
+        return order, G, self.sq_dists if full else self.sq_dists[np.ix_(order, order)]
 
 
 def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
@@ -527,17 +558,23 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     arrival re-aggregates the per-client buffer and steps the model."""
     world = build_world(cfg)
     params = world.params0
-    # only a top-level multi_krum reads distances; dp|topk change the rows first
-    buffer = UpdateBuffer(cfg.n_clients, params.flat.size, cfg.rule.kind == "multi_krum")
+    # only a top-level multi_krum or fang reads a kept block; dp|topk change
+    # the rows first
+    cache_key = {"multi_krum": "sq_dists", "fang": "val_products"}.get(cfg.rule.kind)
+    products = None
+    if cache_key == "val_products":
+        products = partial(mlp.input_products, world.val.features, layer_shapes=params.layer_shapes)
+    buffer = UpdateBuffer(cfg.n_clients, params.flat.size, cache_key == "sq_dists", products)
     attacker_view: dict[int, np.ndarray] = {}  # freshest benign gradient per client
     pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     records: list[RoundRecord] = []
 
     def apply_arrival(t_now: int, t_dispatch: int, client: int, g: np.ndarray, staleness_log):
         nonlocal params
-        order, G, sq_dists = buffer.put(client, g)
+        order, G, block = buffer.put(client, g)
         rule = _clamp_rule(cfg.rule, order.size)
-        params, outcome = _step(world, rule, params, order, G, (t_now, len(staleness_log)), sq_dists)
+        cached = {cache_key: block} if cache_key else {}
+        params, outcome = _step(world, rule, params, order, G, (t_now, len(staleness_log)), **cached)
         staleness_log.append(t_now - t_dispatch)
         return outcome
 

@@ -175,6 +175,14 @@ def per_example_gradients(params: ModelParams, X, y) -> np.ndarray:
     return np.concatenate(pieces, axis=1)
 
 
+def input_products(X, g, layer_shapes) -> np.ndarray:
+    """(v, h) product of the examples X (v, d_in) with the first-layer
+    weight block of the flat vector g: the change in X's first-layer
+    pre-activation per unit step along g."""
+    d_in, h = layer_shapes[0]
+    return X @ g[: d_in * h].reshape(d_in, h)
+
+
 def apply_update(params: ModelParams, g, lr: float) -> ModelParams:
     """One descent step: params - lr * g."""
     g = np.asarray(g, dtype=np.float64)

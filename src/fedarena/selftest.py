@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import mlp
-from .aggregation import atm
+from .aggregation import atm, fang_filter
 from .attacks import (
     benign_angle_budget,
     greedy_mask_select,
@@ -104,6 +104,50 @@ def _check_atm():
         assert kept == naive_atm_kept(G, b), "trim selection mismatch"
 
 
+def naive_fang_kept(G, params, X, y, mode, lr, remove_count=1):
+    """Per-candidate reference for aggregation.fang_filter: builds every
+    leave-one-out model (mean of the other rows, one descent step) and
+    scores it with mlp.predict_batch or mlp.loss. Returns (kept, removed)."""
+    kept = list(range(len(G)))
+    removed = []
+    for _ in range(min(remove_count, len(G) - 1)):
+        scores = []
+        for i in kept:
+            rest = [j for j in kept if j != i]
+            model = mlp.apply_update(params, np.asarray(G)[rest].mean(axis=0), lr)
+            if mode == "err":
+                scores.append(float(np.mean(mlp.predict_batch(model, X) != y)))
+            else:
+                scores.append(mlp.loss(model, X, y))
+        worst = kept[int(np.argmin(scores))]
+        kept.remove(worst)
+        removed.append(worst)
+    return tuple(kept), tuple(removed)
+
+
+def _check_fang():
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        shapes = ((5, 4), (4, 3)) if trial % 4 else ((5, 4), (4, 4), (4, 3))
+        params = mlp.init_params(shapes, seed=trial)
+        params = mlp.ModelParams(
+            flat=params.flat + 0.3 * rng.normal(size=params.dim), layer_shapes=shapes
+        )
+        n = int(rng.integers(2, 9))
+        G = rng.normal(size=(n, params.dim))
+        if trial % 3 == 0:
+            G[rng.integers(1, n, size=n // 2)] = G[0]  # duplicated rows: exact ties
+        if trial % 5 == 0:
+            G = np.round(4 * G)  # integer rows: tied error rates
+        X = rng.normal(size=(12, 5))
+        y = rng.integers(0, 3, size=12)
+        mode = ("lfr", "err")[trial % 2]
+        remove = int(rng.integers(0, n))
+        out = fang_filter(G, params, X, y, mode, 0.5, remove)
+        kept, removed = naive_fang_kept(G, params, X, y, mode, 0.5, remove)
+        assert (out.kept_indices, out.diagnostics["removed"]) == (kept, removed), "fang mismatch"
+
+
 def _check_gradient():
     rng = np.random.default_rng(3)
     for trial in range(3):
@@ -184,6 +228,7 @@ def _check_bound():
 SUITES = (
     ("angles", _check_angles),
     ("angular-trim", _check_atm),
+    ("fang", _check_fang),
     ("gradient-fd", _check_gradient),
     ("crafting", _check_crafting),
     ("order-stats", _check_lemma),

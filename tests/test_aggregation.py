@@ -27,7 +27,7 @@ from fedarena.errors import (
     TrimTooLarge,
     WeightMismatch,
 )
-from fedarena.selftest import naive_atm_kept
+from fedarena.selftest import naive_atm_kept, naive_fang_kept
 from fedarena.vectors import pairwise_sq_distances
 
 
@@ -309,6 +309,94 @@ class TestFang:
         params, X, y = self._setup(rng)
         with pytest.raises(EmptyValidationSet):
             fang_filter(np.ones((2, params.dim)), params, X[:0], y[:0], "lfr", lr=0.1)
+
+
+class TestFangParity:
+    """The batched leave-one-out scoring against the per-candidate oracle."""
+
+    def _instance(self, rng, shapes, n, kind):
+        params = perturbed(mlp.init_params(shapes, seed=int(rng.integers(1000))), 0.3, rng)
+        G = rng.normal(size=(n, params.dim))
+        if kind == "duplicates":  # exact ties between candidates
+            G[rng.integers(1, n, size=n // 2)] = G[0]
+        elif kind == "integers":  # small integer steps: tied error rates
+            G = np.round(3 * G)
+        elif kind == "scaled":  # one row far larger than the rest
+            G[int(rng.integers(n))] *= 1e3
+        X = rng.normal(size=(int(rng.integers(1, 25)), shapes[0][0]))
+        y = rng.integers(0, shapes[-1][1], size=X.shape[0])
+        return params, G, X, y
+
+    @pytest.mark.parametrize("mode", ["err", "lfr"])
+    @pytest.mark.parametrize("kind", ["plain", "duplicates", "integers", "scaled"])
+    @pytest.mark.parametrize(
+        "shapes", [((6, 8), (8, 3)), ((5, 4), (4, 6), (6, 2)), ((4, 3),)], ids=["1h", "2h", "0h"]
+    )
+    def test_kept_and_removed_match_oracle(self, rng, mode, kind, shapes):
+        for _ in range(12):
+            n = int(rng.integers(2, 9))
+            params, G, X, y = self._instance(rng, shapes, n, kind)
+            lr = float(rng.choice([0.05, 0.5, 2.0]))
+            for remove in range(n):
+                out = fang_filter(G, params, X, y, mode, lr, remove)
+                kept, removed = naive_fang_kept(G, params, X, y, mode, lr, remove)
+                assert out.kept_indices == kept
+                assert out.diagnostics["removed"] == removed
+                assert np.array_equal(out.aggregate, G[list(kept)].mean(axis=0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverged model's inf - inf
+    @pytest.mark.parametrize("mode", ["err", "lfr"])
+    def test_exact_logit_ties_and_diverged_models(self, rng, mode):
+        params, G, X, y = self._instance(rng, ((6, 8), (8, 3)), 5, "plain")
+        zero = mlp.ModelParams(np.zeros(params.dim), params.layer_shapes)
+        # every logit ties, so every prediction is decided by position
+        for p_, G_, lr in ((zero, np.zeros_like(G), 0.1), (params, 1e200 * G, 1e200)):
+            out = fang_filter(G_, p_, X, y, mode, lr, 3)
+            assert (out.kept_indices, out.diagnostics["removed"]) == naive_fang_kept(
+                G_, p_, X, y, mode, lr, 3
+            )
+
+    @pytest.mark.parametrize("mode", ["err", "lfr"])
+    def test_scores_are_the_last_pass_scores(self, rng, mode):
+        params, G, X, y = self._instance(rng, ((6, 8), (8, 3)), 6, "plain")
+        out = fang_filter(G, params, X, y, mode, 0.5, 2)
+        first = out.diagnostics["removed"][0]
+        rows = [i for i in range(6) if i != first]
+        exact = []
+        for i in rows:
+            model = mlp.apply_update(params, G[[j for j in rows if j != i]].mean(axis=0), 0.5)
+            if mode == "err":
+                exact.append(float(np.mean(mlp.predict_batch(model, X) != y)))
+            else:
+                exact.append(mlp.loss(model, X, y))
+        scores = out.diagnostics["scores"]
+        assert scores.shape == (5,)
+        assert np.allclose(scores, exact, rtol=1e-12, atol=0)
+        assert rows[int(np.argmin(exact))] == out.diagnostics["removed"][1]
+        none = fang_filter(G, params, X, y, mode, 0.5, 0)
+        assert none.kept_indices == tuple(range(6))
+        assert none.diagnostics["removed"] == () and none.diagnostics["scores"].size == 0
+
+    def test_products_given_equal_products_computed(self, rng):
+        params, G, X, y = self._instance(rng, ((6, 8), (8, 3)), 7, "plain")
+        P = np.stack([mlp.input_products(X, g, params.layer_shapes) for g in G])
+        for mode in ("err", "lfr"):
+            fresh = fang_filter(G, params, X, y, mode, 0.5, 3)
+            cached = fang_filter(G, params, X, y, mode, 0.5, 3, val_products=P)
+            assert cached.kept_indices == fresh.kept_indices
+            assert np.array_equal(cached.diagnostics["scores"], fresh.diagnostics["scores"])
+        with pytest.raises(DimensionMismatch):
+            fang_filter(G, params, X, y, "lfr", 0.5, 1, val_products=P[1:])
+
+    def test_products_reach_top_level_fang_only(self, rng):
+        params, G, X, y = self._instance(rng, ((6, 8), (8, 3)), 4, "plain")
+        wrong = np.zeros((1, 1, 1))  # fang_filter would reject this shape
+        kw = dict(params=params, val_features=X, val_labels=y, lr=0.5)
+        rule = AggregationRule("dp", dp_sigma=0.0, inner=AggregationRule("fang"))
+        assert (
+            apply_rule(rule, G, val_products=wrong, **kw).kept_indices
+            == apply_rule(rule, G, **kw).kept_indices
+        )
 
 
 class TestPermutationEquivariance:

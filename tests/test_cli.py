@@ -131,6 +131,13 @@ REJECTIONS = [
     ("rule = dp\ninner_rule = fang\nn_clients = 2\nC = 0.5", "rule"),
     ("attack = fedpoisonmia\nknowledge = partial", "knowledge"),
     ("attack = adaptive\nknowledge = partial", "knowledge"),
+    # 2 proxies and the update: trimming 2 per side leaves nothing
+    ("attack = adaptive\nknowledge = partial\nmalicious_fraction = 0.2\ntrim_b = 2", "trim_b"),
+    ("attack = adaptive\nmalicious_fraction = 0.3\nC = 0.5\ntrim_b = 2", "trim_b"),
+    # a round of 2 that selects the 1 malicious client leaves 1 reference
+    ("n_clients = 3\nmalicious_fraction = 0.34\nC = 0.6\nattack = fedpoisonmia", "knowledge"),
+    ("n_clients = 3\nmalicious_fraction = 0.34\nC = 0.6\nattack = adaptive", "knowledge"),
+    ("n_clients = 10\nmalicious_fraction = 0.1\nC = 0.1\nattack = fedpoisonmia", "knowledge"),
     ("attack = fedpoisonmia\ngamma = 0.05", "gamma"),
     ("attack = fedpoisonmia\nn_mask = 0", "n_mask"),
     ("attack = agrevader\nn_mask = 0", "n_mask"),
@@ -185,6 +192,10 @@ class TestRejections:
             "attack = adaptive\nknowledge = partial\nmalicious_fraction = 0.2",
             "attack = fedpoisonmia\ngamma = 0.0625",  # floor(0.0625 * 16) = 1 mask sample
             "attack = gradient_ascent\nn_mask = 0",
+            "attack = adaptive\nknowledge = partial\nmalicious_fraction = 0.3\ntrim_b = 1",
+            "attack = adaptive\nmalicious_fraction = 0.3\nC = 0.6\ntrim_b = 1",
+            "n_clients = 4\nmalicious_fraction = 0.25\nC = 0.75\nattack = fedpoisonmia",
+            "n_clients = 3\nmalicious_fraction = 0.34\nC = 0.6\nattack = gradient_ascent",
         ],
     )
     def test_edge_of_first_round_checks_runs(self, text, tmp_path):
@@ -450,4 +461,4 @@ class TestDefaults:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7

@@ -1,11 +1,12 @@
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 
 from fedarena import cli, mlp
 from fedarena import engine as eng
-from fedarena.aggregation import AggregationRule, apply_rule, multi_krum
+from fedarena.aggregation import AggregationRule, apply_rule, fang_filter, multi_krum
 from fedarena.attacks import AttackStrategy, passive_infer
 from fedarena.engine import (
     ExperimentConfig,
@@ -381,6 +382,33 @@ class TestUpdateBuffer:
                 assert cached.kept_indices == fresh.kept_indices
                 assert cached.diagnostics == fresh.diagnostics
                 assert np.array_equal(cached.aggregate, fresh.aggregate)
+
+    @pytest.mark.parametrize("mode", ["err", "lfr"])
+    @pytest.mark.parametrize("shapes", [((6, 8), (8, 3)), ((64, 32), (32, 3))], ids=["tiny", "desk"])
+    def test_kept_products_equal_recompute(self, rng, mode, shapes):
+        params = mlp.init_params(shapes, seed=3)
+        X, y = rng.normal(size=(10, shapes[0][0])), rng.integers(0, 3, size=10)
+        products = partial(mlp.input_products, X, layer_shapes=params.layer_shapes)
+        n = 7
+        buf = eng.UpdateBuffer(n, params.dim, distances=False, products=products)
+        held = {}
+        arrivals = list(rng.permutation(n)) + list(rng.integers(0, n, size=2 * n))
+        for step, client in enumerate(int(c) for c in arrivals):
+            g = rng.normal(size=params.dim)
+            if held and step % 3 == 0:  # a copy of a held row: exact ties
+                g = held[list(held)[int(rng.integers(0, len(held)))]].copy()
+            held[client] = g
+            order, G, block = buf.put(client, g)
+            assert order.tolist() == sorted(held)
+            fresh = np.stack([products(row) for row in G])
+            assert np.array_equal(block, fresh)
+            if order.size < 2:
+                continue
+            cached = fang_filter(G, params, X, y, mode, 0.5, order.size - 1, block)
+            recomputed = fang_filter(G, params, X, y, mode, 0.5, order.size - 1)
+            assert cached.kept_indices == recomputed.kept_indices
+            assert cached.diagnostics["removed"] == recomputed.diagnostics["removed"]
+            assert np.array_equal(cached.aggregate, recomputed.aggregate)
 
     def test_no_distances_unless_asked(self, rng):
         buf = eng.UpdateBuffer(3, 4, distances=False)
