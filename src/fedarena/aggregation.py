@@ -6,7 +6,7 @@ filtering, and rule-specific diagnostics. Rules are pure given their
 inputs (noise injection takes an explicit seed).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -36,7 +36,7 @@ class AggregationOutcome:
 
 @dataclass(frozen=True)
 class AggregationRule:
-    """Config for one rule; `inner` nests a rule under the dp/topk wrappers."""
+    """Config for one rule; dp/topk hand their rows to the `inner` kind."""
 
     kind: str = "fedavg"  # fedavg|median|trimmed_mean|atm|multi_krum|dp|topk|fang
     trim_b: int = 1
@@ -46,7 +46,7 @@ class AggregationRule:
     krum_count: int = 0  # 0 means n - krum_f at call time
     fang_mode: str = "lfr"  # err|lfr
     fang_remove: int = 1
-    inner: Optional["AggregationRule"] = None
+    inner: str = "fedavg"  # run on these same knobs; not dp|topk itself
 
 
 KINDS = ("fedavg", "median", "trimmed_mean", "atm", "multi_krum", "dp", "topk", "fang")
@@ -366,8 +366,8 @@ def apply_rule(
     sq_dists=None,
     val_products=None,
 ) -> AggregationOutcome:
-    """Dispatch a configured rule. Weights reach fedavg only; wrapper rules
-    recurse into their `inner` configuration. `sq_dists`, the squared
+    """Dispatch a configured rule. Weights reach fedavg only; dp and topk
+    run their `inner` kind on their own knobs. `sq_dists`, the squared
     distances of `grads` (see `multi_krum`), reaches a top-level multi_krum
     only, and `val_products`, the first-layer products of `grads` (see
     `fang_filter`), a top-level fang only: dp and topk change the gradients
@@ -387,9 +387,11 @@ def apply_rule(
         count = rule.krum_count if rule.krum_count > 0 else n - rule.krum_f
         return multi_krum(G, rule.krum_f, count, sq_dists)
     if kind in ("dp", "topk"):
+        if rule.inner in ("dp", "topk"):
+            raise InvalidConfig(f"{kind} cannot wrap {rule.inner!r}")
         inner = partial(
             apply_rule,
-            rule.inner if rule.inner is not None else AggregationRule("fedavg"),
+            replace(rule, kind=rule.inner),
             weights=weights,
             seed=seed,
             params=params,

@@ -59,9 +59,15 @@ class AttackStrategy:
 
     kind: str = "none"  # none|passive|gradient_ascent|agrevader|fedpoisonmia|adaptive
     mask_fraction: float = 0.1  # share of the mask pool actually used
-    alpha_grid: tuple[float, ...] = tuple(np.geomspace(0.01, 100.0, 25))
+    alpha_min: float = 0.01  # alpha_grid: alpha_points geometric steps to alpha_max
+    alpha_max: float = 100.0
+    alpha_points: int = 25
     knowledge: str = "full"  # full|partial
     ga_scale: float = 1.0
+
+    @property
+    def alpha_grid(self) -> tuple[float, ...]:
+        return tuple(map(float, np.geomspace(self.alpha_min, self.alpha_max, self.alpha_points)))
 
 
 KINDS = ("none", "passive", "gradient_ascent", "agrevader", "fedpoisonmia", "adaptive")
@@ -78,7 +84,6 @@ class AttackerContext:
     num_classes: int
     mask_fraction: float
     alpha_grid: tuple[float, ...]
-    knowledge: str
     flip_seed: int
 
 

@@ -8,12 +8,13 @@ Subcommands:
   selftest  quick built-in property checks
 
 Config files are flat `key = value` lines (# comments allowed). Unknown
-keys are rejected; missing keys take their defaults. Each key in `KEYS`
-maps onto one ExperimentConfig field, whose dataclass declares the
-default and `engine.validate_config` the check; the few keys only the CLI
-reads carry their own default and check here. Every rejected value,
-`--seed` included, exits 1 naming its key. Outputs use fixed column
-orders and 9-significant-digit decimals so reruns diff clean.
+keys are rejected; missing keys take their defaults. Every `run` key in
+`KEYS` maps onto one ExperimentConfig field, whose dataclass declares the
+default and `engine.validate_config` the check; only the `theory_*` keys
+are read by the CLI alone, and carry their own default and check here.
+Every rejected value, `--seed` included, exits 1 naming its key. Outputs
+use fixed column orders and 9-significant-digit decimals so reruns diff
+clean.
 FEDARENA_THREADS caps sweep parallelism (0 = sequential).
 """
 
@@ -52,7 +53,7 @@ EXIT_ACCEPTANCE = 3
 
 @dataclass(frozen=True)
 class CliOnly:
-    """A key no ExperimentConfig field holds, with its default."""
+    """A `theory_*` key, which no ExperimentConfig field holds, with its default."""
 
     default: object
 
@@ -74,13 +75,12 @@ KEYS: dict[str, object] = {
     "krum_count": "rule.krum_count",
     "fang_mode": "rule.fang_mode",
     "fang_remove": "rule.fang_remove",
-    "inner_rule": CliOnly(AggregationRule.kind),  # rule.inner under dp|topk
+    "inner_rule": "rule.inner",
     "attack": "attack.kind",
     "gamma": "attack.mask_fraction",
-    # attack.alpha_grid = geomspace(alpha_min, alpha_max, alpha_points)
-    "alpha_min": CliOnly(float(AttackStrategy.alpha_grid[0])),
-    "alpha_max": CliOnly(float(AttackStrategy.alpha_grid[-1])),
-    "alpha_points": CliOnly(len(AttackStrategy.alpha_grid)),
+    "alpha_min": "attack.alpha_min",
+    "alpha_max": "attack.alpha_max",
+    "alpha_points": "attack.alpha_points",
     "knowledge": "attack.knowledge",
     "ga_scale": "attack.ga_scale",
     "dataset": "dataset",
@@ -192,11 +192,7 @@ def default_config_text() -> str:
 
 
 def _check_cli_keys(v: dict) -> None:
-    """Range checks of the keys no ExperimentConfig field holds."""
-    if v["inner_rule"] not in RULE_KINDS or v["inner_rule"] in ("dp", "topk"):
-        raise ConfigError("inner_rule", f"{v['inner_rule']!r} cannot nest")
-    if v["alpha_min"] <= 0 or v["alpha_max"] < v["alpha_min"] or v["alpha_points"] < 1:
-        raise ConfigError("alpha_min", "need 0 < alpha_min <= alpha_max, alpha_points >= 1")
+    """Range checks of the `theory_*` keys."""
     if v["theory_sigma"] < 0:
         raise ConfigError("theory_sigma", f"{v['theory_sigma']} must be >= 0")
     if v["theory_trials"] < 1:
@@ -222,17 +218,10 @@ def to_experiment_config(values: dict) -> ExperimentConfig:
         if isinstance(row, str):
             owner, _, name = row.rpartition(".")
             fields[owner][name] = values[key]
-    inner = None
-    if values["rule"] in ("dp", "topk"):
-        inner = AggregationRule(**{**fields["rule"], "kind": values["inner_rule"]})
-    grid = tuple(
-        float(a)
-        for a in np.geomspace(values["alpha_min"], values["alpha_max"], values["alpha_points"])
-    )
     cfg = ExperimentConfig(
         **fields[""],
-        rule=AggregationRule(**fields["rule"], inner=inner),
-        attack=AttackStrategy(**fields["attack"], alpha_grid=grid),
+        rule=AggregationRule(**fields["rule"]),
+        attack=AttackStrategy(**fields["attack"]),
     )
     try:
         validate_config(cfg)
@@ -242,8 +231,7 @@ def to_experiment_config(values: dict) -> ExperimentConfig:
 
 
 def _config_error(exc: InvalidConfig) -> ConfigError:
-    # the CLI's rule keys also configure the inner rule of dp|topk
-    return ConfigError(_KEY_OF_PATH[exc.path.replace(".inner", "")], str(exc))
+    return ConfigError(_KEY_OF_PATH[exc.path], str(exc))
 
 
 def _fmt9(x: float) -> str:

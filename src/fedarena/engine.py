@@ -119,26 +119,38 @@ class ExperimentResult:
     final_test_acc: float
 
 
-def validate_config(cfg: ExperimentConfig, dim: int | None = None) -> None:
+def split_sizes(cfg: ExperimentConfig, size: int) -> tuple[int, int, int]:
+    """The train, holdout and validation counts of a `size`-example
+    dataset; the test split takes the rest."""
+    fractions = (cfg.train_fraction, cfg.holdout_fraction, cfg.val_fraction)
+    return tuple(int(size * f) for f in fractions)
+
+
+def validate_config(cfg: ExperimentConfig, data: datamod.Dataset | None = None) -> None:
     """The one range check of every config field: raises InvalidConfig
     (InvalidC for participation) carrying the dotted field path of the
-    first rejected value. `dim` is the model dimension; a synthetic
-    dataset implies it, a CSV one sets it only once loaded (`build_world`
-    checks again then)."""
+    first rejected value. `data` is the loaded dataset; a synthetic one's
+    shape follows from the config, a CSV one's is known only once loaded
+    (`build_world` checks again then)."""
     rule, attack = cfg.rule, cfg.attack
     fractions = cfg.train_fraction + cfg.holdout_fraction + cfg.val_fraction
-    # dp|topk hand the gradients to their inner rule; a sync round
-    # aggregates every participant, async runs clamp trim_b and the Krum
-    # keys to the buffer
-    target = rule.inner if rule.kind in ("dp", "topk") and rule.inner is not None else rule
-    at = "rule." if target is rule else "rule.inner."
-    trims = target.kind in ("trimmed_mean", "atm")
-    krum = target.kind == "multi_krum"
+    # dp|topk hand the gradients to their inner kind, which reads the
+    # rule's knobs; a sync round aggregates every participant, async runs
+    # clamp trim_b and the Krum keys to the buffer
+    kind = rule.inner if rule.kind in ("dp", "topk") else rule.kind
+    trims = kind in ("trimmed_mean", "atm")
+    krum = kind == "multi_krum"
     topk = rule.kind == "topk"
     valid_c = 0 < cfg.participation <= 1
     per_round = participant_count(cfg.n_clients, cfg.participation) if valid_c else 0
-    if dim is None and cfg.dataset == "synthetic":
-        dim = model_dim(cfg.features, cfg.classes)
+    dim = size = classes = None
+    if data is not None:
+        size, classes = data.size, data.num_classes
+        dim = model_dim(data.feature_dim, classes)
+    elif cfg.dataset == "synthetic":
+        size, classes = cfg.classes * cfg.per_class, cfg.classes
+        dim = model_dim(cfg.features, classes)
+    n_train, _, n_val = split_sizes(cfg, size or 0)
     # the fewest references a fedpoisonmia|adaptive craft can get: the
     # malicious shards' proxies, or under full knowledge a round's benign
     # participants when every malicious client is selected
@@ -146,6 +158,10 @@ def validate_config(cfg: ExperimentConfig, dim: int | None = None) -> None:
     refs = n_mal if attack.knowledge == "partial" else per_round - n_mal
     crafts_on_refs = attack.kind in ("fedpoisonmia", "adaptive")
     checks = (
+        ("rule.inner", rule.inner in RULE_KINDS and rule.inner not in ("dp", "topk"),
+         f"one of {RULE_KINDS} other than dp|topk"),
+        ("attack.alpha_min", 0 < attack.alpha_min <= attack.alpha_max and attack.alpha_points >= 1,
+         "0 < alpha_min <= alpha_max, alpha_points >= 1"),
         ("participation", valid_c, "in (0, 1]"),
         ("malicious_fraction", 0 <= cfg.malicious_fraction < 0.5, "in [0, 0.5)"),
         ("rule.kind", rule.kind in RULE_KINDS, f"one of {RULE_KINDS}"),
@@ -171,18 +187,18 @@ def validate_config(cfg: ExperimentConfig, dim: int | None = None) -> None:
         ("batch_size", cfg.batch_size >= 1, ">= 1"),
         ("seed", cfg.seed >= 0, ">= 0"),
         ("rule.dp_sigma", rule.dp_sigma >= 0, ">= 0"),
-        (at + "kind", target.kind not in ("atm", "fang") or cfg.asynchronous or per_round >= 2,
+        ("rule.kind", kind not in ("atm", "fang") or cfg.asynchronous or per_round >= 2,
          f">= 2 updates per synchronous round, got {per_round}"),
-        (at + "trim_b", not trims or target.trim_b >= 0, ">= 0"),
-        (at + "trim_b", not trims or cfg.asynchronous or 2 * target.trim_b < per_round,
+        ("rule.trim_b", not trims or rule.trim_b >= 0, ">= 0"),
+        ("rule.trim_b", not trims or cfg.asynchronous or 2 * rule.trim_b < per_round,
          f"2*trim_b < {per_round} updates per synchronous round"),
-        (at + "krum_f", not krum or target.krum_f >= 0, ">= 0"),
-        (at + "krum_f", not krum or cfg.asynchronous or target.krum_f <= per_round - 2,
+        ("rule.krum_f", not krum or rule.krum_f >= 0, ">= 0"),
+        ("rule.krum_f", not krum or cfg.asynchronous or rule.krum_f <= per_round - 2,
          f"krum_f + 2 <= {per_round} updates per synchronous round"),
-        (at + "krum_count", not krum or target.krum_count >= 0, ">= 0 (0 means n - krum_f)"),
-        (at + "krum_count", not krum or cfg.asynchronous or target.krum_count <= per_round,
+        ("rule.krum_count", not krum or rule.krum_count >= 0, ">= 0 (0 means n - krum_f)"),
+        ("rule.krum_count", not krum or cfg.asynchronous or rule.krum_count <= per_round,
          f"krum_count <= {per_round} updates per synchronous round"),
-        (at + "fang_remove", target.kind != "fang" or target.fang_remove >= 0, ">= 0"),
+        ("rule.fang_remove", kind != "fang" or rule.fang_remove >= 0, ">= 0"),
         ("rule.top_k", not topk or rule.top_k >= 0, ">= 0 (0 keeps every dimension)"),
         ("rule.top_k", not topk or dim is None or rule.top_k <= dim,
          f"<= {dim}, the model dimension"),
@@ -200,6 +216,13 @@ def validate_config(cfg: ExperimentConfig, dim: int | None = None) -> None:
         ("attack.mask_fraction", attack.kind != "fedpoisonmia"
          or mask_budget(attack.mask_fraction, cfg.n_mask) >= 1,
          f"a mask budget of at least 1 of the {cfg.n_mask} mask samples"),
+        # build_world's split and partition of the dataset
+        ("n_clients", cfg.partition != "noniid" or classes is None or cfg.n_clients >= classes,
+         f">= {classes} under noniid, a client per class group"),
+        ("n_clients", size is None or cfg.n_clients <= n_train,
+         f"<= {n_train}, the training examples a shard each"),
+        ("val_fraction", kind != "fang" or size is None or n_val >= 1,
+         f"a validation example under fang, int({size} * val_fraction) >= 1"),
     )
     for path, ok, need in checks:
         if not ok:
@@ -281,7 +304,6 @@ class _World:
     val: datamod.Dataset
     test: datamod.Dataset
     attacker: datamod.AttackerData
-    evalset: datamod.MembershipEvalSet
     malicious_ids: tuple[int, ...]
     attack_ctx: AttackerContext | None
 
@@ -290,16 +312,14 @@ def build_world(cfg: ExperimentConfig) -> _World:
     validate_config(cfg)
     if cfg.dataset == "csv":
         base = datamod.load_csv(cfg.csv_path)
-        validate_config(cfg, model_dim(base.feature_dim, base.num_classes))
+        validate_config(cfg, base)
     else:
         base = datamod.synth_dataset(
             cfg.classes, cfg.features, cfg.per_class, cfg.spread, cfg.seed
         )
 
     perm = substream(cfg.seed, "split").permutation(base.size)
-    n_train = int(base.size * cfg.train_fraction)
-    n_hold = int(base.size * cfg.holdout_fraction)
-    n_val = int(base.size * cfg.val_fraction)
+    n_train, n_hold, n_val = split_sizes(cfg, base.size)
     train = datamod.take(base, perm[:n_train])
     holdout = datamod.take(base, perm[n_train : n_train + n_hold])
     val = datamod.take(base, perm[n_train + n_hold : n_train + n_hold + n_val])
@@ -316,7 +336,6 @@ def build_world(cfg: ExperimentConfig) -> _World:
     attacker = datamod.build_attacker_data(
         part, train, holdout, malicious_ids, cfg.n_attack, n_mask, cfg.seed
     )
-    evalset = datamod.eval_set(attacker)
 
     params0 = mlp.init_params(
         ((train.feature_dim, HIDDEN_WIDTH), (HIDDEN_WIDTH, train.num_classes)),
@@ -332,7 +351,6 @@ def build_world(cfg: ExperimentConfig) -> _World:
             num_classes=train.num_classes,
             mask_fraction=cfg.attack.mask_fraction,
             alpha_grid=cfg.attack.alpha_grid,
-            knowledge=cfg.attack.knowledge,
             flip_seed=derive_seed(cfg.seed, "flip"),
         )
     return _World(
@@ -345,7 +363,6 @@ def build_world(cfg: ExperimentConfig) -> _World:
         val=val,
         test=test,
         attacker=attacker,
-        evalset=evalset,
         malicious_ids=malicious_ids,
         attack_ctx=ctx,
     )
@@ -454,7 +471,7 @@ def _step(world: _World, rule, params, order, G, seed_tag, **cached):
 
 
 def _record(world: _World, params, round_idx, participants, diagnostics) -> RoundRecord:
-    preds = passive_infer(params, world.evalset.features, world.evalset.labels)
+    preds = passive_infer(params, world.attacker.attack_features, world.attacker.attack_labels)
     return RoundRecord(
         round=round_idx,
         test_acc=test_accuracy(params, world.test.features, world.test.labels),
@@ -465,7 +482,7 @@ def _record(world: _World, params, round_idx, participants, diagnostics) -> Roun
 
 
 def _finish(world: _World, records: list[RoundRecord]) -> ExperimentResult:
-    truth = world.evalset.member_flags
+    truth = world.attacker.member_flags
     prec, rec = attack_precision_recall(records, truth)
     return ExperimentResult(
         records=tuple(records),
@@ -498,19 +515,16 @@ def _draw_delay(rng: np.random.Generator, tau_max: int) -> int:
 
 
 def _clamp_rule(rule: AggregationRule, size: int) -> AggregationRule:
-    """Shrink trim/selection parameters to what a warm-up buffer supports."""
-    if size < 2 and rule.kind in ("atm", "fang", "multi_krum", "median", "trimmed_mean"):
-        return AggregationRule("fedavg")
-    if rule.kind in ("trimmed_mean", "atm"):
+    """Shrink trim/selection knobs to a warm-up buffer (under dp|topk, the inner kind's)."""
+    at = "inner" if rule.kind in ("dp", "topk") else "kind"
+    kind = getattr(rule, at)
+    if size < 2 and kind in ("atm", "fang", "multi_krum", "median", "trimmed_mean"):
+        return replace(rule, **{at: "fedavg"})
+    if kind in ("trimmed_mean", "atm"):
         return replace(rule, trim_b=min(rule.trim_b, (size - 1) // 2))
-    if rule.kind == "multi_krum":
-        f = min(rule.krum_f, size - 2)
-        if f < 0:
-            return AggregationRule("fedavg")
-        return replace(rule, krum_f=f, krum_count=min(rule.krum_count, size))
-    if rule.kind in ("dp", "topk"):
-        inner = rule.inner if rule.inner is not None else AggregationRule("fedavg")
-        return replace(rule, inner=_clamp_rule(inner, size))
+    if kind == "multi_krum":
+        f, count = min(rule.krum_f, size - 2), min(rule.krum_count, size)
+        return replace(rule, krum_f=f, krum_count=count)
     return rule
 
 

@@ -22,6 +22,7 @@ from fedarena.aggregation import (
 from fedarena.errors import (
     DimensionMismatch,
     EmptyValidationSet,
+    InvalidConfig,
     InvalidK,
     InvalidKrumParams,
     TrimTooLarge,
@@ -392,7 +393,7 @@ class TestFangParity:
         params, G, X, y = self._instance(rng, ((6, 8), (8, 3)), 4, "plain")
         wrong = np.zeros((1, 1, 1))  # fang_filter would reject this shape
         kw = dict(params=params, val_features=X, val_labels=y, lr=0.5)
-        rule = AggregationRule("dp", dp_sigma=0.0, inner=AggregationRule("fang"))
+        rule = AggregationRule("dp", dp_sigma=0.0, inner="fang")
         assert (
             apply_rule(rule, G, val_products=wrong, **kw).kept_indices
             == apply_rule(rule, G, **kw).kept_indices
@@ -442,11 +443,11 @@ class TestApplyRule:
         "rule",
         [AggregationRule(kind=k, trim_b=1, krum_f=1, top_k=10) for k in KINDS]
         + [
-            AggregationRule(w, dp_sigma=0.0, top_k=10, inner=AggregationRule(k, trim_b=1))
+            AggregationRule(w, dp_sigma=0.0, top_k=10, trim_b=1, inner=k)
             for w in ("dp", "topk")
             for k in ("atm", "multi_krum")
         ],
-        ids=lambda r: r.kind + (f"-{r.inner.kind}" if r.inner else ""),
+        ids=lambda r: r.kind + (f"-{r.inner}" if r.inner != "fedavg" else ""),
     )
     def test_zero_vector_client_survives_every_rule(self, rng, rule):
         params = perturbed(tiny_net(seed=2), 0.3, rng)
@@ -456,7 +457,7 @@ class TestApplyRule:
         y = rng.integers(0, 3, size=10)
         out = apply_rule(rule, G, seed=3, params=params, val_features=X, val_labels=y, lr=0.1)
         assert np.all(np.isfinite(out.aggregate))
-        if "atm" in (rule.kind, rule.inner and rule.inner.kind):
+        if "atm" in (rule.kind, rule.inner):
             assert 3 not in out.kept_indices
 
     def test_distances_reach_top_level_krum_only(self, rng):
@@ -465,13 +466,24 @@ class TestApplyRule:
         with pytest.raises(DimensionMismatch):
             apply_rule(AggregationRule("multi_krum"), G, sq_dists=wrong)
         for kind in ("dp", "topk"):
-            rule = AggregationRule(kind, dp_sigma=0.0, inner=AggregationRule("multi_krum"))
+            rule = AggregationRule(kind, dp_sigma=0.0, inner="multi_krum")
             plain = apply_rule(rule, G)
             given = apply_rule(rule, G, sq_dists=wrong)
             assert given.kept_indices == plain.kept_indices
 
     def test_wrapper_nests_inner_rule(self, rng):
         G = rng.normal(size=(5, 4))
-        rule = AggregationRule("topk", top_k=4, inner=AggregationRule("median"))
+        rule = AggregationRule("topk", top_k=4, inner="median")
         out = apply_rule(rule, G)
         assert np.array_equal(out.aggregate, coordinate_median(G).aggregate)
+
+    @pytest.mark.parametrize("kind", ["dp", "topk"])
+    @pytest.mark.parametrize("inner", ["dp", "topk"])
+    def test_wrapper_cannot_wrap_a_wrapper(self, rng, kind, inner):
+        with pytest.raises(InvalidConfig):
+            apply_rule(AggregationRule(kind, inner=inner), rng.normal(size=(5, 4)))
+
+    def test_inner_rule_reads_the_wrapper_knobs(self, rng):
+        G = rng.normal(size=(7, 4))
+        rule = AggregationRule("dp", dp_sigma=0.0, trim_b=2, inner="trimmed_mean")
+        assert np.array_equal(apply_rule(rule, G).aggregate, trimmed_mean(G, 2).aggregate)

@@ -9,6 +9,7 @@ from fedarena import mlp
 from fedarena.aggregation import atm
 from fedarena.attacks import (
     AttackerContext,
+    AttackStrategy,
     craft_adaptive,
     craft_agrevader,
     craft_fedpoisonmia,
@@ -393,7 +394,6 @@ class TestCraftFedPoisonMia:
             num_classes=3,
             mask_fraction=0.5,
             alpha_grid=tuple(np.geomspace(0.01, 100, 25)),
-            knowledge="full",
             flip_seed=17,
         )
 
@@ -589,3 +589,14 @@ class TestPassiveInfer:
         flags = passive_infer(params, X, y)
         for i in range(12):
             assert flags[i] == (mlp.predict(params, X[i]) == y[i])
+
+
+class TestAlphaGrid:
+    def test_default_grid(self):
+        assert AttackStrategy().alpha_grid == tuple(np.geomspace(0.01, 100.0, 25))
+
+    def test_grid_follows_the_three_fields(self):
+        grid = AttackStrategy(alpha_min=0.1, alpha_max=10.0, alpha_points=3).alpha_grid
+        assert grid == pytest.approx((0.1, 1.0, 10.0))
+        assert (grid[0], grid[-1]) == (0.1, 10.0)
+        assert AttackStrategy(alpha_min=2.0, alpha_max=2.0, alpha_points=1).alpha_grid == (2.0,)

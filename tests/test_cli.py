@@ -5,11 +5,13 @@ import pickle
 import re
 import stat
 import time
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 from fedarena import cli
+from fedarena.engine import ExperimentConfig
 from fedarena.errors import ConfigError
 
 SMOKE = """
@@ -83,6 +85,10 @@ REJECTIONS = [
     ("rule = krum", "rule"),
     ("rule = dp\ninner_rule = dp", "inner_rule"),
     ("inner_rule = bogus", "inner_rule"),
+    ("rule = topk\ninner_rule = topk", "inner_rule"),
+    # the inner rule and the alpha grid are checked first
+    ("inner_rule = dp\nrounds = 0", "inner_rule"),
+    ("alpha_points = 0\nrule = krum", "alpha_min"),
     ("attack = teleport", "attack"),
     ("attack = passive\ngamma = 0", "gamma"),
     ("attack = passive\ngamma = 1", "gamma"),
@@ -141,6 +147,14 @@ REJECTIONS = [
     ("attack = fedpoisonmia\ngamma = 0.05", "gamma"),
     ("attack = fedpoisonmia\nn_mask = 0", "n_mask"),
     ("attack = agrevader\nn_mask = 0", "n_mask"),
+    # the split and partition of 3 * 100 examples: 180 train, 15 validation
+    ("rule = fang\nval_fraction = 0.001", "val_fraction"),
+    ("rule = fang\nval_fraction = 0.0033", "val_fraction"),
+    ("rule = dp\ninner_rule = fang\nval_fraction = 0.001", "val_fraction"),
+    ("partition = noniid\nn_clients = 2", "n_clients"),
+    ("n_clients = 1000", "n_clients"),
+    ("n_clients = 181", "n_clients"),
+    ("n_clients = 1000\nrounds = 0", "rounds"),
     ("lr = inf", "lr"),
     ("spread = inf", "spread"),
     ("attack = gradient_ascent\nga_scale = nan", "ga_scale"),
@@ -179,6 +193,31 @@ class TestRejections:
             assert out.exists() == (code == 0)
         assert "config key 'top_k'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("n_clients = 72", None),  # 4 classes * 30 examples: 72 train
+            ("n_clients = 73", "n_clients"),
+            ("partition = noniid\nn_clients = 4", None),
+            ("partition = noniid\nn_clients = 3", "n_clients"),  # classes = 3 is not the file's
+            ("rule = fang\nval_fraction = 0.009", None),
+            ("rule = fang\nval_fraction = 0.008", "val_fraction"),
+        ],
+    )
+    def test_split_checks_of_a_csv_use_the_loaded_data(self, text, key, tmp_path, capsys):
+        from fedarena import data
+
+        csv = tmp_path / "data.csv"
+        data.save_csv(data.synth_dataset(4, 4, 30, 0.4, seed=0), csv)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"dataset = csv\ncsv_path = {csv}\nrounds = 2\n{text}\n")
+        cli.parse_config(cfg)  # the CSV is read only at run time
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == (1 if key else 0)
+        assert out.exists() == (key is None)
+        if key:
+            assert f"config key '{key}'" in capsys.readouterr().err
+
     def test_config_error_survives_pickle(self):
         # sweep workers raise it in another process
         exc = pickle.loads(pickle.dumps(ConfigError("top_k", "need <= 259")))
@@ -196,6 +235,10 @@ class TestRejections:
             "attack = adaptive\nmalicious_fraction = 0.3\nC = 0.6\ntrim_b = 1",
             "n_clients = 4\nmalicious_fraction = 0.25\nC = 0.75\nattack = fedpoisonmia",
             "n_clients = 3\nmalicious_fraction = 0.34\nC = 0.6\nattack = gradient_ascent",
+            "rule = fang\nval_fraction = 0.0034",  # int(300 * 0.0034) = 1 validation example
+            "rule = dp\ninner_rule = fang\nval_fraction = 0.0034",
+            "n_clients = 180",  # one training example per client
+            "partition = noniid\nn_clients = 3",  # one client per class group
         ],
     )
     def test_edge_of_first_round_checks_runs(self, text, tmp_path):
@@ -452,7 +495,70 @@ class TestSweepCommand:
         assert code == 1
 
 
+DEFAULTS_TEXT = """\
+# fedarena configuration (defaults)
+n_clients = 10
+malicious_fraction = 0.1
+C = 0.8
+lr = 0.01
+rounds = 200
+batch_size = 64
+rule = fedavg
+trim_b = 1
+dp_sigma = 0.05
+top_k = 0
+krum_f = 1
+krum_count = 0
+fang_mode = lfr
+fang_remove = 1
+inner_rule = fedavg
+attack = none
+gamma = 0.1
+alpha_min = 0.01
+alpha_max = 100.0
+alpha_points = 25
+knowledge = full
+ga_scale = 1.0
+dataset = synthetic
+csv_path = ""
+classes = 3
+features = 64
+per_class = 100
+spread = 0.6
+partition = iid
+beta = 0.5
+train_fraction = 0.6
+holdout_fraction = 0.2
+val_fraction = 0.05
+n_attack = 20
+n_mask = 16
+async = false
+tau_max = 5
+seed = 0
+theory_n = 20
+theory_mu = 1.5707963267948966
+theory_sigma = 0.3
+theory_m_values = 0,2,4
+theory_b_max = 5
+theory_trials = 2000
+theory_adversaries = extreme_high,extreme_low,mimic_mean
+"""
+
+
 class TestDefaults:
+    def test_defaults_text_is_unchanged(self, capsys):
+        assert cli.main(["defaults"]) == 0
+        assert capsys.readouterr().out == DEFAULTS_TEXT
+
+    def test_every_run_key_is_a_config_field(self):
+        base = ExperimentConfig()
+        for key, row in cli.KEYS.items():
+            if key.startswith("theory_"):
+                assert isinstance(row, cli.CliOnly), key
+            else:
+                assert isinstance(row, str), key
+                assert reduce(getattr, row.split("."), base) == cli.DEFAULTS[key], key
+
     def test_defaults_subcommand_round_trips(self, tmp_path, capsys):
         assert cli.main(["defaults"]) == 0
         text = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -287,7 +288,9 @@ class TestRunAsync:
             ref_records.append(
                 (
                     model_test_accuracy(params, world.test.features, world.test.labels),
-                    passive_infer(params, world.evalset.features, world.evalset.labels),
+                    passive_infer(
+                        params, world.attacker.attack_features, world.attacker.attack_labels
+                    ),
                 )
             )
         for got, (acc, preds) in zip(res.records, ref_records):
@@ -323,6 +326,20 @@ class TestRunAsync:
         )
         res = run_async(cfg)
         assert len(res.records) == 10
+
+
+class TestClampRule:
+    def test_wrapper_clamps_the_knobs_its_inner_kind_reads(self):
+        rule = AggregationRule("dp", krum_f=3, krum_count=9, inner="multi_krum")
+        assert eng._clamp_rule(rule, 4) == replace(rule, krum_f=2, krum_count=4)
+        assert eng._clamp_rule(rule, 1) == replace(rule, inner="fedavg")
+        trim = AggregationRule("topk", trim_b=4, inner="atm")
+        assert eng._clamp_rule(trim, 5) == replace(trim, trim_b=2)
+
+    def test_top_level_rule_falls_back_to_fedavg(self):
+        rule = AggregationRule("fang")
+        assert eng._clamp_rule(rule, 1) == replace(rule, kind="fedavg")
+        assert eng._clamp_rule(rule, 2) == rule
 
 
 class TestCraftCount:
