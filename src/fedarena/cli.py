@@ -22,7 +22,6 @@ import argparse
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -378,6 +377,8 @@ def run_sweep(values: dict, sweep_specs: list[str], out_dir) -> int:
     keys, points = sweep_points(values, sweep_specs, out_dir)
     threads = _worker_threads()
     if threads > 1:
+        import multiprocessing  # only a parallel sweep spawns workers
+
         with multiprocessing.get_context("spawn").Pool(threads) as pool:
             summaries = pool.starmap(run_experiment, points)
     else:

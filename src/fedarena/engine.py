@@ -150,7 +150,7 @@ def validate_config(cfg: ExperimentConfig, data: datamod.Dataset | None = None) 
     elif cfg.dataset == "synthetic":
         size, classes = cfg.classes * cfg.per_class, cfg.classes
         dim = model_dim(cfg.features, classes)
-    n_train, _, n_val = split_sizes(cfg, size or 0)
+    n_train, n_hold, n_val = split_sizes(cfg, size or 0)
     # the fewest references a fedpoisonmia|adaptive craft can get: the
     # malicious shards' proxies, or under full knowledge a round's benign
     # participants when every malicious client is selected
@@ -182,7 +182,10 @@ def validate_config(cfg: ExperimentConfig, data: datamod.Dataset | None = None) 
         ("spread", cfg.spread >= 0, ">= 0"),
         ("n_attack", cfg.n_attack >= 1, ">= 1"),
         ("n_mask", cfg.n_mask >= 0, ">= 0"),
-        ("train_fraction", 0 < fractions < 1, "room for a test split after holdout and val"),
+        ("train_fraction", cfg.train_fraction > 0, "positive"),
+        ("holdout_fraction", cfg.holdout_fraction >= 0, ">= 0"),
+        ("val_fraction", cfg.val_fraction >= 0, ">= 0"),
+        ("train_fraction", fractions < 1, "room for a test split after holdout and val"),
         ("n_clients", cfg.n_clients >= 1, ">= 1"),
         ("batch_size", cfg.batch_size >= 1, ">= 1"),
         ("seed", cfg.seed >= 0, ">= 0"),
@@ -223,6 +226,8 @@ def validate_config(cfg: ExperimentConfig, data: datamod.Dataset | None = None) 
          f"<= {n_train}, the training examples a shard each"),
         ("val_fraction", kind != "fang" or size is None or n_val >= 1,
          f"a validation example under fang, int({size} * val_fraction) >= 1"),
+        ("n_attack", size is None or cfg.n_attack // 2 <= n_hold,
+         f"n_attack // 2 <= {n_hold}, the holdout's non-member examples"),
     )
     for path, ok, need in checks:
         if not ok:

@@ -17,7 +17,6 @@ behaviour; both are exposed so their gap is measurable.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import InvalidParams
 from .rngstream import substream
@@ -47,6 +46,8 @@ class TruncatedGaussian:
     hi: float = float(np.pi)
 
     def _frozen(self):
+        from scipy import stats  # loaded only here: a `run` never needs it
+
         a = (self.lo - self.mu) / self.sigma
         b = (self.hi - self.mu) / self.sigma
         return stats.truncnorm(a, b, loc=self.mu, scale=self.sigma)

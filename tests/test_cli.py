@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import json
 import os
 import pickle
 import re
 import stat
+import subprocess
+import sys
 import time
 from functools import reduce
 from pathlib import Path
@@ -155,6 +158,13 @@ REJECTIONS = [
     ("n_clients = 1000", "n_clients"),
     ("n_clients = 181", "n_clients"),
     ("n_clients = 1000\nrounds = 0", "rounds"),
+    # each fraction alone: a negative one makes build_world's slices overlap
+    ("train_fraction = -0.1", "train_fraction"),
+    ("holdout_fraction = -0.05", "holdout_fraction"),
+    ("val_fraction = -0.05", "val_fraction"),
+    # n_attack // 2 non-members come from the 60 holdout examples
+    ("n_attack = 200", "n_attack"),
+    ("n_attack = 122", "n_attack"),
     ("lr = inf", "lr"),
     ("spread = inf", "spread"),
     ("attack = gradient_ascent\nga_scale = nan", "ga_scale"),
@@ -202,6 +212,8 @@ class TestRejections:
             ("partition = noniid\nn_clients = 3", "n_clients"),  # classes = 3 is not the file's
             ("rule = fang\nval_fraction = 0.009", None),
             ("rule = fang\nval_fraction = 0.008", "val_fraction"),
+            ("n_attack = 49", None),  # 24 holdout examples
+            ("n_attack = 50", "n_attack"),
         ],
     )
     def test_split_checks_of_a_csv_use_the_loaded_data(self, text, key, tmp_path, capsys):
@@ -239,6 +251,9 @@ class TestRejections:
             "rule = dp\ninner_rule = fang\nval_fraction = 0.0034",
             "n_clients = 180",  # one training example per client
             "partition = noniid\nn_clients = 3",  # one client per class group
+            "rule = atm\nval_fraction = 0",
+            "holdout_fraction = 0\nn_attack = 1",  # one member, no non-member
+            "n_attack = 121",  # 60 non-members fill the holdout
         ],
     )
     def test_edge_of_first_round_checks_runs(self, text, tmp_path):
@@ -391,6 +406,17 @@ class TestTheoryCommand:
         assert out.read_text().strip().splitlines() == [
             "n,m,b,sigma2,adversary,trials,empirical,bound,pass"
         ]
+
+    def test_small_grid_csv_is_unchanged(self, tmp_path):
+        # golden rows: where fedarena.theory imports scipy.stats must change none
+        cfg = tmp_path / "cfg"
+        cfg.write_text("theory_trials = 200")
+        out = tmp_path / "theory.csv"
+        argv = ["theory", "--config", str(cfg), "--out", str(out), "--seed", "0"]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "77057d6c8580817538d7109a13849f665d07d3f58b61f26a48f2ce25c609b7cf"
+        )
 
     def test_negative_sigma_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -568,3 +594,44 @@ class TestDefaults:
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
+
+
+COLD_RUN = """
+import json, sys
+import fedarena, fedarena.cli, fedarena.engine
+
+cfg, out = sys.argv[1:]
+assert fedarena.cli.main(["run", "--config", cfg, "--out", out]) == 0
+lazy = ("scipy.stats", "multiprocessing")
+after_run = [m for m in lazy if m in sys.modules]
+mean = fedarena.TruncatedGaussian(mu=1.5, sigma=0.3).mean
+after_mean = "scipy.stats" in sys.modules
+print(json.dumps({"after_run": after_run, "mean": mean, "scipy_after_mean": after_mean}))
+"""
+
+
+class TestColdImports:
+    """A fresh interpreter, as the `fedarena` entry point starts one."""
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("cold")
+        cfg = tmp / "cfg"
+        cfg.write_text("attack = fedpoisonmia\nrule = atm\nrounds = 3\n")
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_RUN, str(cfg), str(tmp / "o")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    def test_run_loads_neither_scipy_stats_nor_multiprocessing(self, cold):
+        assert cold["after_run"] == []
+
+    def test_truncated_gaussian_loads_scipy_stats_when_asked(self, cold):
+        from fedarena.theory import TruncatedGaussian
+
+        assert cold["scipy_after_mean"]
+        assert cold["mean"] == TruncatedGaussian(mu=1.5, sigma=0.3).mean
