@@ -3,7 +3,7 @@ poisoning membership-inference attacks and angle-based robust aggregation."""
 
 from .aggregation import AggregationOutcome, AggregationRule
 from .attacks import AttackerContext, AttackStrategy, CraftResult
-from .data import AttackerData, Dataset, MembershipEvalSet, Partition
+from .data import AttackerData, Dataset, Partition
 from .engine import ExperimentConfig, ExperimentResult, RoundRecord, run, run_async, run_sync
 from .mlp import ModelParams
 from .theory import AngleSample, TruncatedGaussian
@@ -21,7 +21,6 @@ __all__ = [
     "Dataset",
     "ExperimentConfig",
     "ExperimentResult",
-    "MembershipEvalSet",
     "ModelParams",
     "Partition",
     "RoundRecord",

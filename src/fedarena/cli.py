@@ -10,11 +10,14 @@ Subcommands:
 Config files are flat `key = value` lines (# comments allowed). Unknown
 keys are rejected; missing keys take their defaults. Every `run` key in
 `KEYS` maps onto one ExperimentConfig field, whose dataclass declares the
-default and `engine.validate_config` the check; only the `theory_*` keys
-are read by the CLI alone, and carry their own default and check here.
-Every rejected value, `--seed` included, exits 1 naming its key. Outputs
-use fixed column orders and 9-significant-digit decimals so reruns diff
-clean.
+default and `engine.validate_config` the check of what the config alone
+decides; `engine.build_world` judges the values checked against the data
+(the split, the partition, the attacker's samples, the model dimension)
+when a run builds its world, and a sweep builds each point's world before
+any run. Only the `theory_*` keys are read by the CLI alone, and carry
+their own default and check here. Every rejected value, `--seed`
+included, exits 1 naming its key, with nothing written. Outputs use fixed
+column orders and 9-significant-digit decimals so reruns diff clean.
 FEDARENA_THREADS caps sweep parallelism (0 = sequential).
 """
 
@@ -33,7 +36,7 @@ import numpy as np
 from .aggregation import KINDS as RULE_KINDS
 from .aggregation import AggregationRule
 from .attacks import AttackStrategy
-from .engine import ExperimentConfig, ExperimentResult, run, validate_config
+from .engine import ExperimentConfig, ExperimentResult, build_world, run, validate_config
 from .errors import ConfigError, FedArenaError, InvalidConfig, InvalidParams
 from .theory import (
     ADVERSARIES,
@@ -233,6 +236,17 @@ def _config_error(exc: InvalidConfig) -> ConfigError:
     return ConfigError(_KEY_OF_PATH[exc.path], str(exc))
 
 
+def _data_checked(call, cfg: ExperimentConfig):
+    """`call(cfg)`, `run` or `build_world`, with a value that `build_world`
+    rejects against the data raised as the ConfigError naming its key."""
+    try:
+        return call(cfg)
+    except InvalidConfig as exc:
+        if exc.path is None:
+            raise
+        raise _config_error(exc) from None
+
+
 def _fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
@@ -275,13 +289,8 @@ def write_outputs(out_dir: Path, values: dict, result: ExperimentResult) -> dict
 
 def run_experiment(values: dict, out_dir) -> dict:
     """Execute one configured run, write its artifacts, return its summary."""
-    cfg = to_experiment_config(values)
-    try:
-        result = run(cfg)
-    except InvalidConfig as exc:
-        if exc.path is None:
-            raise
-        raise _config_error(exc) from None  # a check that needed the CSV loaded
+    # a value judged against the data fails the world's build, before any round
+    result = _data_checked(run, to_experiment_config(values))
     return write_outputs(Path(out_dir), values, result)
 
 
@@ -339,8 +348,8 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
     """The swept keys, and one (values, out_dir) pair per point of the
     Cartesian product of `key=v1,v2,...` specs, the last spec varying
     fastest; each point writes into nested `key=value` directories.
-    Every point is checked before it is returned, and two values of one
-    key that parse to the same value are rejected."""
+    Every point's world is built, as a check, before it is returned, and
+    two values of one key that parse to the same value are rejected."""
     keys, axes = [], []
     for spec in sweep_specs:
         if "=" not in spec:
@@ -365,7 +374,7 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
             v[key] = value
             out = out / f"{key}={raw}"
         try:
-            to_experiment_config(v)
+            _data_checked(build_world, to_experiment_config(v))
         except ConfigError as exc:
             where = out.relative_to(out_dir).as_posix()
             raise ConfigError(exc.key, f"{exc.message} (at {where})") from None

@@ -57,23 +57,6 @@ class AttackerData:
     mask_labels: np.ndarray
 
 
-@dataclass(frozen=True)
-class MembershipEvalSet:
-    """The scoring view of the attack set: samples plus ground truth flags."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    member_flags: np.ndarray
-
-
-def eval_set(attacker: AttackerData) -> MembershipEvalSet:
-    return MembershipEvalSet(
-        features=attacker.attack_features,
-        labels=attacker.attack_labels,
-        member_flags=attacker.member_flags,
-    )
-
-
 def synth_dataset(
     num_classes: int, feature_dim: int, per_class: int, spread: float, seed: int
 ) -> Dataset:
@@ -154,9 +137,9 @@ def take(dataset: Dataset, indices) -> Dataset:
 def partition_iid(dataset: Dataset, n: int, seed: int) -> Partition:
     """Random permutation split into n shards whose sizes differ by at most 1."""
     if n > dataset.size:
-        raise TooManyClients(f"{n} clients but only {dataset.size} examples")
+        raise TooManyClients(f"{n} clients but only {dataset.size} examples", "n_clients")
     if n < 1:
-        raise TooFewClients("need at least one client")
+        raise TooFewClients("need at least one client", "n_clients")
     perm = substream(seed, "partition_iid").permutation(dataset.size)
     base, rem = divmod(dataset.size, n)
     shards = []
@@ -179,7 +162,7 @@ def partition_noniid(dataset: Dataset, n: int, bias: float, seed: int) -> Partit
     if not 0 < bias <= 1:
         raise InvalidBeta(f"bias {bias} outside (0, 1]")
     if n < h:
-        raise TooFewClients(f"{n} clients cannot fill {h} groups")
+        raise TooFewClients(f"{n} clients cannot fill {h} groups", "n_clients")
     rng = substream(seed, "partition_noniid")
     group_clients = [[k for k in range(n) if k % h == g] for g in range(h)]
     shards: list[list[int]] = [[] for _ in range(n)]
@@ -197,7 +180,7 @@ def partition_noniid(dataset: Dataset, n: int, bias: float, seed: int) -> Partit
         dealt[g] += 1
     if any(not s for s in shards):
         empty = [k for k, s in enumerate(shards) if not s]
-        raise InsufficientData(f"clients {empty} received no samples; add data")
+        raise InsufficientData(f"clients {empty} received no samples; add data", "n_clients")
     return Partition(shards=tuple(np.asarray(s, dtype=np.int64) for s in shards))
 
 
@@ -223,11 +206,12 @@ def build_attacker_data(
     n_non = n_attack - n_members
     if n_members > benign_pool.size:
         raise InsufficientData(
-            f"need {n_members} member samples, benign shards hold {benign_pool.size}"
+            f"need {n_members} member samples, benign shards hold {benign_pool.size}",
+            "n_attack",
         )
     if n_non > holdout.size:
         raise InsufficientData(
-            f"need {n_non} non-member samples, holdout holds {holdout.size}"
+            f"need {n_non} non-member samples, holdout holds {holdout.size}", "n_attack"
         )
     member_idx = rng.choice(benign_pool, size=n_members, replace=False)
     non_idx = rng.choice(holdout.size, size=n_non, replace=False)
@@ -241,11 +225,12 @@ def build_attacker_data(
 
     if n_mask > 0:
         if not malicious:
-            raise InsufficientData("mask samples requested but no malicious clients")
+            raise InsufficientData("mask samples requested but no malicious clients", "n_mask")
         mal_pool = np.concatenate([partition.shards[k] for k in sorted(malicious)])
         if n_mask > mal_pool.size:
             raise InsufficientData(
-                f"need {n_mask} mask samples, malicious shards hold {mal_pool.size}"
+                f"need {n_mask} mask samples, malicious shards hold {mal_pool.size}",
+                "n_mask",
             )
         mask_idx = rng.choice(mal_pool, size=n_mask, replace=False)
         mask_features = dataset.features[mask_idx]

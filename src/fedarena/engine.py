@@ -119,38 +119,33 @@ class ExperimentResult:
     final_test_acc: float
 
 
-def split_sizes(cfg: ExperimentConfig, size: int) -> tuple[int, int, int]:
-    """The train, holdout and validation counts of a `size`-example
-    dataset; the test split takes the rest."""
-    fractions = (cfg.train_fraction, cfg.holdout_fraction, cfg.val_fraction)
-    return tuple(int(size * f) for f in fractions)
+def _rows_kind(rule: AggregationRule) -> str:
+    """The kind that aggregates the rows: dp|topk hand them to their inner
+    kind, which reads the rule's knobs."""
+    return rule.inner if rule.kind in ("dp", "topk") else rule.kind
 
 
-def validate_config(cfg: ExperimentConfig, data: datamod.Dataset | None = None) -> None:
-    """The one range check of every config field: raises InvalidConfig
-    (InvalidC for participation) carrying the dotted field path of the
-    first rejected value. `data` is the loaded dataset; a synthetic one's
-    shape follows from the config, a CSV one's is known only once loaded
-    (`build_world` checks again then)."""
+def _rejected(cfg: ExperimentConfig, path: str, need: str) -> InvalidConfig:
+    value = reduce(getattr, path.split("."), cfg)
+    error = InvalidC if path == "participation" else InvalidConfig
+    return error(f"{path} = {value!r}, need {need}", path)
+
+
+def validate_config(cfg: ExperimentConfig) -> None:
+    """The range check of every config field the config alone decides:
+    raises InvalidConfig (InvalidC for participation) carrying the dotted
+    field path of the first rejected value. The values judged against the
+    data (the split, the partition, the attacker's samples and the model
+    dimension) are checked by `build_world`."""
     rule, attack = cfg.rule, cfg.attack
     fractions = cfg.train_fraction + cfg.holdout_fraction + cfg.val_fraction
-    # dp|topk hand the gradients to their inner kind, which reads the
-    # rule's knobs; a sync round aggregates every participant, async runs
-    # clamp trim_b and the Krum keys to the buffer
-    kind = rule.inner if rule.kind in ("dp", "topk") else rule.kind
+    # a sync round aggregates every participant, async runs clamp trim_b
+    # and the Krum keys to the buffer
+    kind = _rows_kind(rule)
     trims = kind in ("trimmed_mean", "atm")
     krum = kind == "multi_krum"
-    topk = rule.kind == "topk"
     valid_c = 0 < cfg.participation <= 1
     per_round = participant_count(cfg.n_clients, cfg.participation) if valid_c else 0
-    dim = size = classes = None
-    if data is not None:
-        size, classes = data.size, data.num_classes
-        dim = model_dim(data.feature_dim, classes)
-    elif cfg.dataset == "synthetic":
-        size, classes = cfg.classes * cfg.per_class, cfg.classes
-        dim = model_dim(cfg.features, classes)
-    n_train, n_hold, n_val = split_sizes(cfg, size or 0)
     # the fewest references a fedpoisonmia|adaptive craft can get: the
     # malicious shards' proxies, or under full knowledge a round's benign
     # participants when every malicious client is selected
@@ -202,9 +197,7 @@ def validate_config(cfg: ExperimentConfig, data: datamod.Dataset | None = None) 
         ("rule.krum_count", not krum or cfg.asynchronous or rule.krum_count <= per_round,
          f"krum_count <= {per_round} updates per synchronous round"),
         ("rule.fang_remove", kind != "fang" or rule.fang_remove >= 0, ">= 0"),
-        ("rule.top_k", not topk or rule.top_k >= 0, ">= 0 (0 keeps every dimension)"),
-        ("rule.top_k", not topk or dim is None or rule.top_k <= dim,
-         f"<= {dim}, the model dimension"),
+        ("rule.top_k", rule.kind != "topk" or rule.top_k >= 0, ">= 0 (0 keeps every dimension)"),
         # a craft needs 2 references, a mask sample and a nonempty mask budget
         ("attack.knowledge", not crafts_on_refs or refs >= 2,
          ">= 2 malicious clients" if attack.knowledge == "partial" else
@@ -214,37 +207,24 @@ def validate_config(cfg: ExperimentConfig, data: datamod.Dataset | None = None) 
         # references and its own update
         ("rule.trim_b", attack.kind != "adaptive" or 2 * max(rule.trim_b, 1) < refs + 1,
          f"2*max(trim_b, 1) < {refs + 1}, the adaptive attacker's references and update"),
+        ("malicious_fraction", n_mal >= 1 or attack.kind not in ("agrevader", "fedpoisonmia"),
+         f"floor(malicious_fraction * {cfg.n_clients}) >= 1, a malicious shard to draw "
+         "mask samples from under agrevader|fedpoisonmia"),
         ("n_mask", cfg.n_mask >= 1 or attack.kind not in ("agrevader", "fedpoisonmia"),
          ">= 1 under agrevader|fedpoisonmia"),
         ("attack.mask_fraction", attack.kind != "fedpoisonmia"
          or mask_budget(attack.mask_fraction, cfg.n_mask) >= 1,
          f"a mask budget of at least 1 of the {cfg.n_mask} mask samples"),
-        # build_world's split and partition of the dataset
-        ("n_clients", cfg.partition != "noniid" or classes is None or cfg.n_clients >= classes,
-         f">= {classes} under noniid, a client per class group"),
-        ("n_clients", size is None or cfg.n_clients <= n_train,
-         f"<= {n_train}, the training examples a shard each"),
-        ("val_fraction", kind != "fang" or size is None or n_val >= 1,
-         f"a validation example under fang, int({size} * val_fraction) >= 1"),
-        ("n_attack", size is None or cfg.n_attack // 2 <= n_hold,
-         f"n_attack // 2 <= {n_hold}, the holdout's non-member examples"),
     )
     for path, ok, need in checks:
         if not ok:
-            value = reduce(getattr, path.split("."), cfg)
-            error = InvalidC if path == "participation" else InvalidConfig
-            raise error(f"{path} = {value!r}, need {need}", path)
+            raise _rejected(cfg, path, need)
 
 
 def num_malicious(cfg: ExperimentConfig) -> int:
     if cfg.attack.kind == "none":
         return 0
     return math.floor(cfg.malicious_fraction * cfg.n_clients + 1e-9)
-
-
-def model_dim(features: int, classes: int) -> int:
-    """Length of the flat parameter vector of the one-hidden-layer MLP."""
-    return (features + 1) * HIDDEN_WIDTH + (HIDDEN_WIDTH + 1) * classes
 
 
 def participant_count(n: int, participation: float) -> int:
@@ -314,21 +294,29 @@ class _World:
 
 
 def build_world(cfg: ExperimentConfig) -> _World:
+    """Materialise the config's world. After `validate_config`, this is the
+    one judge of the values checked against the data: the split (an empty
+    validation split under fang), the partition (`n_clients`), the
+    attacker's samples (`n_attack`, `n_mask`) and the model dimension
+    (`top_k`). Each rejected value raises InvalidConfig naming its field."""
     validate_config(cfg)
     if cfg.dataset == "csv":
         base = datamod.load_csv(cfg.csv_path)
-        validate_config(cfg, base)
     else:
         base = datamod.synth_dataset(
             cfg.classes, cfg.features, cfg.per_class, cfg.spread, cfg.seed
         )
 
     perm = substream(cfg.seed, "split").permutation(base.size)
-    n_train, n_hold, n_val = split_sizes(cfg, base.size)
+    fractions = (cfg.train_fraction, cfg.holdout_fraction, cfg.val_fraction)
+    n_train, n_hold, n_val = (int(base.size * f) for f in fractions)
     train = datamod.take(base, perm[:n_train])
     holdout = datamod.take(base, perm[n_train : n_train + n_hold])
     val = datamod.take(base, perm[n_train + n_hold : n_train + n_hold + n_val])
     test = datamod.take(base, perm[n_train + n_hold + n_val :])
+    if _rows_kind(cfg.rule) == "fang" and n_val == 0:
+        need = f"a validation example under fang, int({base.size} * val_fraction) >= 1"
+        raise _rejected(cfg, "val_fraction", need)
 
     if cfg.partition == "noniid":
         part = datamod.partition_noniid(train, cfg.n_clients, cfg.beta, cfg.seed)
@@ -346,6 +334,8 @@ def build_world(cfg: ExperimentConfig) -> _World:
         ((train.feature_dim, HIDDEN_WIDTH), (HIDDEN_WIDTH, train.num_classes)),
         derive_seed(cfg.seed, "init"),
     )
+    if cfg.rule.kind == "topk" and cfg.rule.top_k > params0.dim:
+        raise _rejected(cfg, "rule.top_k", f"<= {params0.dim}, the model dimension")
     ctx = None
     if cfg.attack.kind in ("agrevader", "fedpoisonmia", "adaptive"):
         ctx = AttackerContext(

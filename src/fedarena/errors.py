@@ -47,19 +47,20 @@ class EmptyFile(FedArenaError):
     pass
 
 
-class TooManyClients(FedArenaError):
-    pass
-
-
-class TooFewClients(FedArenaError):
-    pass
-
-
 class InvalidBeta(FedArenaError):
     pass
 
 
-class InsufficientData(FedArenaError):
+# a dataset too small for the config; `path` names the field it judges
+class TooManyClients(InvalidConfig):
+    pass
+
+
+class TooFewClients(InvalidConfig):
+    pass
+
+
+class InsufficientData(InvalidConfig):
     pass
 
 

@@ -150,21 +150,14 @@ REJECTIONS = [
     ("attack = fedpoisonmia\ngamma = 0.05", "gamma"),
     ("attack = fedpoisonmia\nn_mask = 0", "n_mask"),
     ("attack = agrevader\nn_mask = 0", "n_mask"),
-    # the split and partition of 3 * 100 examples: 180 train, 15 validation
-    ("rule = fang\nval_fraction = 0.001", "val_fraction"),
-    ("rule = fang\nval_fraction = 0.0033", "val_fraction"),
-    ("rule = dp\ninner_rule = fang\nval_fraction = 0.001", "val_fraction"),
-    ("partition = noniid\nn_clients = 2", "n_clients"),
-    ("n_clients = 1000", "n_clients"),
-    ("n_clients = 181", "n_clients"),
+    # no malicious shard to draw the mask pool from
+    ("attack = fedpoisonmia\nmalicious_fraction = 0", "malicious_fraction"),
+    ("attack = agrevader\nn_clients = 9\nmalicious_fraction = 0.1", "malicious_fraction"),
     ("n_clients = 1000\nrounds = 0", "rounds"),
     # each fraction alone: a negative one makes build_world's slices overlap
     ("train_fraction = -0.1", "train_fraction"),
     ("holdout_fraction = -0.05", "holdout_fraction"),
     ("val_fraction = -0.05", "val_fraction"),
-    # n_attack // 2 non-members come from the 60 holdout examples
-    ("n_attack = 200", "n_attack"),
-    ("n_attack = 122", "n_attack"),
     ("lr = inf", "lr"),
     ("spread = inf", "spread"),
     ("attack = gradient_ascent\nga_scale = nan", "ga_scale"),
@@ -176,18 +169,60 @@ REJECTIONS = [
     ("rounds 7", "line 1"),
 ]
 
+# values judged against the data when a run builds its world: they parse,
+# then the run exits 1 naming the key before writing anything
+BUILD_REJECTIONS = [
+    # the split and partition of 3 * 100 examples: 180 train, 60 holdout,
+    # 15 validation
+    ("rule = fang\nval_fraction = 0.001", "val_fraction"),
+    ("rule = fang\nval_fraction = 0.0033", "val_fraction"),
+    ("rule = dp\ninner_rule = fang\nval_fraction = 0.001", "val_fraction"),
+    ("partition = noniid\nn_clients = 2", "n_clients"),
+    ("n_clients = 1000", "n_clients"),
+    ("n_clients = 181", "n_clients"),
+    # noniid deals a class group's samples to that group's clients only, so
+    # whether a client gets none depends on the seed's draw (seed 1 runs)
+    ("partition = noniid\nn_clients = 170", "n_clients"),
+    ("partition = noniid\nn_clients = 150\nseed = 0", "n_clients"),
+    # n_attack // 2 non-members come from the holdout, the rest from the
+    # benign shards (15 training examples at train_fraction 0.05)
+    ("n_attack = 200", "n_attack"),
+    ("n_attack = 122", "n_attack"),
+    ("train_fraction = 0.05\nn_attack = 40", "n_attack"),
+    # the mask pool is the malicious shards: 18 examples, then 1
+    ("attack = fedpoisonmia\nn_mask = 200", "n_mask"),
+    ("attack = agrevader\nn_clients = 100\nmalicious_fraction = 0.01", "n_mask"),
+    ("rule = topk\ntop_k = 100000\nn_clients = 4", "top_k"),
+]
+
 
 class TestRejections:
-    @pytest.mark.parametrize("text,key", REJECTIONS)
+    @pytest.mark.parametrize("text,key", REJECTIONS + BUILD_REJECTIONS)
     def test_rejected_value_names_key(self, text, key, tmp_path, capsys):
-        with pytest.raises(ConfigError) as exc:
+        if (text, key) in BUILD_REJECTIONS:
             cli.to_experiment_config(cli.parse_config_text(text))
-        assert exc.value.key == key
+        else:
+            with pytest.raises(ConfigError) as exc:
+                cli.to_experiment_config(cli.parse_config_text(text))
+            assert exc.value.key == key
         cfg = tmp_path / "cfg"
         cfg.write_text(text)
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text,key",
+        BUILD_REJECTIONS + [("attack = fedpoisonmia\nmalicious_fraction = 0", "malicious_fraction")],
+    )
+    def test_one_point_sweep_names_key(self, text, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text)
+        spec = text.splitlines()[-1].replace(" ", "")  # the rejected line, as one point
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--sweep", spec]) == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_top_k_beyond_csv_model_dimension(self, tmp_path, capsys):
         from fedarena import data
@@ -254,6 +289,8 @@ class TestRejections:
             "rule = atm\nval_fraction = 0",
             "holdout_fraction = 0\nn_attack = 1",  # one member, no non-member
             "n_attack = 121",  # 60 non-members fill the holdout
+            "partition = noniid\nn_clients = 150\nseed = 1",  # no client is dealt none
+            "attack = agrevader\nn_clients = 10\nmalicious_fraction = 0.1",
         ],
     )
     def test_edge_of_first_round_checks_runs(self, text, tmp_path):
@@ -477,6 +514,10 @@ class TestSweepCommand:
             (["rule=fedavg,atm", "n_clients=10,4"], "trim_b"),  # atm trims all 4 at trim_b = 2
             (["lr=0.1,0.10", "seed=0,1"], "lr"),  # two spellings of one value
             (["seed=0,0"], "seed"),
+            # noniid leaves a client without samples at n_clients = 170, and
+            # at 150 under seed 0 but not seed 1
+            (["partition=noniid", "per_class=100", "n_clients=10,170"], "n_clients"),
+            (["partition=noniid", "per_class=100", "n_clients=150", "seed=1,0"], "n_clients"),
         ],
     )
     def test_rejected_grid_writes_nothing(self, specs, key, tmp_path, capsys):

@@ -115,8 +115,9 @@ class TestPartitionIid:
 
     def test_too_many_clients(self):
         ds = dm.synth_dataset(2, 3, 2, 0.1, seed=0)
-        with pytest.raises(TooManyClients):
+        with pytest.raises(TooManyClients) as exc:
             dm.partition_iid(ds, 5, seed=0)
+        assert exc.value.path == "n_clients"
 
 
 class TestPartitionNonIid:
@@ -144,8 +145,9 @@ class TestPartitionNonIid:
 
     def test_too_few_clients(self):
         ds = make_blobs(h=3)
-        with pytest.raises(TooFewClients):
+        with pytest.raises(TooFewClients) as exc:
             dm.partition_noniid(ds, 2, bias=0.5, seed=0)
+        assert exc.value.path == "n_clients"
 
     def test_group_frequency_half_bias(self):
         # two classes, bias 0.5: each label lands in either group with p=0.5
@@ -212,13 +214,9 @@ class TestAttackerData:
         ds = make_blobs(h=2, per_class=5)
         part = dm.partition_iid(ds, 2, seed=0)
         holdout = dm.synth_dataset(2, 4, 2, 0.2, seed=1)
-        with pytest.raises(InsufficientData):
+        with pytest.raises(InsufficientData) as exc:
             dm.build_attacker_data(part, ds, holdout, [1], n_attack=40, n_mask=1, seed=0)
-        with pytest.raises(InsufficientData):
+        assert exc.value.path == "n_attack"
+        with pytest.raises(InsufficientData) as exc:
             dm.build_attacker_data(part, ds, holdout, [1], n_attack=2, n_mask=50, seed=0)
-
-    def test_eval_set_view(self):
-        _, _, _, att = self._setup()
-        ev = dm.eval_set(att)
-        assert np.array_equal(ev.features, att.attack_features)
-        assert np.array_equal(ev.member_flags, att.member_flags)
+        assert exc.value.path == "n_mask"
