@@ -10,15 +10,24 @@ benign reference stays within the largest benign pairwise angle.
 References with norm at or below NORM_FLOOR carry no direction and are
 skipped.
 
-The search is batched. The gradient of a mean loss is the mean of the
-per-example gradients, so the mask pool's per-example gradients come from
-one backprop per craft, and each greedy candidate's blend is
-alpha * g_attack + (sum of selected rows + candidate row) / m. All of a
-step's candidates, or the whole alpha grid, are scored by one
-(candidates x d) @ (d x refs) product against unit references. Objectives
-within TIE_TOL of the budget or of a rival are recomputed with
-mlp.gradient and angle_between, so every decision (mask indices, step
-feasibility, chosen alpha) is the one the per-pair computation makes.
+The search is scored in dot-product space. Each craft builds one
+reference geometry: the usable references, their unit rows U and the
+benign budget. The gradient of a mean loss is the mean of the per-example
+gradients P, and a greedy candidate's blend is
+alpha * g_attack + (sum of selected rows + candidate row) / m, so its dots
+with U and its squared norm follow from P @ [U; alpha * g_attack].T and
+P @ P.T, which one backprop per craft yields without forming P
+(mlp.per_example_products), plus running sums over the selected rows. An
+alpha-grid blend's dots and squared norm follow likewise from U @ g_attack,
+U @ g_mask and the three dot products of the two gradients. No array of
+the model's width is formed per candidate. A row whose expansion is
+non-finite, cancels (its triangle-inequality bound squared exceeds
+CANCEL_RATIO times its squared norm) or lies near NORM_FLOOR is scored
+per pair instead, which also raises DegenerateGradient on a degenerate
+blend. Objectives within TIE_TOL of the budget or of a rival are
+recomputed with mlp.gradient and angle_between, so every decision (mask
+indices, step feasibility, chosen alpha) is the one the per-pair
+computation makes.
 """
 
 import math
@@ -28,7 +37,6 @@ import numpy as np
 
 from . import mlp
 from .errors import (
-    DegenerateGradient,
     EmptyBatch,
     EmptyMaskBudget,
     SingleClassDataset,
@@ -51,6 +59,9 @@ AGREVADER_MAX_HALVINGS = 20
 # float reordering (below 1e-15 rad on desk-shaped instances). Objectives
 # this close (radians) to the budget or to a rival are recomputed per pair.
 TIE_TOL = 1e-9
+# A blend whose triangle-inequality norm bound, squared, exceeds this many
+# times its squared norm cancels too far for the dot-product expansion.
+CANCEL_RATIO = 1e3
 
 
 @dataclass(frozen=True)
@@ -135,36 +146,57 @@ def usable_references(benign_grads) -> np.ndarray:
     return G
 
 
+@dataclass(frozen=True)
+class _Geometry:
+    """What every candidate of one craft is scored against."""
+
+    refs: np.ndarray  # the usable references
+    unit: np.ndarray  # their unit rows
+    budget: float  # largest pairwise angle among them
+
+
+def _geometry(benign_grads) -> _Geometry:
+    refs = usable_references(benign_grads)
+    unit = refs / np.linalg.norm(refs, axis=1)[:, None]
+    # pairwise_angles' formula, so the budget is the same float
+    theta = np.arccos(np.clip(unit @ unit.T, -1.0, 1.0))
+    return _Geometry(refs, unit, float(theta[np.triu_indices(len(refs), 1)].max()))
+
+
 def benign_angle_budget(benign_grads) -> float:
     """Largest pairwise angle among the usable benign references."""
-    return float(pairwise_angles(usable_references(benign_grads)).max())
+    return _geometry(benign_grads).budget
 
 
 def _max_angle_to_refs(g, refs) -> float:
     return max(angle_between(g, r) for r in refs)
 
 
-def _max_angles(blends, refs) -> np.ndarray:
-    """Largest angle from each row of `blends` to any reference.
-
-    One (rows x d) @ (d x refs) product against unit references, with
-    angle_between's checks made once for the whole batch.
-    """
-    if not np.all(np.isfinite(blends)):
-        raise DegenerateGradient("blend contains NaN or Inf entries")
-    norms = np.linalg.norm(blends, axis=1)
-    bad = np.flatnonzero(norms <= NORM_FLOOR)
-    if bad.size:
-        raise DegenerateGradient(f"blend norm {norms[bad[0]]:.3e} below floor {NORM_FLOOR}")
-    unit_refs = refs / np.linalg.norm(refs, axis=1)[:, None]
-    cos = (blends @ unit_refs.T).min(axis=1) / norms
-    return np.arccos(np.clip(cos, -1.0, 1.0))
-
-
 def _recompute(objectives, which, exact) -> None:
     """Overwrite the batched objectives flagged in `which` by exact(i)."""
     for i in np.flatnonzero(which):
         objectives[i] = exact(int(i))
+
+
+def _objectives(dots, norm2, bound, exact) -> np.ndarray:
+    """Largest angle to a reference per blend, from the blend's dots with the
+    unit references (rows x refs), its squared norm and a bound on its norm
+    from the triangle inequality.
+
+    Rows whose expansion is non-finite, cancels or lies near NORM_FLOOR are
+    scored by exact(i) instead, which raises DegenerateGradient on a
+    non-finite or zero blend.
+    """
+    with np.errstate(all="ignore"):
+        sure = (
+            np.isfinite(dots).all(axis=1)
+            & np.isfinite(norm2)
+            & (norm2 > (2 * NORM_FLOOR) ** 2)
+            & (bound * bound <= CANCEL_RATIO * norm2)
+        )
+        objectives = np.arccos(np.clip(dots.min(axis=1) / np.sqrt(norm2), -1.0, 1.0))
+    _recompute(objectives, ~sure, exact)
+    return objectives
 
 
 def _best_feasible(objectives, angle_budget: float, exact):
@@ -200,33 +232,56 @@ def greedy_mask_select(
     minimising that angle (marked infeasible in the trace) so the budget
     cardinality is always reached.
     """
+    geo = _geometry(benign_grads)
+    g_attack = as_vector(g_attack)
+    return _greedy(geo, mask_features, mask_labels, mask_fraction, params, g_attack, alpha_fixed)
+
+
+def _greedy(
+    geo: _Geometry, mask_features, mask_labels, mask_fraction, params, g_attack, alpha_fixed
+):
+    """greedy_mask_select against a built geometry and a checked g_attack.
+
+    Running sums over the selected rows S give each candidate c's blend
+    base + (S + P[c]) / m in dot space: its dots with U are
+    bU + (sU + PU[c]) / m, and its squared norm is
+    bb + 2 (sb + Pb[c]) / m + (ss + 2 sP[c] + PP[c, c]) / m**2.
+    """
     X = np.asarray(mask_features, dtype=np.float64)
     y = np.asarray(mask_labels, dtype=np.int64)
-    budget = mask_budget(mask_fraction, X.shape[0])
-    if budget < 1:
+    size = mask_budget(mask_fraction, X.shape[0])
+    if size < 1:
         raise EmptyMaskBudget(
             f"mask_fraction {mask_fraction} of {X.shape[0]} samples selects nothing"
         )
-    refs = usable_references(benign_grads)
-    angle_budget = benign_angle_budget(refs)
-    g_attack = as_vector(g_attack)
     base = float(alpha_fixed) * g_attack
-    P = mlp.per_example_gradients(params, X, y)
-    picked_sum = np.zeros(P.shape[1])
+    PV, PP = mlp.per_example_products(params, X, y, np.vstack([geo.unit, base]))
+    PU, Pb = PV[:, :-1], PV[:, -1]
+    bU, bb = geo.unit @ base, float(base @ base)
+    row_norm = np.sqrt(np.diag(PP))
+    sU, sb, ss, sP, s_norm = np.zeros(PU.shape[1]), 0.0, 0.0, np.zeros(len(y)), 0.0
+    remaining = np.ones(len(y), dtype=bool)
 
     selected: list[int] = []
     trace: list[GreedyStep] = []
-    for _ in range(budget):
-        candidates = np.setdiff1d(np.arange(X.shape[0]), selected)
-        m = len(selected) + 1
-        objectives = _max_angles(base + (picked_sum + P[candidates]) / m, refs)
+    for m in range(1, size + 1):
+        candidates = np.flatnonzero(remaining)
 
         def exact(ci):
             trial = selected + [int(candidates[ci])]
             g_mask = mlp.gradient(params, X[trial], y[trial])
-            return _max_angle_to_refs(scaled_add(alpha_fixed, g_attack, g_mask), refs)
+            return _max_angle_to_refs(scaled_add(alpha_fixed, g_attack, g_mask), geo.refs)
 
-        pick = _best_feasible(objectives, angle_budget, exact)
+        with np.errstate(all="ignore"):  # a hostile expansion is scored per pair
+            dots = bU + (sU + PU[candidates]) / m
+            norm2 = (
+                bb
+                + 2 * (sb + Pb[candidates]) / m
+                + (ss + 2 * sP[candidates] + PP[candidates, candidates]) / (m * m)
+            )
+            bound = math.sqrt(bb) + (s_norm + row_norm[candidates]) / m
+        objectives = _objectives(dots, norm2, bound, exact)
+        pick = _best_feasible(objectives, geo.budget, exact)
         step_ok = pick is not None
         if not step_ok:
             low = objectives <= objectives.min() + TIE_TOL
@@ -235,7 +290,12 @@ def greedy_mask_select(
             pick = int(np.argmin(objectives))
         chosen = int(candidates[pick])
         selected.append(chosen)
-        picked_sum += P[chosen]
+        remaining[chosen] = False
+        sU += PU[chosen]
+        sb += Pb[chosen]
+        ss += 2 * sP[chosen] + PP[chosen, chosen]
+        sP += PP[chosen]
+        s_norm += row_norm[chosen]
         trace.append(
             GreedyStep(
                 chosen_index=chosen,
@@ -257,17 +317,29 @@ def optimize_alpha(
     values. The lowest scale wins only among objectives equal as floats, so
     scales that tie mathematically are decided by how each angle rounds.
     """
-    refs = usable_references(benign_grads)
-    angle_budget = benign_angle_budget(refs)
-    g_attack = as_vector(g_attack)
-    g_mask = as_vector(g_mask)
+    geo = _geometry(benign_grads)
+    return _alpha(geo, as_vector(g_attack), as_vector(g_mask), alpha_grid)
+
+
+def _alpha(geo: _Geometry, g_attack, g_mask, alpha_grid) -> tuple[float, bool]:
+    """optimize_alpha against a built geometry and checked gradients.
+
+    The blend a * g_attack + g_mask has dots a * (U g_attack) + U g_mask
+    and squared norm a**2 (g_attack . g_attack) + 2a (g_attack . g_mask)
+    + g_mask . g_mask.
+    """
     alphas = np.asarray(alpha_grid, dtype=np.float64)
-    objectives = _max_angles(alphas[:, None] * g_attack + g_mask, refs)
+    aa, am, mm = float(g_attack @ g_attack), float(g_attack @ g_mask), float(g_mask @ g_mask)
 
     def exact(i):
-        return _max_angle_to_refs(scaled_add(alphas[i], g_attack, g_mask), refs)
+        return _max_angle_to_refs(scaled_add(alphas[i], g_attack, g_mask), geo.refs)
 
-    pick = _best_feasible(objectives, angle_budget, exact)
+    with np.errstate(all="ignore"):  # a hostile expansion is scored per pair
+        dots = alphas[:, None] * (geo.unit @ g_attack) + geo.unit @ g_mask
+        norm2 = alphas * alphas * aa + 2 * alphas * am + mm
+        bound = np.abs(alphas) * math.sqrt(aa) + math.sqrt(mm)
+    objectives = _objectives(dots, norm2, bound, exact)
+    pick = _best_feasible(objectives, geo.budget, exact)
     if pick is None:
         return 0.0, False
     return float(alphas[pick]), True
@@ -277,25 +349,20 @@ def craft_fedpoisonmia(
     ctx: AttackerContext, params: mlp.ModelParams, benign_grads
 ) -> CraftResult:
     """Full pipeline: flip labels, build the attack gradient, greedily pick
-    mask samples (scale fixed at 1), then tune the scale on the grid.
+    mask samples (scale fixed at 1), then tune the scale on the grid, all
+    against one reference geometry.
     """
-    refs = usable_references(benign_grads)
+    geo = _geometry(benign_grads)
     flipped = flip_labels(ctx.attack_labels, ctx.num_classes, ctx.flip_seed)
     g_attack = attack_gradient(params, ctx.attack_features, flipped)
-    selected, _trace = greedy_mask_select(
-        ctx.mask_features,
-        ctx.mask_labels,
-        ctx.mask_fraction,
-        params,
-        g_attack,
-        1.0,
-        refs,
+    selected, _trace = _greedy(
+        geo, ctx.mask_features, ctx.mask_labels, ctx.mask_fraction, params, g_attack, 1.0
     )
     idx = list(selected)
     g_mask = mlp.gradient(params, ctx.mask_features[idx], ctx.mask_labels[idx])
-    alpha, feasible = optimize_alpha(g_attack, g_mask, refs, ctx.alpha_grid)
+    alpha, feasible = _alpha(geo, g_attack, g_mask, ctx.alpha_grid)
     g_mal = scaled_add(alpha, g_attack, g_mask)
-    objective = _max_angle_to_refs(g_mal, refs)
+    objective = _max_angle_to_refs(g_mal, geo.refs)
     return CraftResult(
         g_malicious=g_mal,
         chosen_alpha=alpha,

@@ -61,7 +61,7 @@ from .attacks import (
     mask_budget,
     passive_infer,
 )
-from .errors import EmptyHistory, EmptySet, InvalidC, InvalidConfig
+from .errors import EmptyFile, EmptyHistory, EmptySet, InvalidC, InvalidConfig, ParseError
 from .rngstream import derive_seed, substream
 from .vectors import sq_distances_to
 
@@ -165,6 +165,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
          "in (0, 1) under an attack"),
         ("attack.knowledge", attack.knowledge in ("full", "partial"), "full|partial"),
         ("dataset", cfg.dataset in ("synthetic", "csv"), "synthetic|csv"),
+        ("csv_path", cfg.dataset != "csv" or cfg.csv_path != "", "a file path under dataset = csv"),
         ("partition", cfg.partition in ("iid", "noniid"), "iid|noniid"),
         ("beta", 0 < cfg.beta <= 1, "in (0, 1]"),
         ("rule.fang_mode", rule.fang_mode in ("err", "lfr"), "err|lfr"),
@@ -295,13 +296,17 @@ class _World:
 
 def build_world(cfg: ExperimentConfig) -> _World:
     """Materialise the config's world. After `validate_config`, this is the
-    one judge of the values checked against the data: the split (an empty
+    one judge of the values checked against the data: the CSV file
+    (`csv_path`: unreadable, malformed or empty), the split (an empty
     validation split under fang), the partition (`n_clients`), the
     attacker's samples (`n_attack`, `n_mask`) and the model dimension
     (`top_k`). Each rejected value raises InvalidConfig naming its field."""
     validate_config(cfg)
     if cfg.dataset == "csv":
-        base = datamod.load_csv(cfg.csv_path)
+        try:
+            base = datamod.load_csv(cfg.csv_path)
+        except (OSError, UnicodeDecodeError, ParseError, EmptyFile) as exc:
+            raise _rejected(cfg, "csv_path", f"a readable label,f1,...,fp file: {exc}") from None
     else:
         base = datamod.synth_dataset(
             cfg.classes, cfg.features, cfg.per_class, cfg.spread, cfg.seed

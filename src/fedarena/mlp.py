@@ -156,23 +156,34 @@ def gradient(params: ModelParams, X, y) -> np.ndarray:
     return flatten_layers(grads)
 
 
-def per_example_gradients(params: ModelParams, X, y) -> np.ndarray:
-    """(n, dim) matrix whose row i is gradient() on example i alone.
+def per_example_products(params: ModelParams, X, y, V) -> tuple[np.ndarray, np.ndarray]:
+    """(P @ V.T, P @ P.T) for the (n, dim) matrix P whose row i is
+    gradient() on example i alone, without forming P.
 
-    One batched backprop: the per-example weight gradients are the outer
-    products of each row's layer input and output delta. The mean of any
-    subset of rows is the gradient on that subset, up to float rounding.
+    One batched backprop. Row i's weight block in a layer is the outer
+    product of its layer input a_i and output delta d_i, and its bias block
+    is d_i. So its product with a row of V is a_i @ V_W @ d_i + d_i . v_b
+    per layer, and two rows' product is (a_i . a_j)(d_i . d_j) + d_i . d_j.
+    The mean of any subset of P's rows is the gradient on that subset, up
+    to float rounding.
     """
     X, y = _check_batch(params, X, y)
+    V = np.asarray(V, dtype=np.float64)
+    if V.ndim != 2 or V.shape[1] != params.dim:
+        raise DimensionMismatch(f"V shape {V.shape} incompatible with dim {params.dim}")
     layers = unflatten(params)
     acts, delta = _output_delta(layers, X, y)
-    n = len(y)
-    pieces = []
-    for a_in, d in _layer_deltas(layers, acts, delta):
-        pieces.append(d)
-        pieces.append((a_in[:, :, None] * d[:, None, :]).reshape(n, -1))
-    pieces.reverse()
-    return np.concatenate(pieces, axis=1)
+    starts = np.cumsum([0] + [fi * fo + fo for fi, fo in params.layer_shapes])
+    PV = np.zeros((len(y), V.shape[0]))
+    PP = np.zeros((len(y), len(y)))
+    for li, (a_in, d) in zip(reversed(range(len(layers))), _layer_deltas(layers, acts, delta)):
+        fi, fo = params.layer_shapes[li]
+        w_end = starts[li] + fi * fo
+        V_W = V[:, starts[li] : w_end].reshape(-1, fi, fo)
+        PV += np.einsum("rno,no->nr", a_in @ V_W, d) + d @ V[:, w_end : w_end + fo].T
+        DD = d @ d.T
+        PP += (a_in @ a_in.T) * DD + DD
+    return PV, PP
 
 
 def input_products(X, g, layer_shapes) -> np.ndarray:

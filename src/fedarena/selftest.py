@@ -174,31 +174,43 @@ def _check_gradient():
         assert rel <= 1e-4, f"finite differences disagree (rel={rel:.2e})"
 
 
+# (layer shapes, parameter noise, mask pool, mask fraction, references,
+# trials): a small net, then the desk task the benchmark crafts on
+CRAFTING_SHAPES = (
+    (((8, 6), (6, 3)), 0.4, 8, 0.5, 3, 10),
+    (((64, 32), (32, 3)), 0.1, 16, 0.3, 7, 5),
+)
+
+
 def _check_crafting():
     rng = np.random.default_rng(13)
-    for trial in range(10):
-        params = mlp.init_params(((8, 6), (6, 3)), seed=trial)
-        params = mlp.ModelParams(
-            flat=params.flat + 0.4 * rng.normal(size=params.dim),
-            layer_shapes=params.layer_shapes,
-        )
-        refs = np.stack(
-            [mlp.gradient(params, rng.normal(size=(6, 8)), rng.integers(0, 3, size=6)) for _ in range(3)]
-        )
-        g_attack = mlp.gradient(params, rng.normal(size=(10, 8)), rng.integers(0, 3, size=10))
-        X = rng.normal(size=(8, 8))
-        y = rng.integers(0, 3, size=8)
-        selected, trace = greedy_mask_select(X, y, 0.5, params, g_attack, 1.0, refs)
-        expected = naive_greedy_mask_select(X, y, 0.5, params, g_attack, 1.0, refs)
-        assert (selected, tuple(s.feasible for s in trace)) == expected, "greedy mask mismatch"
-        for size, step in enumerate(trace, start=1):
-            idx = list(selected[:size])
-            g = scaled_add(1.0, g_attack, mlp.gradient(params, X[idx], y[idx]))
-            assert abs(step.objective - _naive_objective(g, refs)) < 1e-9, "greedy objective drift"
-        g_mask = mlp.gradient(params, X[list(selected)], y[list(selected)])
-        grid = tuple(np.geomspace(0.01, 100.0, 25))
-        got = optimize_alpha(g_attack, g_mask, refs, grid)
-        assert got == naive_optimize_alpha(g_attack, g_mask, refs, grid), "alpha mismatch"
+    grid = tuple(np.geomspace(0.01, 100.0, 25))
+    for shapes, noise, n_mask, fraction, n_refs, trials in CRAFTING_SHAPES:
+        d_in, classes = shapes[0][0], shapes[-1][1]
+        for trial in range(trials):
+            params = mlp.init_params(shapes, seed=trial)
+            params = mlp.ModelParams(
+                flat=params.flat + noise * rng.normal(size=params.dim),
+                layer_shapes=params.layer_shapes,
+            )
+
+            def batch_gradient(n):
+                return mlp.gradient(params, rng.normal(size=(n, d_in)), rng.integers(0, classes, size=n))
+
+            refs = np.stack([batch_gradient(6) for _ in range(n_refs)])
+            g_attack = batch_gradient(10)
+            X = rng.normal(size=(n_mask, d_in))
+            y = rng.integers(0, classes, size=n_mask)
+            selected, trace = greedy_mask_select(X, y, fraction, params, g_attack, 1.0, refs)
+            expected = naive_greedy_mask_select(X, y, fraction, params, g_attack, 1.0, refs)
+            assert (selected, tuple(s.feasible for s in trace)) == expected, "greedy mask mismatch"
+            for size, step in enumerate(trace, start=1):
+                idx = list(selected[:size])
+                g = scaled_add(1.0, g_attack, mlp.gradient(params, X[idx], y[idx]))
+                assert abs(step.objective - _naive_objective(g, refs)) < 1e-9, "greedy objective drift"
+            g_mask = mlp.gradient(params, X[list(selected)], y[list(selected)])
+            got = optimize_alpha(g_attack, g_mask, refs, grid)
+            assert got == naive_optimize_alpha(g_attack, g_mask, refs, grid), "alpha mismatch"
 
 
 def _check_lemma():

@@ -26,6 +26,7 @@ from fedarena.attacks import (
 from fedarena.errors import (
     DegenerateGradient,
     EmptyMaskBudget,
+    FedArenaError,
     SingleClassDataset,
     TooFewReferences,
 )
@@ -378,6 +379,76 @@ class TestNearTies:
             )
             steps.update(feasible)
         assert steps == {True, False}
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the fedarena error it raises."""
+    try:
+        return fn(*args)
+    except FedArenaError as exc:
+        return type(exc)
+
+
+class TestHostileDotSpace:
+    """Blends that cancel: their dot-product expansion loses every digit, so
+    the crafter scores them per pair. Each decision, or the error type
+    raised, must be the per-pair oracle's."""
+
+    GRID = (0.25, 0.5, 1.0, 2.0)
+
+    def test_mask_gradient_opposing_attack(self, rng):
+        seen = set()
+        for scale in (1.0, 1e-5, 1e5):
+            for delta in (0.0, 1e-15, 1e-12, 1e-8, 1e-3):
+                g_attack = scale * rng.normal(size=40)
+                g_mask = -(1 + delta) * g_attack
+                refs = rng.normal(size=(4, 40))
+                got = outcome(optimize_alpha, g_attack, g_mask, refs, self.GRID)
+                assert got == outcome(naive_optimize_alpha, g_attack, g_mask, refs, self.GRID)
+                seen.add(got if isinstance(got, type) else tuple)
+        assert seen == {DegenerateGradient, tuple}
+
+    def test_short_blend_without_cancellation(self, rng):
+        # blends near NORM_FLOOR whose terms do not cancel
+        seen = set()
+        for scale in (1e-14, 3e-13, 1e-12, 3e-12):
+            g_attack = scale * rng.normal(size=40)
+            g_mask = scale * rng.normal(size=40)
+            refs = rng.normal(size=(4, 40))
+            got = outcome(optimize_alpha, g_attack, g_mask, refs, self.GRID)
+            assert got == outcome(naive_optimize_alpha, g_attack, g_mask, refs, self.GRID)
+            seen.add(got if isinstance(got, type) else tuple)
+        assert seen == {DegenerateGradient, tuple}
+
+    def test_diverged_model(self, rng):
+        params = perturbed(tiny_net(seed=3), 0.4, rng)
+        refs = gradient_like_refs(rng, params, 4)
+        g_attack = rng.normal(size=params.dim)
+        flat = params.flat.copy()
+        flat[0] = np.nan  # every per-example product is NaN
+        diverged = mlp.ModelParams(flat, params.layer_shapes)
+        args = (rng.normal(size=(6, 6)), rng.integers(0, 3, size=6), 0.5, diverged, g_attack, 1.0, refs)
+        assert outcome(greedy_mask_select, *args) is DegenerateGradient
+        assert outcome(naive_greedy_mask_select, *args) is DegenerateGradient
+
+    @pytest.mark.parametrize("relative", [0.0, 1e-12])
+    def test_mask_row_cancelling_attack(self, rng, relative):
+        seen = set()
+        for seed in range(20):
+            params = perturbed(tiny_net(seed=seed), 0.4, rng)
+            mask_X = rng.normal(size=(6, 6))
+            mask_y = rng.integers(0, 3, size=6)
+            j = seed % 6
+            # candidate j alone blends to zero, or to 1e-12 of its norm
+            g_attack = -(1 + relative) * mlp.gradient(params, mask_X[[j]], mask_y[[j]])
+            refs = gradient_like_refs(rng, params, 4)
+            args = (mask_X, mask_y, 0.5, params, g_attack, 1.0, refs)
+            got = outcome(greedy_mask_select, *args)
+            if not isinstance(got, type):
+                got = (got[0], tuple(step.feasible for step in got[1]))
+            assert got == outcome(naive_greedy_mask_select, *args)
+            seen.add(got if isinstance(got, type) else tuple)
+        assert DegenerateGradient in seen
 
 
 class TestCraftFedPoisonMia:

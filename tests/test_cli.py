@@ -154,6 +154,7 @@ REJECTIONS = [
     ("attack = fedpoisonmia\nmalicious_fraction = 0", "malicious_fraction"),
     ("attack = agrevader\nn_clients = 9\nmalicious_fraction = 0.1", "malicious_fraction"),
     ("n_clients = 1000\nrounds = 0", "rounds"),
+    ("dataset = csv", "csv_path"),
     # each fraction alone: a negative one makes build_world's slices overlap
     ("train_fraction = -0.1", "train_fraction"),
     ("holdout_fraction = -0.05", "holdout_fraction"),
@@ -264,6 +265,24 @@ class TestRejections:
         assert out.exists() == (key is None)
         if key:
             assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "contents",
+        [None, "0,1.0\nx,3\n", ""],
+        ids=["missing", "malformed", "empty"],
+    )
+    def test_unreadable_csv_names_csv_path(self, contents, tmp_path, capsys):
+        csv = tmp_path / "data.csv"
+        if contents is not None:
+            csv.write_text(contents)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"dataset = csv\ncsv_path = {csv}\nrounds = 2\n")
+        cli.parse_config(cfg)  # the CSV is read only at run time
+        for command, extra in (("run", []), ("sweep", ["--sweep", "seed=0,1"])):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
+            assert "config key 'csv_path'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_config_error_survives_pickle(self):
         # sweep workers raise it in another process

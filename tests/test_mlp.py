@@ -161,39 +161,55 @@ def assert_rel_close(actual, expected, rtol=1e-12):
 
 
 class TestPerExampleGradients:
+    """The per-example gradient matrix P, seen through per_example_products:
+    its products with a matrix V and its Gram matrix."""
+
     SHAPES = (((6, 8), (8, 3)), ((5, 7), (7, 6), (6, 4)), ((64, 32), (32, 3)))
 
     def _instance(self, rng, shapes, n):
         params = perturbed(mlp.init_params(shapes, seed=n), 0.3, rng)
         X = rng.normal(size=(n, shapes[0][0]))
         y = rng.integers(0, shapes[-1][1], size=n)
-        return params, X, y
+        V = rng.normal(size=(5, params.dim))
+        return params, X, y, V
 
     def test_row_is_single_example_gradient(self, rng):
         for shapes in self.SHAPES:
-            params, X, y = self._instance(rng, shapes, 9)
-            P = mlp.per_example_gradients(params, X, y)
-            assert P.shape == (9, params.dim)
-            for i in range(9):
-                assert_rel_close(P[i], mlp.gradient(params, X[i], y[i]))
+            params, X, y, V = self._instance(rng, shapes, 9)
+            G = np.stack([mlp.gradient(params, X[i], y[i]) for i in range(9)])
+            PV, PP = mlp.per_example_products(params, X, y, V)
+            assert PV.shape == (9, 5) and PP.shape == (9, 9)
+            assert_rel_close(PV, G @ V.T)
+            assert_rel_close(PP, G @ G.T)
 
     def test_subset_mean_is_subset_gradient(self, rng):
         for shapes in self.SHAPES:
-            params, X, y = self._instance(rng, shapes, 16)
-            P = mlp.per_example_gradients(params, X, y)
+            params, X, y, V = self._instance(rng, shapes, 16)
+            PV, PP = mlp.per_example_products(params, X, y, V)
             for _ in range(20):
                 idx = rng.choice(16, size=int(rng.integers(1, 17)), replace=False)
-                assert_rel_close(P[idx].mean(axis=0), mlp.gradient(params, X[idx], y[idx]))
+                g = mlp.gradient(params, X[idx], y[idx])
+                assert_rel_close(PV[idx].mean(axis=0), V @ g)
+                assert PP[np.ix_(idx, idx)].mean() == pytest.approx(g @ g, rel=1e-12)
 
     def test_single_1d_example(self, rng):
-        params, X, y = self._instance(rng, self.SHAPES[0], 1)
-        P = mlp.per_example_gradients(params, X[0], y[0])
-        assert P.shape == (1, params.dim)
-        assert_rel_close(P[0], mlp.gradient(params, X, y))
+        params, X, y, V = self._instance(rng, self.SHAPES[0], 1)
+        PV, PP = mlp.per_example_products(params, X[0], y[0], V)
+        g = mlp.gradient(params, X, y)
+        assert PV.shape == (1, 5) and PP.shape == (1, 1)
+        assert_rel_close(PV[0], V @ g)
+        assert PP[0, 0] == pytest.approx(g @ g, rel=1e-12)
 
     def test_empty_batch(self):
+        p = tiny_net()
         with pytest.raises(EmptyBatch):
-            mlp.per_example_gradients(tiny_net(), np.empty((0, 6)), np.empty(0, dtype=int))
+            mlp.per_example_products(p, np.empty((0, 6)), np.empty(0, dtype=int), np.ones((2, p.dim)))
+
+    def test_v_width_mismatch(self, rng):
+        p = tiny_net()
+        X, y = random_batch(rng, 3)
+        with pytest.raises(DimensionMismatch):
+            mlp.per_example_products(p, X, y, np.ones((2, p.dim - 1)))
 
 
 class TestApplyUpdate:
