@@ -1,14 +1,17 @@
 """Server-side aggregation rules and gradient filters.
 
-Every rule consumes a stack of client gradients (n, d) and returns an
+`apply_rule` is the boundary: it checks the client gradients once, into a
+finite (n, d) float64 matrix (`vectors._as_matrix`), and dispatches the
+configured kind. Every rule takes that checked matrix and returns an
 AggregationOutcome: the aggregate, which client indices survived any
-filtering, and rule-specific diagnostics. Rules are pure given their
-inputs (noise injection takes an explicit seed).
+filtering, and rule-specific diagnostics. dp and topk are row transforms
+(`dp_noise`, `topk_rows`) that `apply_rule` runs before their inner kind.
+Rules are pure given their inputs (noise injection takes an explicit
+seed).
 """
 
-from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -59,13 +62,12 @@ KINDS = ("fedavg", "median", "trimmed_mean", "atm", "multi_krum", "dp", "topk", 
 FANG_TIE_TOL = 1e-9
 
 
-def fedavg(grads, weights=None) -> AggregationOutcome:
-    """Weighted mean of the gradients (uniform when weights is None).
+def fedavg(G, weights=None) -> AggregationOutcome:
+    """Weighted mean of the checked gradients (uniform when weights is None).
 
     Equal weights fall through to the same column-mean computation the
     trimming rules use, so rule equivalences hold bit-for-bit.
     """
-    G = _as_matrix(grads)
     n = G.shape[0]
     if n == 0:
         raise EmptyInput("no gradients to aggregate")
@@ -82,9 +84,9 @@ def fedavg(grads, weights=None) -> AggregationOutcome:
     return AggregationOutcome(aggregate=(w[:, None] * G).sum(axis=0), kept_indices=tuple(range(n)))
 
 
-def coordinate_median(grads) -> AggregationOutcome:
-    """Element-wise median; even counts average the two central values."""
-    G = _as_matrix(grads)
+def coordinate_median(G) -> AggregationOutcome:
+    """Element-wise median of the checked gradients; even counts average
+    the two central values."""
     if G.shape[0] == 0:
         raise EmptyInput("no gradients to aggregate")
     return AggregationOutcome(
@@ -92,9 +94,9 @@ def coordinate_median(grads) -> AggregationOutcome:
     )
 
 
-def trimmed_mean(grads, trim_b: int) -> AggregationOutcome:
-    """Per dimension, drop the b largest and b smallest values, then average."""
-    G = _as_matrix(grads)
+def trimmed_mean(G, trim_b: int) -> AggregationOutcome:
+    """Per dimension of the checked gradients, drop the b largest and b
+    smallest values, then average."""
     n = G.shape[0]
     if trim_b < 0 or 2 * trim_b >= n:
         raise TrimTooLarge(f"trim {trim_b} per side infeasible for {n} gradients")
@@ -126,14 +128,13 @@ def mean_angles(grads, include_self: bool = False) -> np.ndarray:
     return A.sum(axis=1) / (n - 1)
 
 
-def atm(grads, trim_b: int, include_self: bool = False) -> AggregationOutcome:
-    """Angular trimmed-mean: drop the 2b gradients with the largest mean
-    angle to the rest, average the survivors.
+def atm(G, trim_b: int, include_self: bool = False) -> AggregationOutcome:
+    """Angular trimmed-mean: drop the 2b checked gradients with the largest
+    mean angle to the rest, average the survivors.
 
     Ties in the mean angle keep the lower client index. A zero-norm
     gradient ranks as most deviant (see `mean_angles`).
     """
-    G = _as_matrix(grads)
     n = G.shape[0]
     if n < 2:
         raise EmptyInput(f"angular trimming needs at least 2 gradients, got {n}")
@@ -150,16 +151,21 @@ def atm(grads, trim_b: int, include_self: bool = False) -> AggregationOutcome:
     )
 
 
-def multi_krum(grads, num_malicious: int, count: int, sq_dists=None) -> AggregationOutcome:
-    """Iteratively pick the gradient whose n-f-1 nearest (remaining)
+def multi_krum(G, num_malicious: int, count: int, sq_dists=None) -> AggregationOutcome:
+    """Iteratively pick the checked gradient whose n-f-1 nearest (remaining)
     neighbours are closest in squared distance, until `count` are chosen;
     the aggregate is their mean.
 
-    `sq_dists` is the (n, n) squared-distance block of `grads` when the
-    caller keeps one (async runs update it one row per arrival); it must
-    equal `pairwise_sq_distances(grads)` and is not modified.
+    `sq_dists` is the (n, n) squared-distance block of `G` when the caller
+    keeps one (async runs update it one row per arrival); it must equal
+    `pairwise_sq_distances(G)` and is not modified.
+
+    Each pick sorts the remaining rows of a copy of the block in which the
+    diagonal and the picked rows' columns are inf. The `neigh` <= r-1
+    smallest entries of a remaining row are then its distances to its
+    nearest remaining neighbours, in order, so its score is the one the
+    (r, r) block of the r remaining rows gives; ties keep the lowest id.
     """
-    G = _as_matrix(grads)
     n = G.shape[0]
     f = int(num_malicious)
     if n - f - 1 < 1:
@@ -173,14 +179,16 @@ def multi_krum(grads, num_malicious: int, count: int, sq_dists=None) -> Aggregat
         if d2.shape != (n, n):
             raise DimensionMismatch(f"distance block shaped {d2.shape} for {n} gradients")
     np.fill_diagonal(d2, np.inf)  # sorts last, so never its own neighbour
-    remaining = list(range(n))
+    live = np.ones(n, dtype=bool)
     chosen: list[int] = []
     while len(chosen) < count:
-        neigh = min(n - f - 1, len(remaining) - 1)
-        scores = np.sort(d2[np.ix_(remaining, remaining)], axis=1)[:, :neigh].sum(axis=1)
-        best = remaining[int(np.argmin(scores))]
+        neigh = min(n - f - 1, n - len(chosen) - 1)
+        rows = np.flatnonzero(live)
+        scores = np.sort(d2[rows], axis=1)[:, :neigh].sum(axis=1)
+        best = int(rows[np.argmin(scores)])
         chosen.append(best)
-        remaining.remove(best)
+        live[best] = False
+        d2[:, best] = np.inf
     kept = sorted(chosen)
     return AggregationOutcome(
         aggregate=G[kept].mean(axis=0),
@@ -189,31 +197,30 @@ def multi_krum(grads, num_malicious: int, count: int, sq_dists=None) -> Aggregat
     )
 
 
-def dp_wrap(grads, noise_std: float, inner: Callable, seed: int) -> AggregationOutcome:
-    """Add iid Gaussian noise to every gradient coordinate, then aggregate."""
+def dp_noise(G, noise_std: float, seed: int) -> np.ndarray:
+    """The checked gradients plus iid Gaussian noise on every coordinate,
+    checked again: a finite row plus noise can overflow."""
     if noise_std < 0:
         raise InvalidConfig(f"noise std {noise_std} is negative")
-    G = _as_matrix(grads)
-    if noise_std > 0:
-        G = G + substream(seed, "dp_noise").normal(0.0, noise_std, size=G.shape)
-    return inner(G)
+    if noise_std == 0:
+        return G
+    return _as_matrix(G + substream(seed, "dp_noise").normal(0.0, noise_std, size=G.shape))
 
 
-def topk_wrap(grads, k: int, inner: Callable) -> AggregationOutcome:
-    """Keep each gradient's k largest-magnitude coordinates (ties keep the
-    lower dimension index), zero the rest, then aggregate."""
-    G = _as_matrix(grads)
+def topk_rows(G, k: int) -> np.ndarray:
+    """Each checked gradient with its k largest-magnitude coordinates kept
+    (ties keep the lower dimension index) and the rest zeroed."""
     d = G.shape[1]
     if not 1 <= k <= d:
         raise InvalidK(f"k {k} outside [1, {d}]")
     keep = np.argsort(-np.abs(G), axis=1, kind="stable")[:, :k]
     sparse = np.zeros_like(G)
     np.put_along_axis(sparse, keep, np.take_along_axis(G, keep, axis=1), axis=1)
-    return inner(sparse)
+    return sparse
 
 
 def fang_filter(
-    grads,
+    G,
     params: mlp.ModelParams,
     val_features,
     val_labels,
@@ -223,9 +230,9 @@ def fang_filter(
     val_products=None,
 ) -> AggregationOutcome:
     """Leave-one-out validation filter (Fang et al. ERR/LFR): repeatedly
-    drop the gradient whose removal gives the best validation score (error
-    rate under err, mean loss under lfr; the first position on ties), then
-    average the survivors.
+    drop the checked gradient whose removal gives the best validation
+    score (error rate under err, mean loss under lfr; the first position
+    on ties), then average the survivors.
 
     A pass scores its k candidates in one batch. Candidate i steps the
     model by the mean of the other rows, (S - g_i)/(k-1), S the sum of the
@@ -251,7 +258,6 @@ def fang_filter(
     `scores`, the last pass's score per candidate (the positions held
     before its removal, ascending; empty when nothing is removed).
     """
-    G = _as_matrix(grads)
     n = G.shape[0]
     if n < 2:
         raise EmptyInput(f"leave-one-out filtering needs at least 2 gradients, got {n}")
@@ -363,18 +369,25 @@ def apply_rule(
     val_features=None,
     val_labels=None,
     lr: float = 0.01,
-    sq_dists=None,
-    val_products=None,
+    block=None,
 ) -> AggregationOutcome:
-    """Dispatch a configured rule. Weights reach fedavg only; dp and topk
-    run their `inner` kind on their own knobs. `sq_dists`, the squared
-    distances of `grads` (see `multi_krum`), reaches a top-level multi_krum
-    only, and `val_products`, the first-layer products of `grads` (see
-    `fang_filter`), a top-level fang only: dp and topk change the gradients
-    before their inner rule runs."""
+    """Check `grads` once and run the configured rule on them. Weights
+    reach fedavg only. dp and topk transform the rows (`dp_noise`,
+    `topk_rows`), then run their `inner` kind on the same knobs. `block` is
+    the block of `grads` a caller keeps for the kind: the squared distances
+    a top-level multi_krum reads (its `sq_dists`), or the first-layer
+    products a top-level fang reads (its `val_products`); a dp/topk
+    transform changes the rows, so its inner rule recomputes it."""
     G = _as_matrix(grads)
-    n, d = G.shape
     kind = rule.kind
+    if kind in ("dp", "topk"):
+        if rule.inner in ("dp", "topk"):
+            raise InvalidConfig(f"{kind} cannot wrap {rule.inner!r}")
+        if kind == "dp":
+            G = dp_noise(G, rule.dp_sigma, seed)
+        else:
+            G = topk_rows(G, rule.top_k if rule.top_k > 0 else G.shape[1])
+        kind, block = rule.inner, None
     if kind == "fedavg":
         return fedavg(G, weights)
     if kind == "median":
@@ -384,29 +397,12 @@ def apply_rule(
     if kind == "atm":
         return atm(G, rule.trim_b)
     if kind == "multi_krum":
-        count = rule.krum_count if rule.krum_count > 0 else n - rule.krum_f
-        return multi_krum(G, rule.krum_f, count, sq_dists)
-    if kind in ("dp", "topk"):
-        if rule.inner in ("dp", "topk"):
-            raise InvalidConfig(f"{kind} cannot wrap {rule.inner!r}")
-        inner = partial(
-            apply_rule,
-            replace(rule, kind=rule.inner),
-            weights=weights,
-            seed=seed,
-            params=params,
-            val_features=val_features,
-            val_labels=val_labels,
-            lr=lr,
-        )
-        if kind == "dp":
-            return dp_wrap(G, rule.dp_sigma, inner, seed)
-        k = rule.top_k if rule.top_k > 0 else d
-        return topk_wrap(G, k, inner)
+        count = rule.krum_count if rule.krum_count > 0 else G.shape[0] - rule.krum_f
+        return multi_krum(G, rule.krum_f, count, block)
     if kind == "fang":
         if params is None:
             raise InvalidConfig("fang rule needs the current model")
         return fang_filter(
-            G, params, val_features, val_labels, rule.fang_mode, lr, rule.fang_remove, val_products
+            G, params, val_features, val_labels, rule.fang_mode, lr, rule.fang_remove, block
         )
     raise InvalidConfig(f"unknown aggregation kind {kind!r}")

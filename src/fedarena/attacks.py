@@ -138,9 +138,13 @@ def usable_references(benign_grads) -> np.ndarray:
 
     A benign gradient can underflow to norm ~1e-83 on a well-fit shard;
     the attacker skips it rather than failing on its undefined angle.
+    When every row is usable the checked stack itself comes back, uncopied;
+    callers only read it.
     """
     G = _as_matrix(benign_grads)
-    G = G[np.linalg.norm(G, axis=1) > NORM_FLOOR]
+    usable = np.linalg.norm(G, axis=1) > NORM_FLOOR
+    if not usable.all():
+        G = G[usable]
     if G.shape[0] < 2:
         raise TooFewReferences(f"need at least 2 usable references, got {G.shape[0]}")
     return G

@@ -452,10 +452,10 @@ def _client_updates(world: _World, t: int, participants, view, model, craft_obse
             yield k, g
 
 
-def _step(world: _World, rule, params, order, G, seed_tag, **cached):
+def _step(world: _World, rule, params, order, G, seed_tag, block=None):
     """Aggregate the rows `G` of clients `order` and apply the aggregate to
-    `params`; returns the new model and the AggregationOutcome. `cached`
-    holds the buffer's block for the rule (`sq_dists` or `val_products`)."""
+    `params`; returns the new model and the AggregationOutcome. `block` is
+    the buffer's block for the rule (see `apply_rule`)."""
     outcome = apply_rule(
         rule,
         G,
@@ -465,7 +465,7 @@ def _step(world: _World, rule, params, order, G, seed_tag, **cached):
         val_features=world.val.features,
         val_labels=world.val.labels,
         lr=world.cfg.lr,
-        **cached,
+        block=block,
     )
     return mlp.apply_update(params, outcome.aggregate, world.cfg.lr), outcome
 
@@ -574,11 +574,10 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     params = world.params0
     # only a top-level multi_krum or fang reads a kept block; dp|topk change
     # the rows first
-    cache_key = {"multi_krum": "sq_dists", "fang": "val_products"}.get(cfg.rule.kind)
     products = None
-    if cache_key == "val_products":
+    if cfg.rule.kind == "fang":
         products = partial(mlp.input_products, world.val.features, layer_shapes=params.layer_shapes)
-    buffer = UpdateBuffer(cfg.n_clients, params.flat.size, cache_key == "sq_dists", products)
+    buffer = UpdateBuffer(cfg.n_clients, params.flat.size, cfg.rule.kind == "multi_krum", products)
     attacker_view: dict[int, np.ndarray] = {}  # freshest benign gradient per client
     pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     records: list[RoundRecord] = []
@@ -587,8 +586,7 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
         nonlocal params
         order, G, block = buffer.put(client, g)
         rule = _clamp_rule(cfg.rule, order.size)
-        cached = {cache_key: block} if cache_key else {}
-        params, outcome = _step(world, rule, params, order, G, (t_now, len(staleness_log)), **cached)
+        params, outcome = _step(world, rule, params, order, G, (t_now, len(staleness_log)), block)
         staleness_log.append(t_now - t_dispatch)
         return outcome
 

@@ -27,13 +27,10 @@ TRIMS = ("symmetric", "one_sided")
 
 @dataclass(frozen=True)
 class AngleSample:
-    """A sorted angle sequence with its malicious positions and the benign
-    distribution's moments."""
+    """A sorted angle sequence with its malicious positions."""
 
     theta: np.ndarray  # ascending
     malicious_mask: np.ndarray  # bool, aligned with theta
-    omega: float = 0.0
-    sigma2: float = 0.0
 
 
 @dataclass(frozen=True)

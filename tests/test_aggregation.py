@@ -11,15 +11,16 @@ from fedarena.aggregation import (
     apply_rule,
     atm,
     coordinate_median,
-    dp_wrap,
+    dp_noise,
     fang_filter,
     fedavg,
     mean_angles,
     multi_krum,
-    topk_wrap,
+    topk_rows,
     trimmed_mean,
 )
 from fedarena.errors import (
+    DegenerateGradient,
     DimensionMismatch,
     EmptyValidationSet,
     InvalidConfig,
@@ -186,14 +187,21 @@ class TestMultiKrum:
                 remaining.remove(best)
             return tuple(chosen)
 
-        for trial in range(40):
+        for trial in range(60):
             n = int(rng.integers(2, 41))  # up to 39 neighbours per score
             f = int(rng.integers(0, n - 1))
             count = int(rng.integers(1, n + 1))
             G = rng.normal(size=(n, 4))
-            if trial % 2:  # duplicated rows tie exactly
+            if trial % 4 == 1:  # duplicated rows tie exactly
                 G[rng.integers(0, n, size=n // 3)] = G[rng.integers(0, n, size=n // 3)]
-            assert multi_krum(G, f, count).kept_indices == oracle(G, f, count)
+            elif trial % 4 == 2:  # integer rows give exact distance ties
+                G = rng.integers(-2, 3, size=(n, 4)).astype(np.float64)
+            elif trial % 4 == 3:  # every squared distance overflows to inf
+                G *= 1e160
+            out = multi_krum(G, f, count)
+            with np.errstate(over="ignore"):
+                assert out.kept_indices == oracle(G, f, count)
+            assert out.diagnostics["selection_order"] == out.kept_indices
 
     def test_invalid_params(self):
         with pytest.raises(InvalidKrumParams):
@@ -223,43 +231,43 @@ class TestMultiKrum:
 class TestDpWrap:
     def test_zero_noise_identity(self, rng):
         G = rng.normal(size=(4, 6))
-        out = dp_wrap(G, 0.0, lambda g: fedavg(g), seed=1)
+        out = fedavg(dp_noise(G, 0.0, seed=1))
         assert np.array_equal(out.aggregate, fedavg(G).aggregate)
 
     def test_noise_std_within_two_percent(self):
         d = 100_000
         G = np.zeros((1, d))
         sigma = 0.7
-        out = dp_wrap(G, sigma, lambda g: fedavg(g), seed=42)
+        out = fedavg(dp_noise(G, sigma, seed=42))
         assert abs(np.std(out.aggregate) - sigma) / sigma < 0.02
 
     def test_deterministic(self, rng):
         G = rng.normal(size=(3, 5))
-        a = dp_wrap(G, 0.3, lambda g: fedavg(g), seed=7)
-        b = dp_wrap(G, 0.3, lambda g: fedavg(g), seed=7)
+        a = fedavg(dp_noise(G, 0.3, seed=7))
+        b = fedavg(dp_noise(G, 0.3, seed=7))
         assert np.array_equal(a.aggregate, b.aggregate)
 
 
 class TestTopkWrap:
     def test_full_k_identity(self, rng):
         G = rng.normal(size=(3, 6))
-        out = topk_wrap(G, 6, lambda g: fedavg(g))
+        out = fedavg(topk_rows(G, 6))
         assert np.array_equal(out.aggregate, fedavg(G).aggregate)
 
     def test_keeps_largest_magnitude(self):
         G = np.array([[3.0, -5.0, 1.0]])
-        out = topk_wrap(G, 1, lambda g: fedavg(g))
+        out = fedavg(topk_rows(G, 1))
         assert np.array_equal(out.aggregate, [0.0, -5.0, 0.0])
 
     def test_tie_keeps_lower_dimension(self):
         G = np.array([[2.0, -2.0, 1.0]])
-        out = topk_wrap(G, 1, lambda g: fedavg(g))
+        out = fedavg(topk_rows(G, 1))
         assert np.array_equal(out.aggregate, [2.0, 0.0, 0.0])
 
     def test_matches_sort_oracle(self, rng):
         G = rng.normal(size=(4, 9))
         k = 3
-        out = topk_wrap(G, k, lambda g: fedavg(g))
+        out = fedavg(topk_rows(G, k))
         sparse = np.zeros_like(G)
         for i in range(4):
             idx = sorted(range(9), key=lambda j: (-abs(G[i, j]), j))[:k]
@@ -268,9 +276,9 @@ class TestTopkWrap:
 
     def test_invalid_k(self):
         with pytest.raises(InvalidK):
-            topk_wrap(np.ones((2, 3)), 0, lambda g: fedavg(g))
+            topk_rows(np.ones((2, 3)), 0)
         with pytest.raises(InvalidK):
-            topk_wrap(np.ones((2, 3)), 4, lambda g: fedavg(g))
+            topk_rows(np.ones((2, 3)), 4)
 
 
 class TestFang:
@@ -395,7 +403,7 @@ class TestFangParity:
         kw = dict(params=params, val_features=X, val_labels=y, lr=0.5)
         rule = AggregationRule("dp", dp_sigma=0.0, inner="fang")
         assert (
-            apply_rule(rule, G, val_products=wrong, **kw).kept_indices
+            apply_rule(rule, G, block=wrong, **kw).kept_indices
             == apply_rule(rule, G, **kw).kept_indices
         )
 
@@ -460,15 +468,35 @@ class TestApplyRule:
         if "atm" in (rule.kind, rule.inner):
             assert 3 not in out.kept_indices
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "rule",
+        [AggregationRule(kind=k, trim_b=1, krum_f=1, top_k=10) for k in KINDS]
+        + [
+            AggregationRule(w, top_k=10, trim_b=1, krum_f=1, inner=k)
+            for w in ("dp", "topk")
+            for k in ("atm", "multi_krum", "fang")
+        ],
+        ids=lambda r: r.kind + (f"-{r.inner}" if r.inner != "fedavg" else ""),
+    )
+    def test_non_finite_row_raises_every_rule(self, rng, rule, bad):
+        params = perturbed(tiny_net(seed=2), 0.3, rng)
+        G = np.stack([mlp.gradient(params, rng.normal(size=(4, 6)), rng.integers(0, 3, 4)) for _ in range(5)])
+        G[2, 7] = bad
+        X = rng.normal(size=(10, 6))
+        y = rng.integers(0, 3, size=10)
+        with pytest.raises(DegenerateGradient, match="gradient 2 contains NaN or Inf"):
+            apply_rule(rule, G, seed=3, params=params, val_features=X, val_labels=y, lr=0.1)
+
     def test_distances_reach_top_level_krum_only(self, rng):
         G = rng.normal(size=(5, 4))
         wrong = np.zeros((2, 2))
         with pytest.raises(DimensionMismatch):
-            apply_rule(AggregationRule("multi_krum"), G, sq_dists=wrong)
+            apply_rule(AggregationRule("multi_krum"), G, block=wrong)
         for kind in ("dp", "topk"):
             rule = AggregationRule(kind, dp_sigma=0.0, inner="multi_krum")
             plain = apply_rule(rule, G)
-            given = apply_rule(rule, G, sq_dists=wrong)
+            given = apply_rule(rule, G, block=wrong)
             assert given.kept_indices == plain.kept_indices
 
     def test_wrapper_nests_inner_rule(self, rng):

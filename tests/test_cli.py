@@ -420,6 +420,28 @@ class TestRunCommand:
         assert outs["dp3"] == outs["tm3"]
         assert outs["dp3"] != outs["dp1"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "rule,code",
+        [("fedavg", 2), ("trimmed_mean", 2), ("multi_krum", 2), ("fang", 2), ("atm", 0), ("median", 0)],
+    )
+    def test_non_finite_update_exit_code(self, rule, code, tmp_path, capsys):
+        # two ascent updates at 1e306 drive the model non-finite under the
+        # rules that average them; atm trims them and the median ignores them
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            "attack = gradient_ascent\nga_scale = 1e306\nmalicious_fraction = 0.2\n"
+            f"rounds = 5\nrule = {rule}\n"
+        )
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        if code:
+            assert "gradient 0 contains NaN or Inf entries" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            for name in ("rounds.csv", "summary.json", "manifest.json"):
+                assert (out / name).exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("C = 2.0")
