@@ -61,6 +61,11 @@ KINDS = ("fedavg", "median", "trimmed_mean", "atm", "multi_krum", "dp", "topk", 
 # logit margin this small, are recomputed per candidate.
 FANG_TIE_TOL = 1e-9
 
+# multi_krum's running scores differ from sorted sums by float reordering:
+# a row's error is below KRUM_TIE_TOL times its first sorted sum, so rows
+# whose bounds reach the lowest are rescored exactly before the argmin.
+KRUM_TIE_TOL = 1e-9
+
 
 def fedavg(G, weights=None) -> AggregationOutcome:
     """Weighted mean of the checked gradients (uniform when weights is None).
@@ -111,7 +116,7 @@ def trimmed_mean(G, trim_b: int) -> AggregationOutcome:
     )
 
 
-def mean_angles(grads, include_self: bool = False) -> np.ndarray:
+def mean_angles(grads, include_self: bool = False, angles=None) -> np.ndarray:
     """Per-gradient mean angle to the others.
 
     The self-angle is zero, so including it and dividing by n instead of
@@ -120,27 +125,37 @@ def mean_angles(grads, include_self: bool = False) -> np.ndarray:
     A gradient with norm <= NORM_FLOOR sits at angle pi to every other one,
     so it scores pi, the most deviant score, and adds the same pi/(n-1) to
     every other score, which leaves their ranking as it was.
+
+    `angles` is the (n, n) angle block of `grads` when the caller keeps
+    one (async runs update it one row per arrival); it must equal
+    `pairwise_angles(grads, degenerate_far=True)` and is not modified.
     """
-    A = pairwise_angles(grads, degenerate_far=True)
+    if angles is None:
+        A = pairwise_angles(grads, degenerate_far=True)
+    else:
+        A = np.asarray(angles, dtype=np.float64)
+        if A.shape != (len(grads), len(grads)):
+            raise DimensionMismatch(f"angle block shaped {A.shape} for {len(grads)} gradients")
     n = A.shape[0]
     if include_self:
         return A.sum(axis=1) / n
     return A.sum(axis=1) / (n - 1)
 
 
-def atm(G, trim_b: int, include_self: bool = False) -> AggregationOutcome:
+def atm(G, trim_b: int, include_self: bool = False, angles=None) -> AggregationOutcome:
     """Angular trimmed-mean: drop the 2b checked gradients with the largest
     mean angle to the rest, average the survivors.
 
     Ties in the mean angle keep the lower client index. A zero-norm
-    gradient ranks as most deviant (see `mean_angles`).
+    gradient ranks as most deviant (see `mean_angles`, which reads the
+    `angles` block when the caller keeps one).
     """
     n = G.shape[0]
     if n < 2:
         raise EmptyInput(f"angular trimming needs at least 2 gradients, got {n}")
     if trim_b < 0 or 2 * trim_b >= n:
         raise TrimTooLarge(f"2*{trim_b} >= {n} gradients")
-    scores = mean_angles(G, include_self=include_self)
+    scores = mean_angles(G, include_self=include_self, angles=angles)
     order = np.lexsort((np.arange(n), scores))  # ascending score, index breaks ties
     kept = np.sort(order[: n - 2 * trim_b])
     threshold = float(scores[order[n - 2 * trim_b]]) if trim_b > 0 else None
@@ -160,11 +175,18 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None) -> AggregationO
     keeps one (async runs update it one row per arrival); it must equal
     `pairwise_sq_distances(G)` and is not modified.
 
-    Each pick sorts the remaining rows of a copy of the block in which the
-    diagonal and the picked rows' columns are inf. The `neigh` <= r-1
-    smallest entries of a remaining row are then its distances to its
-    nearest remaining neighbours, in order, so its score is the one the
-    (r, r) block of the r remaining rows gives; ties keep the lowest id.
+    A row's score is the sum of its `neigh` smallest distances to the
+    remaining rows, sorted ascending (`_krum_scores`); ties keep the lowest
+    id. Picks are made on a copy of the block in which the diagonal and the
+    picked rows' columns are inf. From the pick on which every remaining
+    neighbour counts (the (f+1)-th), each remaining row's score is its
+    sorted sum at that pick less the distances to the rows picked since,
+    one subtraction per pick. That running score rounds differently, by
+    less than KRUM_TIE_TOL times the row's first sorted sum; every row whose
+    score within that bound can reach the lowest is rescored as a sorted
+    sum before the argmin, and until every score is finite each pick is
+    scored whole. So each pick is the one the per-pick sort
+    (`selftest.naive_krum_kept`) makes.
     """
     n = G.shape[0]
     f = int(num_malicious)
@@ -181,13 +203,27 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None) -> AggregationO
     np.fill_diagonal(d2, np.inf)  # sorts last, so never its own neighbour
     live = np.ones(n, dtype=bool)
     chosen: list[int] = []
+    running = slack = None  # per row; a picked row's running score is inf
     while len(chosen) < count:
         neigh = min(n - f - 1, n - len(chosen) - 1)
-        rows = np.flatnonzero(live)
-        scores = np.sort(d2[rows], axis=1)[:, :neigh].sum(axis=1)
-        best = int(rows[np.argmin(scores)])
+        if running is None:
+            rows = np.flatnonzero(live)
+            scores = _krum_scores(d2, rows, neigh)
+            best = int(rows[np.argmin(scores)])
+            if neigh == rows.size - 1 and np.isfinite(scores).all():
+                running, slack = np.full(n, np.inf), np.zeros(n)
+                running[rows] = scores
+                slack[rows] = KRUM_TIE_TOL * scores
+        else:
+            # every row whose sorted sum can be the lowest is near; a lone
+            # near row is the argmin
+            near = (running - slack <= (running + slack).min()).nonzero()[0]
+            best = int(near[np.argmin(_krum_scores(d2, near, neigh))] if near.size > 1 else near[0])
         chosen.append(best)
         live[best] = False
+        if running is not None:
+            np.subtract(running, d2[:, best], out=running, where=live)
+            running[best] = np.inf
         d2[:, best] = np.inf
     kept = sorted(chosen)
     return AggregationOutcome(
@@ -195,6 +231,12 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None) -> AggregationO
         kept_indices=tuple(chosen),
         diagnostics={"selection_order": tuple(chosen)},
     )
+
+
+def _krum_scores(d2, rows, neigh: int) -> np.ndarray:
+    """The Krum score of each of `rows`: its `neigh` smallest entries of
+    `d2`, sorted ascending and summed."""
+    return np.sort(d2[rows], axis=1)[:, :neigh].sum(axis=1)
 
 
 def dp_noise(G, noise_std: float, seed: int) -> np.ndarray:
@@ -374,10 +416,11 @@ def apply_rule(
     """Check `grads` once and run the configured rule on them. Weights
     reach fedavg only. dp and topk transform the rows (`dp_noise`,
     `topk_rows`), then run their `inner` kind on the same knobs. `block` is
-    the block of `grads` a caller keeps for the kind: the squared distances
-    a top-level multi_krum reads (its `sq_dists`), or the first-layer
-    products a top-level fang reads (its `val_products`); a dp/topk
-    transform changes the rows, so its inner rule recomputes it."""
+    the block of `grads` a caller keeps for the kind: the pairwise angles a
+    top-level atm reads (its `angles`), the squared distances a top-level
+    multi_krum reads (its `sq_dists`), or the first-layer products a
+    top-level fang reads (its `val_products`); a dp/topk transform changes
+    the rows, so its inner rule recomputes it."""
     G = _as_matrix(grads)
     kind = rule.kind
     if kind in ("dp", "topk"):
@@ -395,7 +438,7 @@ def apply_rule(
     if kind == "trimmed_mean":
         return trimmed_mean(G, rule.trim_b)
     if kind == "atm":
-        return atm(G, rule.trim_b)
+        return atm(G, rule.trim_b, angles=block)
     if kind == "multi_krum":
         count = rule.krum_count if rule.krum_count > 0 else G.shape[0] - rule.krum_f
         return multi_krum(G, rule.krum_f, count, block)

@@ -27,15 +27,17 @@ are applied before the current round's dispatches; a delay of zero means
 the update is applied immediately, before the next client dispatches.
 Trim-style rules clamp their parameters while the buffer is still
 smaller than they require. The buffer is one (n_clients, d) matrix with a
-row per client id. Under multi_krum it also keeps the (n_clients,
-n_clients) squared distances between those rows, and an arrival rewrites
-only its client's row and column, at O(n*d) instead of the O(n^2*d) a
-recompute costs. Under fang it keeps each row's (v, h) first-layer
-product with the validation examples (`mlp.input_products`, the block
-fang scores every leave-one-out candidate from), and an arrival computes
-only its client's block. Each entry depends only on its own rows, and the
-fresh path runs the same kernel per row, so a kept block is bitwise the
-recompute and no choice of Krum or fang changes.
+row per client id. Under atm it also keeps each row's unit vector and the
+(n_clients, n_clients) angles between the rows (`vectors.angles_to`);
+under multi_krum, the squared distances between them
+(`vectors.sq_distances_to`). An arrival rewrites only its client's row and
+column, at O(n*d) instead of the O(n^2*d) a recompute costs. Under fang it
+keeps each row's (v, h) first-layer product with the validation examples
+(`mlp.input_products`, the block fang scores every leave-one-out
+candidate from), and an arrival computes only its client's block. Each
+entry depends only on its own rows, and the fresh path runs the same
+kernel per row, so a kept block is bitwise the recompute and no choice of
+atm, Krum or fang changes.
 """
 
 import math
@@ -63,7 +65,7 @@ from .attacks import (
 )
 from .errors import EmptyFile, EmptyHistory, EmptySet, InvalidC, InvalidConfig, ParseError
 from .rngstream import derive_seed, substream
-from .vectors import sq_distances_to
+from .vectors import NORM_FLOOR, angles_to, sq_distances_to, unit_rows
 
 HIDDEN_WIDTH = 32
 
@@ -529,18 +531,21 @@ def _clamp_rule(rule: AggregationRule, size: int) -> AggregationRule:
 
 
 class UpdateBuffer:
-    """The latest update of each client, one row per client id, plus at
-    most one block the rule reads, kept one client per arrival (see the
-    module docstring): the squared distances between the rows held when
-    `distances`, or each row's validation first-layer product when
-    `products` (a function of one row, `mlp.input_products` bound to the
-    validation examples) is given."""
+    """The latest update of each client, one row per client id, plus the
+    block the top-level rule `kind` reads, kept one client per arrival (see
+    the module docstring): the angles between the rows held under atm (with
+    each row's unit vector), their squared distances under multi_krum, or
+    under fang each row's validation first-layer product (`products`, a
+    function of one row: `mlp.input_products` bound to the validation
+    examples)."""
 
-    def __init__(self, n_clients: int, dim: int, distances: bool, products=None):
+    def __init__(self, n_clients: int, dim: int, kind: str = "fedavg", products=None):
         self.rows = np.zeros((n_clients, dim))
         self.held = np.zeros(n_clients, dtype=bool)
-        self.sq_dists = np.zeros((n_clients, n_clients)) if distances else None
-        self.product_of = products
+        self.pairs = np.zeros((n_clients, n_clients)) if kind in ("atm", "multi_krum") else None
+        self.units = np.zeros((n_clients, dim)) if kind == "atm" else None
+        self.degenerate = np.zeros(n_clients, dtype=bool) if kind == "atm" else None
+        self.product_of = products if kind == "fang" else None
         self.products = None  # (n_clients, v, h), allocated at the first put
 
     def put(self, client: int, g: np.ndarray):
@@ -559,12 +564,20 @@ class UpdateBuffer:
                 self.products = np.zeros((self.held.size,) + block.shape)
             self.products[client] = block
             return order, G, self.products if full else self.products[order]
-        if self.sq_dists is None:
+        if self.pairs is None:
             return order, G, None
-        row = sq_distances_to(G, self.rows[client])
-        self.sq_dists[client, order] = row
-        self.sq_dists[order, client] = row
-        return order, G, self.sq_dists if full else self.sq_dists[np.ix_(order, order)]
+        if self.units is None:
+            row = sq_distances_to(G, self.rows[client])
+        else:
+            unit, norm = unit_rows(self.rows[client : client + 1])
+            self.units[client] = unit[0]
+            self.degenerate[client] = norm[0] <= NORM_FLOOR
+            U = self.units if full else self.units[order]
+            row = angles_to(U, self.degenerate[order], unit[0], self.degenerate[client])
+        self.pairs[client, order] = row
+        self.pairs[order, client] = row
+        self.pairs[client, client] = 0.0  # a unit row's angle to itself need not round to 0
+        return order, G, self.pairs if full else self.pairs[np.ix_(order, order)]
 
 
 def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
@@ -572,12 +585,12 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     arrival re-aggregates the per-client buffer and steps the model."""
     world = build_world(cfg)
     params = world.params0
-    # only a top-level multi_krum or fang reads a kept block; dp|topk change
-    # the rows first
+    # only a top-level atm, multi_krum or fang reads a kept block; dp|topk
+    # change the rows first
     products = None
     if cfg.rule.kind == "fang":
         products = partial(mlp.input_products, world.val.features, layer_shapes=params.layer_shapes)
-    buffer = UpdateBuffer(cfg.n_clients, params.flat.size, cfg.rule.kind == "multi_krum", products)
+    buffer = UpdateBuffer(cfg.n_clients, params.flat.size, cfg.rule.kind, products)
     attacker_view: dict[int, np.ndarray] = {}  # freshest benign gradient per client
     pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     records: list[RoundRecord] = []

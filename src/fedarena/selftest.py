@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import mlp
-from .aggregation import atm, fang_filter
+from .aggregation import atm, fang_filter, multi_krum
 from .attacks import (
     benign_angle_budget,
     greedy_mask_select,
@@ -19,7 +19,7 @@ from .attacks import (
     usable_references,
 )
 from .theory import AngleSample, TruncatedGaussian, deviation_bound, lemma_order_stats_check, monte_carlo_deviation
-from .vectors import angle_between, scaled_add
+from .vectors import angle_between, pairwise_sq_distances, scaled_add
 
 
 def _check_angles():
@@ -102,6 +102,67 @@ def _check_atm():
         G = rng.normal(size=(n, 6))
         kept = atm(G, b).kept_indices
         assert kept == naive_atm_kept(G, b), "trim selection mismatch"
+
+
+def naive_krum_kept(G, f, count):
+    """Per-pick reference for aggregation.multi_krum: every pick sorts each
+    remaining row's distances (picked rows' columns and the diagonal at
+    inf) and sums its n-f-1 nearest, capped at the other remaining rows.
+    Returns the selection order."""
+    G = np.asarray(G, dtype=np.float64)
+    n = G.shape[0]
+    d2 = pairwise_sq_distances(G)
+    np.fill_diagonal(d2, np.inf)
+    live = np.ones(n, dtype=bool)
+    chosen = []
+    while len(chosen) < count:
+        neigh = min(n - f - 1, n - len(chosen) - 1)
+        rows = np.flatnonzero(live)
+        scores = np.sort(d2[rows], axis=1)[:, :neigh].sum(axis=1)
+        best = int(rows[np.argmin(scores)])
+        chosen.append(best)
+        live[best] = False
+        d2[:, best] = np.inf
+    return tuple(chosen)
+
+
+def krum_instance(rng, trial):
+    """A random (G, f, count) for multi_krum, cycling through exact
+    distance ties, duplicated, integer-valued, all-identical, overflowing
+    and near-tied rows, f = 0, count = n and count <= f."""
+    n = int(rng.integers(2, 41))
+    f = int(rng.integers(0, n - 1))
+    count = int(rng.integers(1, n + 1))
+    G = rng.normal(size=(n, int(rng.integers(1, 9))))
+    kind = trial % 9
+    if kind == 1:  # duplicated rows: exact ties
+        G[rng.integers(0, n, size=n // 2)] = G[rng.integers(0, n, size=n // 2)]
+    elif kind == 2:  # integer rows: exact distance ties
+        G = rng.integers(-2, 3, size=G.shape).astype(np.float64)
+    elif kind == 3:  # every row the same: every score 0
+        G[:] = G[0]
+    elif kind == 4:  # every squared distance overflows to inf
+        G *= 1e160
+    elif kind == 5:  # some distances overflow, the rest stay finite
+        G[rng.integers(0, n, size=max(1, n // 4))] *= 1e160
+    elif kind == 6:
+        f = 0
+    elif kind == 7:
+        count = n if trial % 18 == 7 else int(rng.integers(1, f + 2))
+    elif kind == 8:  # a regular polygon with one vertex nudged: near-ties
+        angle = 2 * np.pi * np.arange(n) / n
+        G = 2.0 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        G[rng.integers(0, n), 1] += 1e-11
+    return G, f, count
+
+
+def _check_krum():
+    rng = np.random.default_rng(19)
+    with np.errstate(over="ignore"):
+        for trial in range(200):
+            G, f, count = krum_instance(rng, trial)
+            got = multi_krum(G, f, count).kept_indices
+            assert got == naive_krum_kept(G, f, count), "krum selection mismatch"
 
 
 def naive_fang_kept(G, params, X, y, mode, lr, remove_count=1):
@@ -240,6 +301,7 @@ def _check_bound():
 SUITES = (
     ("angles", _check_angles),
     ("angular-trim", _check_atm),
+    ("multi-krum", _check_krum),
     ("fang", _check_fang),
     ("gradient-fd", _check_gradient),
     ("crafting", _check_crafting),

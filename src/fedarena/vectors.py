@@ -40,8 +40,28 @@ def angle_between(u, v) -> float:
     return float(np.arccos(min(1.0, max(-1.0, cos))))
 
 
+def unit_rows(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a checked matrix divided by their L2 norms, and the
+    norms. A row with norm <= NORM_FLOOR is returned as it is; a row whose
+    norm overflows to inf becomes all zeros. Row j depends only on G[j]."""
+    norms = np.sqrt(np.einsum("jk,jk->j", G, G))
+    return G / np.where(norms <= NORM_FLOOR, 1.0, norms)[:, None], norms
+
+
+def angles_to(U: np.ndarray, bad: np.ndarray, u: np.ndarray, u_bad: bool) -> np.ndarray:
+    """Angle from the unit row `u` to each unit row of `U` (see `unit_rows`);
+    a pair with a degenerate row (`bad`, `u_bad`: norm <= NORM_FLOOR) is at
+    pi. Entry j depends only on U[j] and u, and products commute, so it is
+    bitwise the same whichever of the two is `u` and wherever U[j] sits in
+    U; a cache of these rows equals a full recompute."""
+    theta = np.arccos(np.clip(np.einsum("jk,k->j", U, u), -1.0, 1.0))
+    theta[bad | u_bad] = np.pi
+    return theta
+
+
 def pairwise_angles(grads, degenerate_far: bool = False) -> np.ndarray:
-    """Symmetric zero-diagonal matrix of angles between all gradient pairs.
+    """Symmetric zero-diagonal matrix of angles between all gradient pairs,
+    one `angles_to` row of the strict upper triangle at a time, mirrored.
 
     A gradient with norm <= NORM_FLOOR has no direction: it raises
     DegenerateGradient, or with `degenerate_far` sits at angle pi to every
@@ -51,20 +71,15 @@ def pairwise_angles(grads, degenerate_far: bool = False) -> np.ndarray:
     n = G.shape[0]
     if n < 2:
         raise DimensionMismatch(f"need at least 2 gradients, got {n}")
-    norms = np.linalg.norm(G, axis=1)
+    U, norms = unit_rows(G)
     bad = norms <= NORM_FLOOR
     if bad.any() and not degenerate_far:
         i = int(np.argmax(bad))
         raise DegenerateGradient(f"gradient {i} has norm {norms[i]:.3e}")
-    unit = G / np.where(bad, 1.0, norms)[:, None]
-    cos = np.clip(unit @ unit.T, -1.0, 1.0)
-    theta = np.arccos(cos)
-    theta[bad] = np.pi
-    theta[:, bad] = np.pi
-    # mirror the strict upper triangle so symmetry is exact, not just close
-    theta = np.triu(theta, k=1)
-    theta = theta + theta.T
-    return theta
+    theta = np.zeros((n, n))
+    for i in range(n - 1):
+        theta[i, i + 1 :] = angles_to(U[i + 1 :], bad[i + 1 :], U[i], bad[i])
+    return theta + theta.T
 
 
 def sq_distances_to(G: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -29,8 +29,8 @@ from fedarena.errors import (
     TrimTooLarge,
     WeightMismatch,
 )
-from fedarena.selftest import naive_atm_kept, naive_fang_kept
-from fedarena.vectors import pairwise_sq_distances
+from fedarena.selftest import krum_instance, naive_atm_kept, naive_fang_kept, naive_krum_kept
+from fedarena.vectors import pairwise_angles, pairwise_sq_distances
 
 
 class TestFedAvg:
@@ -142,6 +142,26 @@ class TestAtm:
         with pytest.raises(TrimTooLarge):
             atm(np.eye(3), 2)
 
+    def test_given_angles_are_read_not_modified(self, rng):
+        G = rng.normal(size=(6, 3))
+        block = pairwise_angles(G, degenerate_far=True)
+        before = block.copy()
+        # a block with two rows' angles swapped must change the choice
+        fake = block.copy()
+        fake[[0, 5]] = fake[[5, 0]]
+        fake[:, [0, 5]] = fake[:, [5, 0]]
+        cached, fresh = atm(G, 1, angles=block), atm(G, 1)
+        assert cached.kept_indices == fresh.kept_indices
+        assert np.array_equal(cached.diagnostics["mean_angles"], fresh.diagnostics["mean_angles"])
+        assert np.array_equal(block, before)
+        swapped = atm(G[[5, 1, 2, 3, 4, 0]], 1).diagnostics["mean_angles"]
+        assert np.array_equal(atm(G, 1, angles=fake).diagnostics["mean_angles"], swapped)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 5), (6,), (6, 6, 1)])
+    def test_wrongly_shaped_angles_raise(self, rng, shape):
+        with pytest.raises(DimensionMismatch):
+            atm(rng.normal(size=(6, 3)), 1, angles=np.zeros(shape))
+
     @pytest.mark.parametrize("scale", [0.0, 1e-300])
     def test_zero_norm_update_ranks_most_deviant(self, rng, scale):
         G = rng.normal(size=(7, 5))
@@ -202,6 +222,32 @@ class TestMultiKrum:
             with np.errstate(over="ignore"):
                 assert out.kept_indices == oracle(G, f, count)
             assert out.diagnostics["selection_order"] == out.kept_indices
+
+    def test_matches_per_pick_oracle(self, rng):
+        # exact distance ties, duplicated, integer, all-identical,
+        # overflowing and near-tied rows, f = 0, count = n and count <= f
+        with np.errstate(over="ignore"):
+            for trial in range(400):
+                G, f, count = krum_instance(rng, trial)
+                block = pairwise_sq_distances(G) if trial % 2 else None
+                out = multi_krum(G, f, count, block)
+                assert out.kept_indices == naive_krum_kept(G, f, count)
+
+    def test_running_scores_rescore_near_ties(self):
+        # the last two rows' scores tie exactly (each is their one distance),
+        # but their running scores had the far row 0's 9e10 subtracted and
+        # come out unequal; the exact rescore keeps the lower id first
+        G = np.array([[0.1, 3.000005e5], [-2.0, 0.0], [-0.5, -0.9], [2.0, -2.0], [-1.0, -3.0]])
+        assert multi_krum(G, 0, 5).kept_indices == (1, 2, 3, 0, 4)
+        assert naive_krum_kept(G, 0, 5) == (1, 2, 3, 0, 4)
+        # a regular polygon with one vertex nudged: scores differ by far
+        # less than KRUM_TIE_TOL, so the lowest near id is not the pick
+        for n in (5, 6):
+            for k in range(n):
+                angle = 2 * np.pi * np.arange(n) / n
+                G = 2.0 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+                G[k, 1] += 1e-11
+                assert multi_krum(G, 0, n).kept_indices == naive_krum_kept(G, 0, n)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidKrumParams):
@@ -495,6 +541,19 @@ class TestApplyRule:
             apply_rule(AggregationRule("multi_krum"), G, block=wrong)
         for kind in ("dp", "topk"):
             rule = AggregationRule(kind, dp_sigma=0.0, inner="multi_krum")
+            plain = apply_rule(rule, G)
+            given = apply_rule(rule, G, block=wrong)
+            assert given.kept_indices == plain.kept_indices
+
+    def test_angles_reach_top_level_atm_only(self, rng):
+        G = rng.normal(size=(5, 4))
+        wrong = np.zeros((2, 2))
+        with pytest.raises(DimensionMismatch):
+            apply_rule(AggregationRule("atm"), G, block=wrong)
+        cached = apply_rule(AggregationRule("atm"), G, block=pairwise_angles(G, degenerate_far=True))
+        assert cached.kept_indices == apply_rule(AggregationRule("atm"), G).kept_indices
+        for kind in ("dp", "topk"):
+            rule = AggregationRule(kind, dp_sigma=0.0, inner="atm")
             plain = apply_rule(rule, G)
             given = apply_rule(rule, G, block=wrong)
             assert given.kept_indices == plain.kept_indices

@@ -675,7 +675,7 @@ class TestDefaults:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 8
 
 
 COLD_RUN = """

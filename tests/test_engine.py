@@ -7,7 +7,7 @@ import pytest
 
 from fedarena import cli, mlp
 from fedarena import engine as eng
-from fedarena.aggregation import AggregationRule, apply_rule, fang_filter, multi_krum
+from fedarena.aggregation import AggregationRule, apply_rule, atm, fang_filter, multi_krum
 from fedarena.attacks import AttackStrategy, passive_infer
 from fedarena.engine import (
     ExperimentConfig,
@@ -22,7 +22,7 @@ from fedarena.engine import (
 )
 from fedarena.engine import test_accuracy as model_test_accuracy
 from fedarena.errors import EmptyHistory, EmptySet, InvalidC, InvalidConfig
-from fedarena.vectors import pairwise_sq_distances
+from fedarena.vectors import pairwise_angles, pairwise_sq_distances
 
 FAST = dict(
     rounds=25,
@@ -376,7 +376,7 @@ class TestUpdateBuffer:
     def test_kept_distances_equal_recompute(self, rng, d):
         for _ in range(8):
             n = int(rng.integers(1, 13))
-            buf = eng.UpdateBuffer(n, d, distances=True)
+            buf = eng.UpdateBuffer(n, d, "multi_krum")
             held = {}
             # every buffer size 1..n, then re-arrivals of the same clients
             arrivals = list(rng.permutation(n)) + list(rng.integers(0, n, size=2 * n))
@@ -400,6 +400,37 @@ class TestUpdateBuffer:
                 assert cached.diagnostics == fresh.diagnostics
                 assert np.array_equal(cached.aggregate, fresh.aggregate)
 
+    @pytest.mark.parametrize("d", [1, 8, 13, 2179])
+    def test_kept_angles_equal_recompute(self, rng, d):
+        for _ in range(6):
+            n = int(rng.integers(2, 13))
+            buf = eng.UpdateBuffer(n, d, "atm")
+            held = {}
+            # every buffer size 1..n, then re-arrivals of the same clients
+            arrivals = list(rng.permutation(n)) + list(rng.integers(0, n, size=2 * n))
+            zero, huge = (int(s) for s in rng.choice(len(arrivals), size=2, replace=False))
+            for step, client in enumerate(int(c) for c in arrivals):
+                g = rng.normal(size=d)
+                if step == zero:  # no direction: at pi to every other row
+                    g = np.zeros(d)
+                elif step == huge:  # the norm overflows: at pi/2 to every other row
+                    g = 1e306 * np.sign(g)
+                elif held and step % 3 == 0:  # a copy of a held row: exact ties
+                    g = held[list(held)[int(rng.integers(0, len(held)))]].copy()
+                held[client] = g
+                order, G, block = buf.put(client, g)
+                assert order.tolist() == sorted(held)
+                assert np.array_equal(G, np.stack([held[k] for k in sorted(held)]))
+                m = order.size
+                if m < 2:
+                    continue
+                assert np.array_equal(block, pairwise_angles(G, degenerate_far=True))
+                b = int(rng.integers(0, (m - 1) // 2 + 1))
+                cached, fresh = atm(G, b, angles=block), atm(G, b)
+                assert cached.kept_indices == fresh.kept_indices
+                assert np.array_equal(cached.diagnostics["mean_angles"], fresh.diagnostics["mean_angles"])
+                assert np.array_equal(cached.aggregate, fresh.aggregate)
+
     @pytest.mark.parametrize("mode", ["err", "lfr"])
     @pytest.mark.parametrize("shapes", [((6, 8), (8, 3)), ((64, 32), (32, 3))], ids=["tiny", "desk"])
     def test_kept_products_equal_recompute(self, rng, mode, shapes):
@@ -407,7 +438,7 @@ class TestUpdateBuffer:
         X, y = rng.normal(size=(10, shapes[0][0])), rng.integers(0, 3, size=10)
         products = partial(mlp.input_products, X, layer_shapes=params.layer_shapes)
         n = 7
-        buf = eng.UpdateBuffer(n, params.dim, distances=False, products=products)
+        buf = eng.UpdateBuffer(n, params.dim, "fang", products)
         held = {}
         arrivals = list(rng.permutation(n)) + list(rng.integers(0, n, size=2 * n))
         for step, client in enumerate(int(c) for c in arrivals):
@@ -428,7 +459,7 @@ class TestUpdateBuffer:
             assert np.array_equal(cached.aggregate, recomputed.aggregate)
 
     def test_no_distances_unless_asked(self, rng):
-        buf = eng.UpdateBuffer(3, 4, distances=False)
+        buf = eng.UpdateBuffer(3, 4, "fedavg")
         order, G, block = buf.put(2, rng.normal(size=4))
         assert order.tolist() == [2] and G.shape == (1, 4) and block is None
 

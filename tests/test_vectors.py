@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedarena.errors import DegenerateGradient, DimensionMismatch
-from fedarena.vectors import angle_between, pairwise_angles, pairwise_sq_distances, scaled_add
+from fedarena.vectors import (
+    NORM_FLOOR,
+    angle_between,
+    angles_to,
+    pairwise_angles,
+    pairwise_sq_distances,
+    scaled_add,
+    unit_rows,
+)
 
 finite_vec = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=2, max_size=16
@@ -112,6 +120,39 @@ class TestPairwiseAngles:
         assert np.array_equal(A, A.T)
         assert np.allclose(np.diag(A), 0.0)
         assert np.all((A >= 0) & (A <= math.pi))
+
+    @given(st.integers(2, 9), st.sampled_from([1, 2, 7, 8, 13, 64, 257]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_symmetric_and_permutation_invariant(self, n, d, seed):
+        # each entry depends only on its two rows, so a kept block of
+        # `angles_to` rows equals a recompute bit for bit
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(n, d))
+        if n > 2:
+            G[n - 1] = G[0]  # a duplicated row
+        A = pairwise_angles(G, degenerate_far=True)
+        assert np.array_equal(A, A.T)
+        assert np.all(np.diag(A) == 0.0)
+        p = rng.permutation(n)
+        assert np.array_equal(pairwise_angles(G[p], degenerate_far=True), A[np.ix_(p, p)])
+        U, norms = unit_rows(G)
+        bad = norms <= NORM_FLOOR
+        for i in range(n):
+            row = angles_to(U, bad, U[i], bad[i])
+            row[i] = 0.0
+            assert np.array_equal(row, A[i])
+
+    def test_overflowing_norm_is_orthogonal_to_every_row(self, rng):
+        # a row whose norm overflows keeps no direction: an all-zero unit
+        # row, at pi/2 to every other row (and pi to a zero-norm one)
+        G = rng.normal(size=(5, 50))
+        G[2] = 1e306 * np.sign(G[2])
+        G[4] = 0.0
+        U, norms = unit_rows(G)
+        assert norms[2] == np.inf and not U[2].any()
+        A = pairwise_angles(G, degenerate_far=True)
+        assert np.all(A[2, [0, 1, 3]] == math.pi / 2)
+        assert A[2, 4] == math.pi and A[2, 2] == 0.0
 
 
 class TestPairwiseSqDistances:
