@@ -92,10 +92,9 @@ class AttackerContext:
     attack_labels: np.ndarray
     mask_features: np.ndarray
     mask_labels: np.ndarray
-    num_classes: int
     mask_fraction: float
     alpha_grid: tuple[float, ...]
-    flip_seed: int
+    flipped_labels: np.ndarray  # flip_labels of attack_labels, drawn once
 
 
 @dataclass(frozen=True)
@@ -162,9 +161,10 @@ class _Geometry:
 def _geometry(benign_grads) -> _Geometry:
     refs = usable_references(benign_grads)
     unit = refs / np.linalg.norm(refs, axis=1)[:, None]
-    # pairwise_angles' formula, so the budget is the same float
+    # pairwise_angles' formula, so the budget is the same float; angles are
+    # >= 0, so the zeroed lower triangle never wins the max
     theta = np.arccos(np.clip(unit @ unit.T, -1.0, 1.0))
-    return _Geometry(refs, unit, float(theta[np.triu_indices(len(refs), 1)].max()))
+    return _Geometry(refs, unit, float(np.triu(theta, 1).max()))
 
 
 def benign_angle_budget(benign_grads) -> float:
@@ -357,8 +357,7 @@ def craft_fedpoisonmia(
     against one reference geometry.
     """
     geo = _geometry(benign_grads)
-    flipped = flip_labels(ctx.attack_labels, ctx.num_classes, ctx.flip_seed)
-    g_attack = attack_gradient(params, ctx.attack_features, flipped)
+    g_attack = attack_gradient(params, ctx.attack_features, ctx.flipped_labels)
     selected, _trace = _greedy(
         geo, ctx.mask_features, ctx.mask_labels, ctx.mask_fraction, params, g_attack, 1.0
     )

@@ -28,11 +28,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 from pathlib import Path
 
 import numpy as np
 
+from . import data as datamod
 from .aggregation import KINDS as RULE_KINDS
 from .aggregation import AggregationRule
 from .attacks import AttackStrategy
@@ -348,8 +349,9 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
     """The swept keys, and one (values, out_dir) pair per point of the
     Cartesian product of `key=v1,v2,...` specs, the last spec varying
     fastest; each point writes into nested `key=value` directories.
-    Every point's world is built, as a check, before it is returned, and
-    two values of one key that parse to the same value are rejected."""
+    Every point's world is built, as a check, before it is returned (each
+    distinct CSV dataset is parsed once for these checks), and two values
+    of one key that parse to the same value are rejected."""
     keys, axes = [], []
     for spec in sweep_specs:
         if "=" not in spec:
@@ -367,6 +369,7 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
             if value in first:
                 raise ConfigError(key, f"{raw!r} repeats the value of {first[value]!r}")
             first[value] = raw
+    check = partial(build_world, load_csv=cache(datamod.load_csv))
     points = []
     for combo in itertools.product(*axes):
         v, out = dict(values), Path(out_dir)
@@ -374,7 +377,7 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
             v[key] = value
             out = out / f"{key}={raw}"
         try:
-            _data_checked(build_world, to_experiment_config(v))
+            _data_checked(check, to_experiment_config(v))
         except ConfigError as exc:
             where = out.relative_to(out_dir).as_posix()
             raise ConfigError(exc.key, f"{exc.message} (at {where})") from None

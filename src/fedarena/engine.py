@@ -7,17 +7,24 @@ crafts (the attacker needs those references in full-knowledge mode). All
 stochastic choices draw from tagged substreams of the experiment seed, so
 two runs of the same config are bit-identical.
 
-Dispatch: both loops draw a round's updates from `_client_updates`. A
-benign client, and any client under `none`/`passive`, sends its shard
-gradient; a benign one is also recorded as the attacker's reference for
-its id. A malicious client sends a crafted update, built against the
-references held (a sync round's benign gradients; in async the freshest
-benign gradient per client). Within a round a malicious client reuses the
-last craft while the model object is unchanged: the references cannot
-change between two malicious dispatches (their ids are the highest), and
-a craft depends only on the model, the round and the references, so the
-reuse changes no output. Sync therefore crafts once per round, async once
-per model version. Both loops step the model through `_step`.
+Dispatch: both loops draw a round's updates from `_client_updates`, one
+dispatch segment at a time: consecutive participants that share one
+model. A sync round is one segment. In async every delay is drawn first
+(each is a pure function of seed, round and client), and a segment ends
+after each zero-delay client, whose arrival steps the model. A benign
+client, and any client under `none`/`passive`, sends its shard gradient;
+the segment's gradients come from one `mlp.gradients` backprop per batch
+size, each row bitwise its client's `mlp.gradient`. A benign one is also
+recorded as the attacker's reference for its id. The malicious clients of
+a segment send one crafted update, built once against the references held
+after the segment's benign gradients (a sync round's benign gradients; in
+async the freshest benign gradient per client). Their ids are the
+highest, so this is the view each would see if dispatched alone, and a
+craft depends only on the model, the round and the references. Sync
+therefore crafts once per round, async once per segment. Rows held past
+a segment (the attacker's view, the async queue) are owned copies, so
+none pins the segment's gradient matrix. Both loops step the model
+through `_step`.
 
 Async semantics: each round dispatches the selected clients in id order;
 every update arrives after an integer delay uniform on {0..tau_max} and
@@ -296,17 +303,18 @@ class _World:
     attack_ctx: AttackerContext | None
 
 
-def build_world(cfg: ExperimentConfig) -> _World:
+def build_world(cfg: ExperimentConfig, load_csv=None) -> _World:
     """Materialise the config's world. After `validate_config`, this is the
     one judge of the values checked against the data: the CSV file
     (`csv_path`: unreadable, malformed or empty), the split (an empty
     validation split under fang), the partition (`n_clients`), the
     attacker's samples (`n_attack`, `n_mask`) and the model dimension
-    (`top_k`). Each rejected value raises InvalidConfig naming its field."""
+    (`top_k`). Each rejected value raises InvalidConfig naming its field.
+    `load_csv(path)` parses the CSV dataset (default `data.load_csv`)."""
     validate_config(cfg)
     if cfg.dataset == "csv":
         try:
-            base = datamod.load_csv(cfg.csv_path)
+            base = (load_csv or datamod.load_csv)(cfg.csv_path)
         except (OSError, UnicodeDecodeError, ParseError, EmptyFile) as exc:
             raise _rejected(cfg, "csv_path", f"a readable label,f1,...,fp file: {exc}") from None
     else:
@@ -350,10 +358,11 @@ def build_world(cfg: ExperimentConfig) -> _World:
             attack_labels=attacker.attack_labels,
             mask_features=attacker.mask_features,
             mask_labels=attacker.mask_labels,
-            num_classes=train.num_classes,
             mask_fraction=cfg.attack.mask_fraction,
             alpha_grid=cfg.attack.alpha_grid,
-            flip_seed=derive_seed(cfg.seed, "flip"),
+            flipped_labels=flip_labels(
+                attacker.attack_labels, train.num_classes, derive_seed(cfg.seed, "flip")
+            ),
         )
     return _World(
         cfg=cfg,
@@ -370,17 +379,29 @@ def build_world(cfg: ExperimentConfig) -> _World:
     )
 
 
-def _client_batch(world: _World, round_idx: int, client: int):
+def _batch_indices(world: _World, round_idx: int, client: int) -> np.ndarray:
     shard = world.shards[client]
     size = min(world.cfg.batch_size, shard.size)
     rng = substream(world.cfg.seed, "batch", round_idx, client)
-    idx = np.sort(rng.choice(shard, size=size, replace=False))
-    return world.train.features[idx], world.train.labels[idx]
+    return np.sort(rng.choice(shard, size=size, replace=False))
 
 
-def _shard_gradient(world: _World, params, round_idx: int, client: int) -> np.ndarray:
-    X, y = _client_batch(world, round_idx, client)
-    return mlp.gradient(params, X, y)
+def _shard_gradients(world: _World, params, round_idx: int, clients) -> list[np.ndarray]:
+    """Each client's round-`round_idx` batch gradient under `params`, in
+    order: one `mlp.gradients` call per batch size (a shard smaller than
+    batch_size draws a smaller batch). Every row is an owned copy, so a row
+    held past the round pins no other client's."""
+    batches = [_batch_indices(world, round_idx, k) for k in clients]
+    by_size: dict[int, list[int]] = {}
+    for i, idx in enumerate(batches):
+        by_size.setdefault(idx.size, []).append(i)
+    grads = [None] * len(batches)
+    for members in by_size.values():
+        idx = np.stack([batches[i] for i in members])
+        G = mlp.gradients(params, world.train.features[idx], world.train.labels[idx])
+        for i, g in zip(members, G):
+            grads[i] = g.copy()
+    return grads
 
 
 def attacker_references(knowledge: str, benign_grads, proxy_grads):
@@ -409,14 +430,14 @@ def _craft_update(
         )
     proxies = []
     if cfg.attack.knowledge == "partial":
-        proxies = [_shard_gradient(world, params, round_idx, k) for k in world.malicious_ids]
+        proxies = _shard_gradients(world, params, round_idx, world.malicious_ids)
     refs = attacker_references(cfg.attack.knowledge, benign_grads, proxies)
     if kind == "fedpoisonmia":
         result = craft_fedpoisonmia(world.attack_ctx, params, refs)
         if craft_observer is not None:
             craft_observer(round_idx, result, [np.array(r) for r in refs])
         return result.g_malicious
-    flipped = flip_labels(att.attack_labels, world.train.num_classes, world.attack_ctx.flip_seed)
+    flipped = world.attack_ctx.flipped_labels
     if kind == "agrevader":
         return craft_agrevader(
             params,
@@ -432,26 +453,20 @@ def _craft_update(
     raise InvalidConfig(f"unknown attack kind {kind!r}")
 
 
-def _client_updates(world: _World, t: int, participants, view, model, craft_observer=None):
-    """Yield (client, update) per participant in id order (see the module
-    docstring). `view` maps client id -> benign reference and gains this
-    round's benign gradients; `model()` returns the current model, which an
-    async arrival may step between two dispatches."""
+def _client_updates(world: _World, t: int, segment, view, params, craft_observer=None):
+    """(client, update) per client of a dispatch segment, in id order: the
+    clients dispatched against the one model `params` (see the module
+    docstring). `view` maps client id -> benign reference and gains the
+    segment's benign gradients before the segment's one craft."""
     crafts = world.cfg.attack.kind not in ("none", "passive")
-    crafted_for = crafted = None
-    for k in (int(k) for k in participants):
-        params = model()
-        if k in world.malicious_ids and crafts:
-            if crafted_for is not params:
-                refs = [view[i] for i in sorted(view)]
-                crafted = _craft_update(world, params, t, refs, craft_observer)
-                crafted_for = params
-            yield k, crafted
-        else:
-            g = _shard_gradient(world, params, t, k)
-            if k not in world.malicious_ids:
-                view[k] = g
-            yield k, g
+    sends_gradient = [k for k in segment if not (crafts and k in world.malicious_ids)]
+    grads = dict(zip(sends_gradient, _shard_gradients(world, params, t, sends_gradient)))
+    view.update((k, g) for k, g in grads.items() if k not in world.malicious_ids)
+    if len(grads) < len(segment):
+        refs = [view[i] for i in sorted(view)]
+        crafted = _craft_update(world, params, t, refs, craft_observer)
+        return [(k, grads.get(k, crafted)) for k in segment]
+    return [(k, grads[k]) for k in segment]
 
 
 def _step(world: _World, rule, params, order, G, seed_tag, block=None):
@@ -503,10 +518,11 @@ def run_sync(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
         participants = select_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
-        # a fresh view: the attacker references this round's benign gradients
-        updates = dict(_client_updates(world, t, participants, {}, lambda: params, craft_observer))
-        order = list(updates)
-        G = np.stack([updates[k] for k in order])
+        # one segment; a fresh view: the attacker references this round's
+        # benign gradients
+        updates = _client_updates(world, t, participants.tolist(), {}, params, craft_observer)
+        order = [k for k, _ in updates]
+        G = np.stack([g for _, g in updates])
         params, outcome = _step(world, cfg.rule, params, order, G, t)
         records.append(_record(world, params, t, participants, {"kept": outcome.kept_indices}))
     return _finish(world, records)
@@ -609,15 +625,20 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
         for t_disp, client, g in sorted(pending.pop(t, []), key=lambda e: (e[0], e[1])):
             last_outcome = apply_arrival(t, t_disp, client, g, staleness_log)
         participants = select_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
-        updates = _client_updates(
-            world, t, participants, attacker_view, lambda: params, craft_observer
-        )
-        for k, g in updates:
-            delay = _draw_delay(substream(cfg.seed, "delay", t, k), cfg.tau_max)
-            if delay == 0:
-                last_outcome = apply_arrival(t, t, k, g, staleness_log)
-            else:
-                pending.setdefault(t + delay, []).append((t, k, g))
+        clients = participants.tolist()
+        delays = [_draw_delay(substream(cfg.seed, "delay", t, k), cfg.tau_max) for k in clients]
+        # a segment ends after each zero-delay client, whose arrival steps the model
+        ends = [i + 1 for i, delay in enumerate(delays) if delay == 0]
+        if not ends or ends[-1] < len(clients):
+            ends.append(len(clients))
+        for start, end in zip([0] + ends, ends):
+            segment = clients[start:end]
+            updates = _client_updates(world, t, segment, attacker_view, params, craft_observer)
+            for (k, g), delay in zip(updates, delays[start:end]):
+                if delay == 0:
+                    last_outcome = apply_arrival(t, t, k, g, staleness_log)
+                else:
+                    pending.setdefault(t + delay, []).append((t, k, g))
         kept = last_outcome.kept_indices if last_outcome else ()
         diagnostics = {"kept": kept, "staleness": tuple(staleness_log)}
         records.append(_record(world, params, t, participants, diagnostics))
@@ -626,8 +647,9 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
 
 def run(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     """Run the config sync or async. `craft_observer(round, CraftResult,
-    references)` fires once per fedpoisonmia craft, not once per malicious
-    client: a reused craft (see the module docstring) does not fire it."""
+    references)` fires once per fedpoisonmia craft, which is once per
+    dispatch segment with a malicious client (see the module docstring),
+    not once per malicious client."""
     if cfg.asynchronous:
         return run_async(cfg, craft_observer)
     return run_sync(cfg, craft_observer)

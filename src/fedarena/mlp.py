@@ -7,6 +7,7 @@ and the loss is mean softmax cross-entropy.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,12 @@ class ModelParams:
     @property
     def num_classes(self) -> int:
         return self.layer_shapes[-1][1]
+
+    @cached_property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """unflatten(self), split once per model: (weights, bias) views
+        into `flat`, which every forward and backprop pass reads."""
+        return tuple(unflatten(self))
 
 
 def init_params(layer_shapes, seed: int) -> ModelParams:
@@ -87,7 +94,7 @@ def forward(params: ModelParams, x) -> np.ndarray:
             f"input shape {np.asarray(x).shape} incompatible with input_dim {params.input_dim}"
         )
     a = X
-    layers = unflatten(params)
+    layers = params.layers
     for W, b in layers[:-1]:
         a = np.maximum(a @ W + b, 0.0)
     W, b = layers[-1]
@@ -120,7 +127,8 @@ def loss(params: ModelParams, X, y) -> float:
 
 
 def _output_delta(layers, X, y):
-    """Activations entering each layer, and d(per-example loss)/d(logits)."""
+    """Activations entering each layer, and d(per-example loss)/d(logits),
+    for one batch X (B, d_in) or a stack of batches (K, B, d_in)."""
     acts = [X]
     a = X
     for W, b in layers[:-1]:
@@ -129,10 +137,11 @@ def _output_delta(layers, X, y):
     W, b = layers[-1]
     logits = acts[-1] @ W + b
 
-    zmax = logits.max(axis=1, keepdims=True)
+    zmax = logits.max(axis=-1, keepdims=True)
     ez = np.exp(logits - zmax)
-    delta = ez / ez.sum(axis=1, keepdims=True)
-    delta[np.arange(len(y)), y] -= 1.0
+    delta = ez / ez.sum(axis=-1, keepdims=True)
+    rows = delta.reshape(-1, delta.shape[-1])  # a view: delta is fresh
+    rows[np.arange(rows.shape[0]), y.reshape(-1)] -= 1.0
     return acts, delta
 
 
@@ -145,15 +154,44 @@ def _layer_deltas(layers, acts, delta):
             delta[acts[li] <= 0.0] = 0.0
 
 
-def gradient(params: ModelParams, X, y) -> np.ndarray:
-    """Backprop gradient of loss() w.r.t. the flat parameter vector."""
-    X, y = _check_batch(params, X, y)
-    layers = unflatten(params)
+def _backprop(params: ModelParams, X, y) -> np.ndarray:
+    """Gradient of the mean loss per batch, for one checked batch X (B, d_in)
+    (a (dim,) vector) or a stack of them (K, B, d_in) (a (K, dim) matrix).
+    Every stacked op acts on each batch as it would on that batch alone."""
+    layers = params.layers
     acts, delta = _output_delta(layers, X, y)
-    delta /= len(y)
-    grads = [(a_in.T @ d, d.sum(axis=0)) for a_in, d in _layer_deltas(layers, acts, delta)]
-    grads.reverse()
-    return flatten_layers(grads)
+    delta /= y.shape[-1]
+    lead = X.shape[:-2]
+    pieces = []
+    for a_in, d in _layer_deltas(layers, acts, delta):
+        pieces.append(d.sum(axis=-2))
+        pieces.append((a_in.swapaxes(-1, -2) @ d).reshape(lead + (-1,)))
+    pieces.reverse()
+    return np.concatenate(pieces, axis=-1)
+
+
+def gradient(params: ModelParams, X, y) -> np.ndarray:
+    """Backprop gradient of loss() w.r.t. the flat parameter vector: the
+    `gradients` kernel on one batch."""
+    X, y = _check_batch(params, X, y)
+    return _backprop(params, X, y)
+
+
+def gradients(params: ModelParams, Xs, ys) -> np.ndarray:
+    """(K, dim) matrix whose row k is gradient(params, Xs[k], ys[k]), bit for
+    bit, for K equal-size batches Xs (K, B, d_in) and labels ys (K, B), in
+    one backprop."""
+    Xs = np.asarray(Xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.int64)
+    if Xs.ndim != 3 or Xs.shape[2] != params.input_dim or ys.shape != Xs.shape[:2]:
+        raise DimensionMismatch(
+            f"stacked batch shapes {Xs.shape}/{ys.shape} incompatible with model"
+        )
+    if Xs.shape[1] == 0:
+        raise EmptyBatch("batches are empty")
+    if Xs.shape[0] == 1:  # the unstacked kernel skips the stacked matmul's overhead
+        return _backprop(params, Xs[0], ys[0])[None]
+    return _backprop(params, Xs, ys)
 
 
 def per_example_products(params: ModelParams, X, y, V) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +209,7 @@ def per_example_products(params: ModelParams, X, y, V) -> tuple[np.ndarray, np.n
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2 or V.shape[1] != params.dim:
         raise DimensionMismatch(f"V shape {V.shape} incompatible with dim {params.dim}")
-    layers = unflatten(params)
+    layers = params.layers
     acts, delta = _output_delta(layers, X, y)
     starts = np.cumsum([0] + [fi * fo + fo for fi, fo in params.layer_shapes])
     PV = np.zeros((len(y), V.shape[0]))

@@ -235,6 +235,24 @@ def _check_gradient():
         assert rel <= 1e-4, f"finite differences disagree (rel={rel:.2e})"
 
 
+def _check_gradients():
+    """Desk-shaped stacked backprop: a round's 7 or 8 client batches of 6,
+    and a batch count of 1; each row is bitwise its batch's gradient."""
+    rng = np.random.default_rng(11)
+    for trial in range(12):
+        params = mlp.init_params(((64, 32), (32, 3)), seed=trial)
+        params = mlp.ModelParams(
+            flat=params.flat + (0.1, 3.0)[trial % 2] * rng.normal(size=params.dim),
+            layer_shapes=params.layer_shapes,
+        )
+        K = (7, 8, 1)[trial % 3]
+        Xs = rng.normal(size=(K, 6, 64))
+        ys = rng.integers(0, 3, size=(K, 6))
+        G = mlp.gradients(params, Xs, ys)
+        for k in range(K):
+            assert np.array_equal(G[k], mlp.gradient(params, Xs[k], ys[k])), "stacked row drift"
+
+
 # (layer shapes, parameter noise, mask pool, mask fraction, references,
 # trials): a small net, then the desk task the benchmark crafts on
 CRAFTING_SHAPES = (
@@ -304,6 +322,7 @@ SUITES = (
     ("multi-krum", _check_krum),
     ("fang", _check_fang),
     ("gradient-fd", _check_gradient),
+    ("gradients", _check_gradients),
     ("crafting", _check_crafting),
     ("order-stats", _check_lemma),
     ("deviation-bound", _check_bound),

@@ -462,10 +462,9 @@ class TestCraftFedPoisonMia:
             attack_labels=att_y,
             mask_features=mask_X,
             mask_labels=mask_y,
-            num_classes=3,
             mask_fraction=0.5,
             alpha_grid=tuple(np.geomspace(0.01, 100, 25)),
-            flip_seed=17,
+            flipped_labels=flip_labels(att_y, 3, seed=17),
         )
 
     def test_feasible_certificate(self, rng):
@@ -486,8 +485,7 @@ class TestCraftFedPoisonMia:
         ctx = self._ctx(rng, params)
         refs = gradient_like_refs(rng, params, 4)
         result = craft_fedpoisonmia(ctx, params, refs)
-        flipped = flip_labels(ctx.attack_labels, 3, ctx.flip_seed)
-        g_attack = attack_gradient(params, ctx.attack_features, flipped)
+        g_attack = attack_gradient(params, ctx.attack_features, ctx.flipped_labels)
         idx = list(result.selected_mask_indices)
         g_mask = mlp.gradient(params, ctx.mask_features[idx], ctx.mask_labels[idx])
         alpha, feasible = optimize_alpha(g_attack, g_mask, refs, ctx.alpha_grid)

@@ -570,6 +570,24 @@ class TestSweepCommand:
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_csv_parsed_once_for_the_checks(self, tmp_path, monkeypatch):
+        from fedarena import data
+
+        csv = tmp_path / "data.csv"
+        data.save_csv(data.synth_dataset(3, 8, 40, 0.4, seed=0), csv)
+        parsed = []
+        load_csv = data.load_csv
+        monkeypatch.setattr(data, "load_csv", lambda path: parsed.append(path) or load_csv(path))
+        monkeypatch.setenv("FEDARENA_THREADS", "0")
+        values = cli.parse_config_text(
+            SMOKE.replace("rounds = 10", "rounds = 2") + f"dataset = csv\ncsv_path = {csv}\n"
+        )
+        _, points = cli.sweep_points(values, ["seed=0,1,2"], tmp_path / "checked")
+        assert len(points) == 3 and parsed == [str(csv)]
+        parsed.clear()
+        assert cli.run_sweep(values, ["seed=0,1,2"], tmp_path / "sweep") == 0
+        assert parsed == [str(csv)] * 4  # the checks, then one parse per run
+
     def test_thread_count_does_not_change_metrics(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"
         cfg.write_text(SMOKE)
@@ -675,7 +693,7 @@ class TestDefaults:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 8
+        assert out.count("PASS") == 9
 
 
 COLD_RUN = """

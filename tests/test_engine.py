@@ -55,6 +55,13 @@ def records_equal(a, b):
     )
 
 
+def client_gradient(world, params, t, k):
+    """Per-client reference: client k's round-t batch gradient, by one
+    mlp.gradient call on its own batch."""
+    idx = eng._batch_indices(world, t, k)
+    return mlp.gradient(params, world.train.features[idx], world.train.labels[idx])
+
+
 class TestSelectClients:
     def test_full_participation(self):
         assert list(select_clients(7, 1.0, 0, seed=0)) == list(range(7))
@@ -165,9 +172,7 @@ class TestRunSync:
         params = world.params0
         losses = [mlp.loss(params, world.train.features, world.train.labels)]
         for t in range(cfg.rounds):
-            grads = [
-                eng._shard_gradient(world, params, t, k) for k in range(2)
-            ]
+            grads = [client_gradient(world, params, t, k) for k in range(2)]
             out = apply_rule(cfg.rule, np.stack(grads), world.shard_sizes)
             params = mlp.apply_update(params, out.aggregate, cfg.lr)
             losses.append(mlp.loss(params, world.train.features, world.train.labels))
@@ -277,7 +282,7 @@ class TestRunAsync:
         for t in range(cfg.rounds):
             participants = select_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
             for k in participants:
-                buffer[int(k)] = eng._shard_gradient(world, params, t, int(k))
+                buffer[int(k)] = client_gradient(world, params, t, int(k))
                 order = sorted(buffer)
                 out = apply_rule(
                     eng._clamp_rule(cfg.rule, len(order)),
@@ -369,6 +374,109 @@ class TestCraftCount:
         crafts, dispatched, attacked = self.crafts_and_attacked_rounds(cfg)
         assert sorted(set(crafts)) == attacked
         assert len(crafts) < len(dispatched)
+
+
+def per_client_gradients(params, Xs, ys):
+    """mlp.gradients as one mlp.gradient call per batch: the per-client
+    dispatch the stacked kernel replaces."""
+    return np.stack([mlp.gradient(params, X, y) for X, y in zip(Xs, ys)])
+
+
+class TestSegmentDispatch:
+    """A segment's stacked backprop against the per-client reference: the
+    same updates, crafts and records, bit for bit."""
+
+    ATTACKED = dict(
+        rounds=8,
+        malicious_fraction=0.3,
+        rule=AggregationRule("atm", trim_b=1),
+        attack=AttackStrategy("fedpoisonmia", mask_fraction=0.3),
+        seed=3,
+    )
+
+    def observed_run(self, cfg, monkeypatch, reference):
+        """Records, crafts (round, update, references) and the kernel's
+        (batch count, batch size) per call, of one run."""
+        kernel = per_client_gradients if reference else mlp.gradients
+        calls = []
+
+        def spy(params, Xs, ys):
+            calls.append(Xs.shape[:2])
+            return kernel(params, Xs, ys)
+
+        crafts = []
+        with monkeypatch.context() as m:
+            m.setattr(mlp, "gradients", spy)
+            res = eng.run(cfg, lambda t, r, refs: crafts.append((t, r.g_malicious, refs)))
+        return res, crafts, calls
+
+    def assert_same_run(self, cfg, monkeypatch):
+        res, crafts, calls = self.observed_run(cfg, monkeypatch, reference=False)
+        ref, ref_crafts, _ = self.observed_run(cfg, monkeypatch, reference=True)
+        assert records_equal(res.records, ref.records)
+        assert [r.diagnostics for r in res.records] == [r.diagnostics for r in ref.records]
+        assert len(crafts) == len(ref_crafts)
+        for (t, g, refs), (t_ref, g_ref, refs_ref) in zip(crafts, ref_crafts):
+            assert t == t_ref and np.array_equal(g, g_ref)
+            assert all(np.array_equal(a, b) for a, b in zip(refs, refs_ref))
+        return calls
+
+    def test_sync_round_updates_match_per_client(self, monkeypatch):
+        cfg = fast_cfg(**self.ATTACKED)
+        world = build_world(cfg)
+        participants = select_clients(cfg.n_clients, cfg.participation, 0, cfg.seed).tolist()
+        view = {}
+        updates = eng._client_updates(world, 0, participants, view, world.params0)
+        assert [k for k, _ in updates] == participants
+        for k, g in updates:
+            if k not in world.malicious_ids:
+                assert np.array_equal(g, client_gradient(world, world.params0, 0, k))
+                assert view[k] is g
+        calls = self.assert_same_run(cfg, monkeypatch)
+        assert calls and all(K > 1 for K, _ in calls)  # one stacked call per round
+
+    def test_async_segments_match_per_client(self, monkeypatch):
+        cfg = fast_cfg(asynchronous=True, tau_max=3, **self.ATTACKED)
+        calls = self.assert_same_run(cfg, monkeypatch)
+        sizes = [K for K, _ in calls]
+        assert max(sizes) > 1 and min(sizes) == 1  # long segments and one-client ones
+        assert len(calls) > cfg.rounds  # some round splits into several segments
+
+    @pytest.mark.parametrize("knowledge", ["passive", "partial"])
+    @pytest.mark.parametrize("asynchronous", [False, True])
+    def test_shard_smaller_than_batch(self, monkeypatch, asynchronous, knowledge):
+        # 108 training examples over 10 shards: clients 8 and 9 hold 10, the
+        # rest 11; a passive client 8 or 9, or a partial-knowledge proxy,
+        # draws a batch of 10 next to the others' 11
+        attack = (
+            AttackStrategy("passive")
+            if knowledge == "passive"
+            else AttackStrategy("fedpoisonmia", mask_fraction=0.3, knowledge="partial")
+        )
+        cfg = fast_cfg(
+            batch_size=11, asynchronous=asynchronous, **dict(self.ATTACKED, attack=attack)
+        )
+        assert [s.size for s in build_world(cfg).shards] == [11] * 8 + [10] * 2
+        calls = self.assert_same_run(cfg, monkeypatch)
+        assert {B for _, B in calls} == {10, 11}
+
+    def test_held_rows_own_their_memory(self, monkeypatch):
+        # the attacker's view and the async queue outlive a segment: a row
+        # that is a view into the segment's (K, d) matrix would pin all of it
+        held = []
+
+        def recording(world, t, segment, view, params, craft_observer=None):
+            updates = client_updates(world, t, segment, view, params, craft_observer)
+            held.extend(g for _, g in updates)
+            held.extend(view.values())
+            return updates
+
+        client_updates = eng._client_updates
+        monkeypatch.setattr(eng, "_client_updates", recording)
+        eng.run(fast_cfg(asynchronous=True, tau_max=3, **self.ATTACKED))
+        assert held
+        for g in held:
+            assert g.base is None or g.base.size == g.size
 
 
 class TestUpdateBuffer:
@@ -494,18 +602,48 @@ ASYNC_KRUM_DIGESTS = {
 }
 
 
+# the same config at tau_max = 0, recorded while every client dispatched
+# on its own; now every dispatch segment holds one client
+ASYNC_ZERO_DELAY_DIGESTS = {
+    "rule = atm": "2bacb4038f62c692ad68e62d6d8e0360fc742d1eb029b53ceb5b148966ced831",
+    "rule = multi_krum": "7cbf17f82afee91797ee36302abf73c64ae3e79632c036f9b3147e5f95c05bdc",
+    "rule = fang\nfang_mode = lfr":
+        "9a89bfaba58bfa7b5afa9e53efccf1cbd7e93139bda882b925c4aa0a22ba9591",
+}
+
+
+def run_digest(tmp_path, text):
+    """sha256 of the rounds.csv and summary.json a `run` of `text` writes."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for name in ("rounds.csv", "summary.json"):
+        h.update((out / name).read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
 class TestAsyncKrumGolden:
     @pytest.mark.parametrize("rule_lines", list(ASYNC_KRUM_DIGESTS))
     def test_outputs_match_recorded_digest(self, tmp_path, rule_lines):
-        cfg = tmp_path / "cfg"
-        cfg.write_text(ASYNC_KRUM + rule_lines + "\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        h = hashlib.sha256()
-        for name in ("rounds.csv", "summary.json"):
-            h.update((out / name).read_bytes())
-            h.update(b"\0")
-        assert h.hexdigest() == ASYNC_KRUM_DIGESTS[rule_lines]
+        digest = run_digest(tmp_path, ASYNC_KRUM + rule_lines + "\n")
+        assert digest == ASYNC_KRUM_DIGESTS[rule_lines]
+
+    @pytest.mark.parametrize("rule_lines", list(ASYNC_ZERO_DELAY_DIGESTS))
+    def test_zero_delay_matches_recorded_digest(self, tmp_path, monkeypatch, rule_lines):
+        segments = []
+
+        def recording(world, t, segment, *args):
+            segments.append(len(segment))
+            return client_updates(world, t, segment, *args)
+
+        client_updates = eng._client_updates
+        monkeypatch.setattr(eng, "_client_updates", recording)
+        text = ASYNC_KRUM.replace("tau_max = 3", "tau_max = 0") + rule_lines + "\n"
+        assert run_digest(tmp_path, text) == ASYNC_ZERO_DELAY_DIGESTS[rule_lines]
+        assert segments and set(segments) == {1}
 
 
 class TestRuleAndDataModes:

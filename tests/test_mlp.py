@@ -212,6 +212,65 @@ class TestPerExampleGradients:
             mlp.per_example_products(p, X, y, np.ones((2, p.dim - 1)))
 
 
+class TestStackedGradients:
+    """gradients() on K equal-size batches: row k is, bit for bit,
+    gradient() on batch k alone."""
+
+    SHAPES = TestPerExampleGradients.SHAPES
+
+    def _assert_rows_exact(self, params, Xs, ys):
+        G = mlp.gradients(params, Xs, ys)
+        assert G.shape == (len(Xs), params.dim)
+        for k in range(len(Xs)):
+            assert np.array_equal(G[k], mlp.gradient(params, Xs[k], ys[k])), k
+
+    @pytest.mark.parametrize("case", ["plain", "dead_relu", "saturated", "integer"])
+    def test_rows_equal_single_batch_gradient(self, rng, case):
+        for trial in range(30):
+            shapes = self.SHAPES[trial % len(self.SHAPES)]
+            scale = 20.0 if case == "saturated" else 0.3  # logits far apart
+            params = perturbed(mlp.init_params(shapes, seed=trial), scale, rng)
+            K, B = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            Xs = rng.normal(size=(K, B, shapes[0][0]))
+            if case == "dead_relu":
+                Xs[:, : B // 2 + 1] *= 0.0  # zero inputs: the first layer's sign is its bias
+                W, b = mlp.unflatten(params)[0]
+                b[: b.size // 2] = -1.0  # half the units are dead on those rows
+            if case == "integer":
+                Xs = np.round(3 * Xs)
+            ys = rng.integers(0, shapes[-1][1], size=(K, B))
+            self._assert_rows_exact(params, Xs, ys)
+
+    def test_single_batch(self, rng):
+        for shapes in self.SHAPES:
+            params = perturbed(mlp.init_params(shapes, seed=1), 0.3, rng)
+            for B in (1, 6):
+                Xs = rng.normal(size=(1, B, shapes[0][0]))
+                self._assert_rows_exact(params, Xs, rng.integers(0, shapes[-1][1], size=(1, B)))
+
+    def test_one_example_batches_are_the_per_example_rows(self, rng):
+        for shapes in self.SHAPES:
+            params = perturbed(mlp.init_params(shapes, seed=2), 0.3, rng)
+            X = rng.normal(size=(9, shapes[0][0]))
+            y = rng.integers(0, shapes[-1][1], size=9)
+            V = rng.normal(size=(5, params.dim))
+            P = mlp.gradients(params, X[:, None], y[:, None])
+            PV, PP = mlp.per_example_products(params, X, y, V)
+            assert_rel_close(PV, P @ V.T)
+            assert_rel_close(PP, P @ P.T)
+
+    def test_rejects_bad_shapes(self):
+        p = tiny_net()
+        with pytest.raises(DimensionMismatch):
+            mlp.gradients(p, np.ones((4, 6)), np.zeros(4, dtype=int))  # one unstacked batch
+        with pytest.raises(DimensionMismatch):
+            mlp.gradients(p, np.ones((2, 3, 5)), np.zeros((2, 3), dtype=int))
+        with pytest.raises(DimensionMismatch):
+            mlp.gradients(p, np.ones((2, 3, 6)), np.zeros((2, 4), dtype=int))
+        with pytest.raises(EmptyBatch):
+            mlp.gradients(p, np.ones((2, 0, 6)), np.zeros((2, 0), dtype=int))
+
+
 class TestApplyUpdate:
     def test_zero_lr_unchanged(self, rng):
         p = tiny_net()
