@@ -91,12 +91,14 @@ def fedavg(G, weights=None) -> AggregationOutcome:
 
 def coordinate_median(G) -> AggregationOutcome:
     """Element-wise median of the checked gradients; even counts average
-    the two central values."""
-    if G.shape[0] == 0:
+    the two central values, (a + b) / 2, the float np.median makes. One
+    sort of the columns replaces np.median's partition."""
+    n = G.shape[0]
+    if n == 0:
         raise EmptyInput("no gradients to aggregate")
-    return AggregationOutcome(
-        aggregate=np.median(G, axis=0), kept_indices=tuple(range(G.shape[0]))
-    )
+    S = np.sort(G, axis=0)
+    mid = S[n // 2] if n % 2 else (S[n // 2 - 1] + S[n // 2]) / 2
+    return AggregationOutcome(aggregate=mid, kept_indices=tuple(range(n)))
 
 
 def trimmed_mean(G, trim_b: int) -> AggregationOutcome:

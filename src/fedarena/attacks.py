@@ -13,21 +13,25 @@ skipped.
 The search is scored in dot-product space. Each craft builds one
 reference geometry: the usable references, their unit rows U and the
 benign budget. The gradient of a mean loss is the mean of the per-example
-gradients P, and a greedy candidate's blend is
-alpha * g_attack + (sum of selected rows + candidate row) / m, so its dots
-with U and its squared norm follow from P @ [U; alpha * g_attack].T and
-P @ P.T, which one backprop per craft yields without forming P
-(mlp.per_example_products), plus running sums over the selected rows. An
-alpha-grid blend's dots and squared norm follow likewise from U @ g_attack,
-U @ g_mask and the three dot products of the two gradients. No array of
-the model's width is formed per candidate. A row whose expansion is
-non-finite, cancels (its triangle-inequality bound squared exceeds
-CANCEL_RATIO times its squared norm) or lies near NORM_FLOOR is scored
-per pair instead, which also raises DegenerateGradient on a degenerate
-blend. Objectives within TIE_TOL of the budget or of a rival are
-recomputed with mlp.gradient and angle_between, so every decision (mask
-indices, step feasibility, chosen alpha) is the one the per-pair
-computation makes.
+gradients P, so a greedy candidate's blend at step m is
+alpha * g_attack + (sum of selected rows + candidate row) / m. Its angles
+are those of m times it, m * alpha * g_attack + (selected sum + candidate
+row), whose dots with U and squared norm follow from
+P @ [U; alpha * g_attack].T and P @ P.T, which one backprop per craft
+yields without forming P (mlp.per_example_products), plus running sums
+over the selected rows; no step divides by m or gathers the remaining
+rows. An alpha-grid blend's dots and squared norm follow likewise from
+U @ g_attack, U @ g_mask and the three dot products of the two gradients.
+No array of the model's width is formed per candidate. A row whose
+expansion is non-finite, cancels (its triangle-inequality bound squared
+exceeds CANCEL_RATIO times its squared norm) or lies near NORM_FLOOR is
+scored per pair instead, which also raises DegenerateGradient on a
+degenerate blend. Objectives within TIE_TOL of the budget or of a rival
+are recomputed with mlp.gradient and angle_between, so every decision
+(mask indices, step feasibility, chosen alpha) is the one the per-pair
+computation makes. The crafted update's final objective is screened in
+cosine space and computed per pair only for the references within
+TIE_TOL of its lowest cosine, which hold the largest per-pair angle.
 """
 
 import math
@@ -140,13 +144,19 @@ def usable_references(benign_grads) -> np.ndarray:
     When every row is usable the checked stack itself comes back, uncopied;
     callers only read it.
     """
+    return _usable(benign_grads)[0]
+
+
+def _usable(benign_grads) -> tuple[np.ndarray, np.ndarray]:
+    """usable_references and the L2 norms of its rows."""
     G = _as_matrix(benign_grads)
-    usable = np.linalg.norm(G, axis=1) > NORM_FLOOR
+    norms = np.linalg.norm(G, axis=1)
+    usable = norms > NORM_FLOOR
     if not usable.all():
-        G = G[usable]
+        G, norms = G[usable], norms[usable]
     if G.shape[0] < 2:
         raise TooFewReferences(f"need at least 2 usable references, got {G.shape[0]}")
-    return G
+    return G, norms
 
 
 @dataclass(frozen=True)
@@ -159,10 +169,10 @@ class _Geometry:
 
 
 def _geometry(benign_grads) -> _Geometry:
-    refs = usable_references(benign_grads)
-    unit = refs / np.linalg.norm(refs, axis=1)[:, None]
-    # pairwise_angles' formula, so the budget is the same float; angles are
-    # >= 0, so the zeroed lower triangle never wins the max
+    refs, norms = _usable(benign_grads)
+    unit = refs / norms[:, None]
+    # the budget is the largest arccos(clip(unit @ unit.T)) above the
+    # diagonal; angles are >= 0, so the zeroed lower triangle never wins
     theta = np.arccos(np.clip(unit @ unit.T, -1.0, 1.0))
     return _Geometry(refs, unit, float(np.triu(theta, 1).max()))
 
@@ -176,29 +186,50 @@ def _max_angle_to_refs(g, refs) -> float:
     return max(angle_between(g, r) for r in refs)
 
 
+def _objective(geo: _Geometry, g: np.ndarray) -> float:
+    """Largest angle from the finite vector g to a usable reference, bitwise
+    max(angle_between(g, r) for r in geo.refs).
+
+    The cosines U @ g / |g| err by far less than TIE_TOL, so the reference
+    with the largest per-pair angle lies within TIE_TOL of the lowest
+    cosine, and only those references are scored per pair. A g whose norm
+    overflows or lies near NORM_FLOOR is scored against every reference,
+    which raises DegenerateGradient on a degenerate g.
+    """
+    norm = math.sqrt(g @ g)
+    if not 2 * NORM_FLOOR < norm < math.inf:
+        return _max_angle_to_refs(g, geo.refs)
+    cos = geo.unit @ g / norm
+    return _max_angle_to_refs(g, geo.refs[cos <= cos.min() + TIE_TOL])
+
+
 def _recompute(objectives, which, exact) -> None:
     """Overwrite the batched objectives flagged in `which` by exact(i)."""
     for i in np.flatnonzero(which):
         objectives[i] = exact(int(i))
 
 
-def _objectives(dots, norm2, bound, exact) -> np.ndarray:
+def _objectives(dots, norm2, bound, exact, scale=1, taken=None) -> np.ndarray:
     """Largest angle to a reference per blend, from the blend's dots with the
     unit references (rows x refs), its squared norm and a bound on its norm
-    from the triangle inequality.
+    from the triangle inequality, each of the blend times `scale`. Call it
+    under np.errstate(all="ignore").
 
     Rows whose expansion is non-finite, cancels or lies near NORM_FLOOR are
     scored by exact(i) instead, which raises DegenerateGradient on a
-    non-finite or zero blend.
+    non-finite or zero blend. Rows flagged in `taken` score inf and are
+    never scored per pair.
     """
-    with np.errstate(all="ignore"):
-        sure = (
-            np.isfinite(dots).all(axis=1)
-            & np.isfinite(norm2)
-            & (norm2 > (2 * NORM_FLOOR) ** 2)
-            & (bound * bound <= CANCEL_RATIO * norm2)
-        )
-        objectives = np.arccos(np.clip(dots.min(axis=1) / np.sqrt(norm2), -1.0, 1.0))
+    sure = (
+        np.isfinite(dots).all(axis=1)
+        & np.isfinite(norm2)
+        & (norm2 > (2 * NORM_FLOOR * scale) ** 2)
+        & (bound * bound <= CANCEL_RATIO * norm2)
+    )
+    objectives = np.arccos(np.clip(dots.min(axis=1) / np.sqrt(norm2), -1.0, 1.0))
+    if taken is not None:
+        objectives[taken] = np.inf
+        sure |= taken
     _recompute(objectives, ~sure, exact)
     return objectives
 
@@ -246,10 +277,11 @@ def _greedy(
 ):
     """greedy_mask_select against a built geometry and a checked g_attack.
 
-    Running sums over the selected rows S give each candidate c's blend
-    base + (S + P[c]) / m in dot space: its dots with U are
-    bU + (sU + PU[c]) / m, and its squared norm is
-    bb + 2 (sb + Pb[c]) / m + (ss + 2 sP[c] + PP[c, c]) / m**2.
+    At step m, running sums over the selected rows S give each pool row c's
+    blend base + (S + P[c]) / m times m, m base + S + P[c], in dot space:
+    its dots with U are m bU + sU + PU[c], and its squared norm is
+    m**2 bb + 2m (sb + Pb[c]) + ss + 2 sP[c] + PP[c, c]. Every pool row is
+    scored each step; the taken ones are masked.
     """
     X = np.asarray(mask_features, dtype=np.float64)
     y = np.asarray(mask_labels, dtype=np.int64)
@@ -260,53 +292,43 @@ def _greedy(
         )
     base = float(alpha_fixed) * g_attack
     PV, PP = mlp.per_example_products(params, X, y, np.vstack([geo.unit, base]))
-    PU, Pb = PV[:, :-1], PV[:, -1]
+    PU, Pb, pp = PV[:, :-1], PV[:, -1], PP.diagonal()
     bU, bb = geo.unit @ base, float(base @ base)
-    row_norm = np.sqrt(np.diag(PP))
+    b_norm, row_norm = math.sqrt(bb), np.sqrt(pp)
     sU, sb, ss, sP, s_norm = np.zeros(PU.shape[1]), 0.0, 0.0, np.zeros(len(y)), 0.0
-    remaining = np.ones(len(y), dtype=bool)
+    taken = np.zeros(len(y), dtype=bool)
 
     selected: list[int] = []
     trace: list[GreedyStep] = []
-    for m in range(1, size + 1):
-        candidates = np.flatnonzero(remaining)
 
-        def exact(ci):
-            trial = selected + [int(candidates[ci])]
-            g_mask = mlp.gradient(params, X[trial], y[trial])
-            return _max_angle_to_refs(scaled_add(alpha_fixed, g_attack, g_mask), geo.refs)
+    def exact(c):
+        trial = selected + [c]
+        g_mask = mlp.gradient(params, X[trial], y[trial])
+        return _max_angle_to_refs(scaled_add(alpha_fixed, g_attack, g_mask), geo.refs)
 
-        with np.errstate(all="ignore"):  # a hostile expansion is scored per pair
-            dots = bU + (sU + PU[candidates]) / m
-            norm2 = (
-                bb
-                + 2 * (sb + Pb[candidates]) / m
-                + (ss + 2 * sP[candidates] + PP[candidates, candidates]) / (m * m)
+    with np.errstate(all="ignore"):  # a hostile expansion is scored per pair
+        for m in range(1, size + 1):
+            dots = (m * bU + sU) + PU
+            norm2 = (m * m * bb + 2 * m * sb + ss) + (2 * (m * Pb + sP) + pp)
+            bound = (m * b_norm + s_norm) + row_norm
+            objectives = _objectives(dots, norm2, bound, exact, m, taken)
+            pick = _best_feasible(objectives, geo.budget, exact)
+            step_ok = pick is not None
+            if not step_ok:
+                low = objectives <= objectives.min() + TIE_TOL
+                if np.count_nonzero(low) > 1:
+                    _recompute(objectives, low, exact)
+                pick = int(np.argmin(objectives))
+            selected.append(pick)
+            taken[pick] = True
+            sU += PU[pick]
+            sb += Pb[pick]
+            ss += 2 * sP[pick] + pp[pick]
+            sP += PP[pick]
+            s_norm += row_norm[pick]
+            trace.append(
+                GreedyStep(chosen_index=pick, objective=float(objectives[pick]), feasible=step_ok)
             )
-            bound = math.sqrt(bb) + (s_norm + row_norm[candidates]) / m
-        objectives = _objectives(dots, norm2, bound, exact)
-        pick = _best_feasible(objectives, geo.budget, exact)
-        step_ok = pick is not None
-        if not step_ok:
-            low = objectives <= objectives.min() + TIE_TOL
-            if np.count_nonzero(low) > 1:
-                _recompute(objectives, low, exact)
-            pick = int(np.argmin(objectives))
-        chosen = int(candidates[pick])
-        selected.append(chosen)
-        remaining[chosen] = False
-        sU += PU[chosen]
-        sb += Pb[chosen]
-        ss += 2 * sP[chosen] + PP[chosen, chosen]
-        sP += PP[chosen]
-        s_norm += row_norm[chosen]
-        trace.append(
-            GreedyStep(
-                chosen_index=chosen,
-                objective=float(objectives[pick]),
-                feasible=step_ok,
-            )
-        )
     return tuple(selected), tuple(trace)
 
 
@@ -342,8 +364,7 @@ def _alpha(geo: _Geometry, g_attack, g_mask, alpha_grid) -> tuple[float, bool]:
         dots = alphas[:, None] * (geo.unit @ g_attack) + geo.unit @ g_mask
         norm2 = alphas * alphas * aa + 2 * alphas * am + mm
         bound = np.abs(alphas) * math.sqrt(aa) + math.sqrt(mm)
-    objectives = _objectives(dots, norm2, bound, exact)
-    pick = _best_feasible(objectives, geo.budget, exact)
+        pick = _best_feasible(_objectives(dots, norm2, bound, exact), geo.budget, exact)
     if pick is None:
         return 0.0, False
     return float(alphas[pick]), True
@@ -364,14 +385,13 @@ def craft_fedpoisonmia(
     idx = list(selected)
     g_mask = mlp.gradient(params, ctx.mask_features[idx], ctx.mask_labels[idx])
     alpha, feasible = _alpha(geo, g_attack, g_mask, ctx.alpha_grid)
-    g_mal = scaled_add(alpha, g_attack, g_mask)
-    objective = _max_angle_to_refs(g_mal, geo.refs)
+    g_mal = alpha * g_attack + g_mask  # scaled_add, on two backprop outputs
     return CraftResult(
         g_malicious=g_mal,
         chosen_alpha=alpha,
         selected_mask_indices=selected,
         feasible=feasible,
-        objective_value=objective,
+        objective_value=_objective(geo, g_mal),
     )
 
 

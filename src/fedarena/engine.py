@@ -472,12 +472,13 @@ def _client_updates(world: _World, t: int, segment, view, params, craft_observer
 def _step(world: _World, rule, params, order, G, seed_tag, block=None):
     """Aggregate the rows `G` of clients `order` and apply the aggregate to
     `params`; returns the new model and the AggregationOutcome. `block` is
-    the buffer's block for the rule (see `apply_rule`)."""
+    the buffer's block for the rule (see `apply_rule`). The step's seed is
+    derived for dp only, the one rule that draws from it."""
     outcome = apply_rule(
         rule,
         G,
         world.shard_sizes[order],
-        seed=derive_seed(world.cfg.seed, "agg", seed_tag),
+        seed=derive_seed(world.cfg.seed, "agg", seed_tag) if rule.kind == "dp" else 0,
         params=params,
         val_features=world.val.features,
         val_labels=world.val.labels,

@@ -70,6 +70,19 @@ class TestMedian:
             col = sorted(G[:, d])
             assert out.aggregate[d] == pytest.approx(col[3], abs=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1.7e308 + 1.7e308
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_equals_np_median(self, n):
+        # ties, signed zeros and values whose pair sum overflows, at both
+        # parities; assert_array_equal counts -0.0 and +0.0 as equal
+        rng = np.random.default_rng(n)
+        pool = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, 1.7e308, -1.7e308])
+        for _ in range(40):
+            G = rng.normal(size=(n, 23))
+            tied = rng.random(size=G.shape) < 0.6
+            G[tied] = rng.choice(pool, size=int(tied.sum()))
+            np.testing.assert_array_equal(coordinate_median(G).aggregate, np.median(G, axis=0))
+
 
 class TestTrimmedMean:
     def test_zero_trim_equals_mean_exactly(self, rng):

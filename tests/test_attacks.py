@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import gradient_like_refs, perturbed, tiny_net
-from fedarena import mlp
+from fedarena import attacks, mlp
 from fedarena.aggregation import atm
 from fedarena.attacks import (
     AttackerContext,
@@ -431,6 +431,24 @@ class TestHostileDotSpace:
         assert outcome(greedy_mask_select, *args) is DegenerateGradient
         assert outcome(naive_greedy_mask_select, *args) is DegenerateGradient
 
+    def test_near_floor_check_reads_the_unscaled_blend(self):
+        # a greedy step m scores m times each blend; a blend of norm
+        # 0.9 * NORM_FLOOR scored at m = 3 (scaled norm 2.7e-12, past the
+        # 2 * NORM_FLOOR margin) must still go per pair, where it raises
+        scaled = 2.7e-12
+        dots = np.array([[0.6, -0.8]]) * scaled
+        norm2, bound = np.array([scaled**2]), np.array([scaled])
+        scored = []
+
+        def exact(i):
+            scored.append(i)
+            return 0.0
+
+        for scale, per_pair in ((1, []), (3, [0])):
+            del scored[:]
+            attacks._objectives(dots, norm2, bound, exact, scale)
+            assert scored == per_pair
+
     @pytest.mark.parametrize("relative", [0.0, 1e-12])
     def test_mask_row_cancelling_attack(self, rng, relative):
         seen = set()
@@ -517,6 +535,125 @@ class TestCraftFedPoisonMia:
         assert np.array_equal(a.g_malicious, b.g_malicious)
         assert a.selected_mask_indices == b.selected_mask_indices
         assert a.chosen_alpha == b.chosen_alpha
+
+
+def per_pair_objective(g, refs):
+    """The crafted update's objective as the per-pair loop scores it."""
+    return max(angle_between(g, r) for r in usable_references(refs))
+
+
+def counting_angles(monkeypatch):
+    """Count the crafter's per-pair angle_between calls."""
+    calls = []
+
+    def counted(u, v):
+        calls.append(1)
+        return angle_between(u, v)
+
+    monkeypatch.setattr(attacks, "angle_between", counted)
+    return calls
+
+
+class TestPrescreenedObjective:
+    """The crafted update's objective is screened in cosine space and scored
+    per pair only near the lowest cosine; it must stay bitwise the per-pair
+    maximum over the usable references."""
+
+    def test_craft_objective_is_per_pair_max(self, rng):
+        feasible = set()
+        for trial in range(200):
+            params = perturbed(tiny_net(seed=trial), 0.4, rng)
+            ctx = TestCraftFedPoisonMia()._ctx(rng, params)
+            refs = gradient_like_refs(rng, params, 2 + trial % 7)
+            result = craft_fedpoisonmia(ctx, params, refs)
+            assert result.objective_value == per_pair_objective(result.g_malicious, refs)
+            feasible.add(result.feasible)
+        assert feasible == {True, False}
+
+    def test_random_vectors(self, rng):
+        for trial in range(300):
+            d = int(rng.integers(2, 40))
+            refs = rng.normal(size=(int(rng.integers(2, 10)), d)) * 10.0 ** rng.integers(-8, 8)
+            g = rng.normal(size=d) * 10.0 ** rng.integers(-8, 8)
+            got = attacks._objective(attacks._geometry(refs), g)
+            assert got == per_pair_objective(g, refs)
+
+    def test_duplicated_reference(self, rng):
+        for _ in range(50):
+            refs = rng.normal(size=(4, 12))
+            refs = np.vstack([refs, refs[1]])
+            g = rng.normal(size=12)
+            assert attacks._objective(attacks._geometry(refs), g) == per_pair_objective(g, refs)
+
+    def test_mirrored_references_tie_exactly(self, rng, monkeypatch):
+        calls = counting_angles(monkeypatch)
+        for _ in range(50):
+            # g is zero on the coordinates where the two references differ
+            # in sign, so their per-pair angles to g are the same float
+            g = np.concatenate([rng.normal(size=6), np.zeros(4)])
+            near = rng.normal(size=(3, 10)) + 3 * g
+            far = np.concatenate([-g[:6], rng.normal(size=4)])
+            mirror = far * np.concatenate([np.ones(6), -np.ones(4)])
+            refs = np.vstack([near, far, mirror])
+            assert angle_between(g, far) == angle_between(g, mirror)
+            del calls[:]
+            got = attacks._objective(attacks._geometry(refs), g)
+            assert len(calls) == 2  # both tied references, scored per pair
+            assert got == per_pair_objective(g, refs)
+
+    def test_infeasible_craft_objective_is_the_mask_gradients(self, rng):
+        seen = 0
+        for trial in range(20):
+            params = perturbed(tiny_net(seed=trial), 0.4, rng)
+            ctx = TestCraftFedPoisonMia()._ctx(rng, params)
+            # references a hair apart leave no blend within the budget
+            base = gradient_like_refs(rng, params, 1)[0]
+            refs = np.stack([base + 1e-9 * rng.normal(size=params.dim) for _ in range(4)])
+            result = craft_fedpoisonmia(ctx, params, refs)
+            if result.feasible:
+                continue
+            seen += 1
+            assert result.chosen_alpha == 0.0
+            idx = list(result.selected_mask_indices)
+            g_mask = mlp.gradient(params, ctx.mask_features[idx], ctx.mask_labels[idx])
+            assert np.array_equal(result.g_malicious, g_mask)
+            assert result.objective_value == per_pair_objective(g_mask, refs)
+        assert seen > 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing norm
+    @pytest.mark.parametrize("case", ["overflow", "cancel"])
+    def test_all_pairs_fallback(self, rng, monkeypatch, case):
+        calls = counting_angles(monkeypatch)
+        for _ in range(20):
+            refs = rng.normal(size=(5, 16))
+            g_attack = rng.normal(size=16)
+            if case == "overflow":  # |g| overflows; its entries do not
+                g = 1e200 * g_attack
+            else:  # the blend cancels to about 1.5 * NORM_FLOOR
+                g = 1.0 * g_attack + -(1 + 1.5e-12 / np.linalg.norm(g_attack)) * g_attack
+            del calls[:]
+            expected = outcome(per_pair_objective, g, refs)
+            assert outcome(attacks._objective, attacks._geometry(refs), g) == expected
+            assert len(calls) == len(refs)
+
+    def test_fewer_angle_calls_than_references(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        instance = TestBatchedDecisionEquivalence()._instance(
+            rng, 7, rng.normal(size=(3, 64))
+        )
+        params, mask_X, mask_y, g_attack, refs = instance
+        ctx = AttackerContext(
+            attack_features=mask_X,
+            attack_labels=mask_y,
+            mask_features=mask_X,
+            mask_labels=mask_y,
+            mask_fraction=0.3,
+            alpha_grid=TestBatchedDecisionEquivalence.GRID,
+            flipped_labels=flip_labels(mask_y, 3, seed=7),
+        )
+        calls = counting_angles(monkeypatch)
+        craft_fedpoisonmia(ctx, params, refs)
+        assert 0 < len(calls) < len(refs)
 
 
 class TestGradientAscent:

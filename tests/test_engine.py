@@ -664,6 +664,19 @@ class TestRuleAndDataModes:
             assert len(res.records) == 5
             assert np.isfinite(res.final_test_acc)
 
+    def test_step_seed_derived_for_dp_only(self, monkeypatch):
+        derive_seed, tags = eng.derive_seed, []
+
+        def derive(seed, *t):
+            tags.append(t[:1])
+            return derive_seed(seed, *t)
+
+        monkeypatch.setattr(eng, "derive_seed", derive)
+        for rule, steps in ((AggregationRule("fedavg"), 0), (AggregationRule("dp", dp_sigma=0.05), 3)):
+            del tags[:]
+            run_sync(fast_cfg(rounds=3, rule=rule, seed=0))
+            assert tags.count(("agg",)) == steps
+
     def test_noniid_partition_mode(self):
         cfg = fast_cfg(rounds=5, partition="noniid", beta=0.5, attack=AttackStrategy("none"), seed=0)
         res = run_sync(cfg)
