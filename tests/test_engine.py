@@ -646,6 +646,26 @@ class TestAsyncKrumGolden:
         assert segments and set(segments) == {1}
 
 
+# the ASYNC_KRUM config under crafts no perfbench cell runs, recorded
+# before the crafter's steps became one public function each
+CRAFT_DIGESTS = {
+    "async = false\nattack = adaptive\nrule = atm":
+        "81cd72cd22acd64f20c026fdcb57dd28dd1732dc50de44560ce4d6e81b781a57",
+    "attack = adaptive\nrule = atm":
+        "f6cebe893b509fe0623362bde85586059cf043b0b9b83256899c009dab37101b",
+    "async = false\nattack = agrevader":
+        "6fc5815987294ab727790fd4c51f969de6b50534ac6b70c140d9f6c3e501c84a",
+    "async = false\nknowledge = partial\nrule = atm":
+        "fcc1c361e27edbf936e59cd7e36b404c2613e4d519f40bfddd5bd1580e2d32b1",
+}
+
+
+class TestCraftGolden:
+    @pytest.mark.parametrize("lines", list(CRAFT_DIGESTS))
+    def test_outputs_match_recorded_digest(self, tmp_path, lines):
+        assert run_digest(tmp_path, ASYNC_KRUM + lines + "\n") == CRAFT_DIGESTS[lines]
+
+
 class TestRuleAndDataModes:
     def test_every_rule_kind_trains(self):
         for rule in (
