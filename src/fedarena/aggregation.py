@@ -124,16 +124,17 @@ def mean_angles(grads, include_self: bool = False, angles=None) -> np.ndarray:
     The self-angle is zero, so including it and dividing by n instead of
     n-1 rescales every score by the same factor and cannot change the
     ranking; both conventions are exposed so that equivalence is testable.
-    A gradient with norm <= NORM_FLOOR sits at angle pi to every other one,
-    so it scores pi, the most deviant score, and adds the same pi/(n-1) to
-    every other score, which leaves their ranking as it was.
+    A gradient with norm <= NORM_FLOOR sits at angle pi to every other one
+    (see `pairwise_angles`), so it scores pi, the most deviant score, and
+    adds the same pi/(n-1) to every other score, which leaves their ranking
+    as it was.
 
     `angles` is the (n, n) angle block of `grads` when the caller keeps
     one (async runs update it one row per arrival); it must equal
-    `pairwise_angles(grads, degenerate_far=True)` and is not modified.
+    `pairwise_angles(grads)` and is not modified.
     """
     if angles is None:
-        A = pairwise_angles(grads, degenerate_far=True)
+        A = pairwise_angles(grads)
     else:
         A = np.asarray(angles, dtype=np.float64)
         if A.shape != (len(grads), len(grads)):

@@ -11,12 +11,14 @@ References with norm at or below NORM_FLOOR carry no direction and are
 skipped.
 
 The search is scored in dot-product space. Each craft builds one
-reference geometry: the usable references, their unit rows U and the
-benign budget. The gradient of a mean loss is the mean of the per-example
-gradients P, so a greedy candidate's blend at step m is
-alpha * g_attack + (sum of selected rows + candidate row) / m. Its angles
-are those of m times it, m * alpha * g_attack + (selected sum + candidate
-row), whose dots with U and squared norm follow from
+ReferenceGeometry with reference_geometry: the usable references, their
+unit rows U and the benign budget. Each step of the pipeline is one public
+function taking it (greedy_mask_select, optimize_alpha), and
+craft_adaptive reads its unit rows. The gradient of a mean loss is the
+mean of the per-example gradients P, so a greedy candidate's blend at
+step m is alpha * g_attack + (sum of selected rows + candidate row) / m.
+Its angles are those of m times it, m * alpha * g_attack + (selected sum +
+candidate row), whose dots with U and squared norm follow from
 P @ [U; alpha * g_attack].T and P @ P.T, which one backprop per craft
 yields without forming P (mlp.per_example_products), plus running sums
 over the selected rows; no step divides by m or gathers the remaining
@@ -41,6 +43,7 @@ import numpy as np
 
 from . import mlp
 from .errors import (
+    DegenerateGradient,
     EmptyBatch,
     EmptyMaskBudget,
     SingleClassDataset,
@@ -51,10 +54,11 @@ from .vectors import (
     NORM_FLOOR,
     _as_matrix,
     angle_between,
-    as_vector,
+    angles_to,
     pairwise_angles,
     pairwise_sq_distances,
     scaled_add,
+    unit_rows,
 )
 
 ADAPTIVE_MAX_ITERS = 50
@@ -136,57 +140,43 @@ def attack_gradient(params: mlp.ModelParams, features, flipped_labels) -> np.nda
     return mlp.gradient(params, features, flipped_labels)
 
 
-def usable_references(benign_grads) -> np.ndarray:
-    """Stack the references and drop those too short to carry a direction.
-
-    A benign gradient can underflow to norm ~1e-83 on a well-fit shard;
-    the attacker skips it rather than failing on its undefined angle.
-    When every row is usable the checked stack itself comes back, uncopied;
-    callers only read it.
-    """
-    return _usable(benign_grads)[0]
-
-
-def _usable(benign_grads) -> tuple[np.ndarray, np.ndarray]:
-    """usable_references and the L2 norms of its rows."""
-    G = _as_matrix(benign_grads)
-    norms = np.linalg.norm(G, axis=1)
-    usable = norms > NORM_FLOOR
-    if not usable.all():
-        G, norms = G[usable], norms[usable]
-    if G.shape[0] < 2:
-        raise TooFewReferences(f"need at least 2 usable references, got {G.shape[0]}")
-    return G, norms
-
-
 @dataclass(frozen=True)
-class _Geometry:
+class ReferenceGeometry:
     """What every candidate of one craft is scored against."""
 
     refs: np.ndarray  # the usable references
-    unit: np.ndarray  # their unit rows
+    unit: np.ndarray  # their unit rows (vectors.unit_rows)
     budget: float  # largest pairwise angle among them
 
 
-def _geometry(benign_grads) -> _Geometry:
-    refs, norms = _usable(benign_grads)
-    unit = refs / norms[:, None]
+def reference_geometry(benign_grads) -> ReferenceGeometry:
+    """Stack the references, drop those too short to carry a direction,
+    and take the largest pairwise angle among the rest as the budget.
+
+    A benign gradient can underflow to norm ~1e-83 on a well-fit shard;
+    the attacker skips it rather than failing on its undefined angle.
+    When every row is usable the checked stack itself is kept, uncopied;
+    callers only read it. A reference whose norm overflows keeps an
+    all-zero unit row.
+    """
+    refs = _as_matrix(benign_grads)
+    unit, norms = unit_rows(refs)
+    usable = norms > NORM_FLOOR
+    if not usable.all():
+        refs, unit = refs[usable], unit[usable]
+    if refs.shape[0] < 2:
+        raise TooFewReferences(f"need at least 2 usable references, got {refs.shape[0]}")
     # the budget is the largest arccos(clip(unit @ unit.T)) above the
     # diagonal; angles are >= 0, so the zeroed lower triangle never wins
     theta = np.arccos(np.clip(unit @ unit.T, -1.0, 1.0))
-    return _Geometry(refs, unit, float(np.triu(theta, 1).max()))
-
-
-def benign_angle_budget(benign_grads) -> float:
-    """Largest pairwise angle among the usable benign references."""
-    return _geometry(benign_grads).budget
+    return ReferenceGeometry(refs, unit, float(np.triu(theta, 1).max()))
 
 
 def _max_angle_to_refs(g, refs) -> float:
     return max(angle_between(g, r) for r in refs)
 
 
-def _objective(geo: _Geometry, g: np.ndarray) -> float:
+def _objective(geo: ReferenceGeometry, g: np.ndarray) -> float:
     """Largest angle from the finite vector g to a usable reference, bitwise
     max(angle_between(g, r) for r in geo.refs).
 
@@ -251,13 +241,13 @@ def _best_feasible(objectives, angle_budget: float, exact):
 
 
 def greedy_mask_select(
+    geo: ReferenceGeometry,
     mask_features,
     mask_labels,
     mask_fraction: float,
     params: mlp.ModelParams,
-    g_attack,
+    g_attack: np.ndarray,
     alpha_fixed: float,
-    benign_grads,
 ) -> tuple[tuple[int, ...], tuple[GreedyStep, ...]]:
     """Grow the mask subset one sample at a time.
 
@@ -266,16 +256,6 @@ def greedy_mask_select(
     budget. If no candidate is feasible the step falls back to the one
     minimising that angle (marked infeasible in the trace) so the budget
     cardinality is always reached.
-    """
-    geo = _geometry(benign_grads)
-    g_attack = as_vector(g_attack)
-    return _greedy(geo, mask_features, mask_labels, mask_fraction, params, g_attack, alpha_fixed)
-
-
-def _greedy(
-    geo: _Geometry, mask_features, mask_labels, mask_fraction, params, g_attack, alpha_fixed
-):
-    """greedy_mask_select against a built geometry and a checked g_attack.
 
     At step m, running sums over the selected rows S give each pool row c's
     blend base + (S + P[c]) / m times m, m base + S + P[c], in dot space:
@@ -333,7 +313,7 @@ def _greedy(
 
 
 def optimize_alpha(
-    g_attack, g_mask, benign_grads, alpha_grid
+    geo: ReferenceGeometry, g_attack: np.ndarray, g_mask: np.ndarray, alpha_grid
 ) -> tuple[float, bool]:
     """Grid-search the attack-gradient scale.
 
@@ -342,13 +322,6 @@ def optimize_alpha(
     Near-tied objectives are compared by their per-pair angle_between
     values. The lowest scale wins only among objectives equal as floats, so
     scales that tie mathematically are decided by how each angle rounds.
-    """
-    geo = _geometry(benign_grads)
-    return _alpha(geo, as_vector(g_attack), as_vector(g_mask), alpha_grid)
-
-
-def _alpha(geo: _Geometry, g_attack, g_mask, alpha_grid) -> tuple[float, bool]:
-    """optimize_alpha against a built geometry and checked gradients.
 
     The blend a * g_attack + g_mask has dots a * (U g_attack) + U g_mask
     and squared norm a**2 (g_attack . g_attack) + 2a (g_attack . g_mask)
@@ -377,14 +350,14 @@ def craft_fedpoisonmia(
     mask samples (scale fixed at 1), then tune the scale on the grid, all
     against one reference geometry.
     """
-    geo = _geometry(benign_grads)
+    geo = reference_geometry(benign_grads)
     g_attack = attack_gradient(params, ctx.attack_features, ctx.flipped_labels)
-    selected, _trace = _greedy(
+    selected, _trace = greedy_mask_select(
         geo, ctx.mask_features, ctx.mask_labels, ctx.mask_fraction, params, g_attack, 1.0
     )
     idx = list(selected)
     g_mask = mlp.gradient(params, ctx.mask_features[idx], ctx.mask_labels[idx])
-    alpha, feasible = _alpha(geo, g_attack, g_mask, ctx.alpha_grid)
+    alpha, feasible = optimize_alpha(geo, g_attack, g_mask, ctx.alpha_grid)
     g_mal = alpha * g_attack + g_mask  # scaled_add, on two backprop outputs
     return CraftResult(
         g_malicious=g_mal,
@@ -436,24 +409,33 @@ def craft_adaptive(benign_grads, g_attack, trim_b: int) -> np.ndarray:
     angle drops below the angular-trim threshold (or the iteration cap).
 
     Each failed check averages the attack gradient with the benign
-    gradient farthest from it in angle.
+    gradient farthest from it in angle. The references' angle block is
+    built once; each check rewrites only the attack gradient's row and
+    column (`angles_to`), so the block is bitwise
+    `pairwise_angles(np.vstack([refs, g]))`. An attack gradient with norm
+    <= NORM_FLOOR raises DegenerateGradient.
     """
-    refs = usable_references(benign_grads)
+    geo = reference_geometry(benign_grads)
+    refs = geo.refs
     g = np.asarray(g_attack, dtype=np.float64)
     if trim_b <= 0:
         return g  # nothing is ever trimmed
     n = refs.shape[0] + 1
     if 2 * trim_b >= n:
         raise TooFewReferences(f"2*{trim_b} >= {n} total gradients")
+    A = np.zeros((n, n))
+    A[:-1, :-1] = pairwise_angles(refs)
+    degenerate = np.zeros(n - 1, dtype=bool)  # every reference is usable
     for _ in range(ADAPTIVE_MAX_ITERS):
-        stack = np.vstack([refs, g])
-        A = pairwise_angles(stack)
+        u, norm = unit_rows(_as_matrix(g[None]))
+        if norm[0] <= NORM_FLOOR:
+            raise DegenerateGradient(f"attack gradient has norm {norm[0]:.3e}")
+        A[-1, :-1] = A[:-1, -1] = angles_to(geo.unit, degenerate, u[0], False)
         means = A.sum(axis=1) / (n - 1)
         threshold = np.sort(means)[::-1][2 * trim_b - 1]
         if means[-1] < threshold:
             break
-        to_attack = A[-1, :-1]
-        farthest = int(np.argmax(to_attack))
+        farthest = int(np.argmax(A[-1, :-1]))
         g = 0.5 * (g + refs[farthest])
     return g
 

@@ -155,12 +155,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     krum = kind == "multi_krum"
     valid_c = 0 < cfg.participation <= 1
     per_round = participant_count(cfg.n_clients, cfg.participation) if valid_c else 0
-    # the fewest references a fedpoisonmia|adaptive craft can get: the
-    # malicious shards' proxies, or under full knowledge a round's benign
-    # participants when every malicious client is selected
+    # the fewest references a craft can get: the malicious shards'
+    # proxies, or under full knowledge a round's benign participants when
+    # every malicious client is selected; an agrevader craft needs 1, a
+    # fedpoisonmia|adaptive one 2
     n_mal = num_malicious(cfg)
     refs = n_mal if attack.knowledge == "partial" else per_round - n_mal
-    crafts_on_refs = attack.kind in ("fedpoisonmia", "adaptive")
+    need_refs = {"agrevader": 1, "fedpoisonmia": 2, "adaptive": 2}.get(attack.kind, 0)
     checks = (
         ("rule.inner", rule.inner in RULE_KINDS and rule.inner not in ("dp", "topk"),
          f"one of {RULE_KINDS} other than dp|topk"),
@@ -208,11 +209,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
          f"krum_count <= {per_round} updates per synchronous round"),
         ("rule.fang_remove", kind != "fang" or rule.fang_remove >= 0, ">= 0"),
         ("rule.top_k", rule.kind != "topk" or rule.top_k >= 0, ">= 0 (0 keeps every dimension)"),
-        # a craft needs 2 references, a mask sample and a nonempty mask budget
-        ("attack.knowledge", not crafts_on_refs or refs >= 2,
-         ">= 2 malicious clients" if attack.knowledge == "partial" else
-         f">= 2 benign participants in a round that selects every malicious client, "
-         f"got {per_round} - {n_mal}"),
+        # a craft needs its references, a mask sample and a nonempty mask budget
+        ("attack.knowledge", refs >= need_refs,
+         f">= {need_refs} malicious clients" if attack.knowledge == "partial" else
+         f">= {need_refs} benign participants in a round that selects every malicious "
+         f"client, got {per_round} - {n_mal}"),
         # the adaptive attacker trims at least 1 per side, among its
         # references and its own update
         ("rule.trim_b", attack.kind != "adaptive" or 2 * max(rule.trim_b, 1) < refs + 1,

@@ -11,13 +11,7 @@ import numpy as np
 
 from . import mlp
 from .aggregation import atm, fang_filter, multi_krum
-from .attacks import (
-    benign_angle_budget,
-    greedy_mask_select,
-    mask_budget,
-    optimize_alpha,
-    usable_references,
-)
+from .attacks import greedy_mask_select, mask_budget, optimize_alpha, reference_geometry
 from .theory import AngleSample, TruncatedGaussian, deviation_bound, lemma_order_stats_check, monte_carlo_deviation
 from .vectors import angle_between, pairwise_sq_distances, scaled_add
 
@@ -61,8 +55,8 @@ def naive_greedy_mask_select(
     Returns (selected indices, per-step feasibility)."""
     X = np.asarray(mask_features, dtype=np.float64)
     y = np.asarray(mask_labels, dtype=np.int64)
-    refs = usable_references(benign_grads)
-    angle_budget = benign_angle_budget(refs)
+    geo = reference_geometry(benign_grads)
+    refs, angle_budget = geo.refs, geo.budget
     selected, feasible = [], []
     for _ in range(mask_budget(mask_fraction, X.shape[0])):
         candidates = [k for k in range(X.shape[0]) if k not in selected]
@@ -84,8 +78,8 @@ def naive_greedy_mask_select(
 
 def naive_optimize_alpha(g_attack, g_mask, benign_grads, alpha_grid):
     """Per-point reference for attacks.optimize_alpha."""
-    refs = usable_references(benign_grads)
-    angle_budget = benign_angle_budget(refs)
+    geo = reference_geometry(benign_grads)
+    refs, angle_budget = geo.refs, geo.budget
     best_alpha, best_obj, feasible = 0.0, -np.inf, False
     for alpha in alpha_grid:
         obj = _naive_objective(scaled_add(alpha, g_attack, g_mask), refs)
@@ -280,7 +274,8 @@ def _check_crafting():
             g_attack = batch_gradient(10)
             X = rng.normal(size=(n_mask, d_in))
             y = rng.integers(0, classes, size=n_mask)
-            selected, trace = greedy_mask_select(X, y, fraction, params, g_attack, 1.0, refs)
+            geo = reference_geometry(refs)
+            selected, trace = greedy_mask_select(geo, X, y, fraction, params, g_attack, 1.0)
             expected = naive_greedy_mask_select(X, y, fraction, params, g_attack, 1.0, refs)
             assert (selected, tuple(s.feasible for s in trace)) == expected, "greedy mask mismatch"
             for size, step in enumerate(trace, start=1):
@@ -288,7 +283,7 @@ def _check_crafting():
                 g = scaled_add(1.0, g_attack, mlp.gradient(params, X[idx], y[idx]))
                 assert abs(step.objective - _naive_objective(g, refs)) < 1e-9, "greedy objective drift"
             g_mask = mlp.gradient(params, X[list(selected)], y[list(selected)])
-            got = optimize_alpha(g_attack, g_mask, refs, grid)
+            got = optimize_alpha(geo, g_attack, g_mask, grid)
             assert got == naive_optimize_alpha(g_attack, g_mask, refs, grid), "alpha mismatch"
 
 

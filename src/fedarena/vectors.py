@@ -59,13 +59,12 @@ def angles_to(U: np.ndarray, bad: np.ndarray, u: np.ndarray, u_bad: bool) -> np.
     return theta
 
 
-def pairwise_angles(grads, degenerate_far: bool = False) -> np.ndarray:
+def pairwise_angles(grads) -> np.ndarray:
     """Symmetric zero-diagonal matrix of angles between all gradient pairs,
     one `angles_to` row of the strict upper triangle at a time, mirrored.
 
-    A gradient with norm <= NORM_FLOOR has no direction: it raises
-    DegenerateGradient, or with `degenerate_far` sits at angle pi to every
-    other gradient, the most deviant an angle can be.
+    A gradient with norm <= NORM_FLOOR has no direction: it sits at angle
+    pi to every other gradient, the most deviant an angle can be.
     """
     G = _as_matrix(grads)
     n = G.shape[0]
@@ -73,9 +72,6 @@ def pairwise_angles(grads, degenerate_far: bool = False) -> np.ndarray:
         raise DimensionMismatch(f"need at least 2 gradients, got {n}")
     U, norms = unit_rows(G)
     bad = norms <= NORM_FLOOR
-    if bad.any() and not degenerate_far:
-        i = int(np.argmax(bad))
-        raise DegenerateGradient(f"gradient {i} has norm {norms[i]:.3e}")
     theta = np.zeros((n, n))
     for i in range(n - 1):
         theta[i, i + 1 :] = angles_to(U[i + 1 :], bad[i + 1 :], U[i], bad[i])

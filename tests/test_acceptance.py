@@ -20,10 +20,10 @@ from fedarena.aggregation import AggregationRule, atm
 from fedarena.attacks import (
     AttackStrategy,
     attack_gradient,
-    benign_angle_budget,
     craft_adaptive,
     flip_labels,
     greedy_mask_select,
+    reference_geometry,
 )
 from fedarena.engine import ExperimentConfig, run_sync
 from fedarena.selftest import naive_atm_kept
@@ -77,7 +77,7 @@ def attack_matrix():
         if result.feasible:
             certificates["checked"] += 1
             worst = max(angle_between(result.g_malicious, r) for r in refs)
-            if worst > benign_angle_budget(refs) + 1e-9:
+            if worst > reference_geometry(refs).budget + 1e-9:
                 certificates["violations"] += 1
 
     medians = {}
@@ -216,9 +216,10 @@ def test_criterion_06_greedy_effectiveness():
         att_y = rng.integers(0, 3, size=8)
         g_attack = attack_gradient(params, att_X, flip_labels(att_y, 3, seed=trial))
         refs = gradient_like_refs(rng, params, 4)
-        budget = benign_angle_budget(refs)
+        geo = reference_geometry(refs)
+        budget = geo.budget
 
-        selected, _ = greedy_mask_select(mask_X, mask_y, 0.25, params, g_attack, 1.0, refs)
+        selected, _ = greedy_mask_select(geo, mask_X, mask_y, 0.25, params, g_attack, 1.0)
         assert len(selected) == 3
         greedy_scores.append(
             constrained_score(params, mask_X, mask_y, selected, g_attack, refs, budget)
@@ -233,7 +234,7 @@ def test_criterion_06_greedy_effectiveness():
 
         # budget-1 greedy must equal the exhaustive single-sample argmax
         one, trace = greedy_mask_select(
-            mask_X, mask_y, 1.0 / 12.0 + 1e-12, params, g_attack, 1.0, refs
+            geo, mask_X, mask_y, 1.0 / 12.0 + 1e-12, params, g_attack, 1.0
         )
         objs = []
         for k in range(12):

@@ -157,7 +157,7 @@ class TestAtm:
 
     def test_given_angles_are_read_not_modified(self, rng):
         G = rng.normal(size=(6, 3))
-        block = pairwise_angles(G, degenerate_far=True)
+        block = pairwise_angles(G)
         before = block.copy()
         # a block with two rows' angles swapped must change the choice
         fake = block.copy()
@@ -563,7 +563,7 @@ class TestApplyRule:
         wrong = np.zeros((2, 2))
         with pytest.raises(DimensionMismatch):
             apply_rule(AggregationRule("atm"), G, block=wrong)
-        cached = apply_rule(AggregationRule("atm"), G, block=pairwise_angles(G, degenerate_far=True))
+        cached = apply_rule(AggregationRule("atm"), G, block=pairwise_angles(G))
         assert cached.kept_indices == apply_rule(AggregationRule("atm"), G).kept_indices
         for kind in ("dp", "topk"):
             rule = AggregationRule(kind, dp_sigma=0.0, inner="atm")

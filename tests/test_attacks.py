@@ -15,13 +15,12 @@ from fedarena.attacks import (
     craft_fedpoisonmia,
     craft_gradient_ascent,
     attack_gradient,
-    benign_angle_budget,
     flip_labels,
     greedy_mask_select,
     mask_budget,
     optimize_alpha,
     passive_infer,
-    usable_references,
+    reference_geometry,
 )
 from fedarena.errors import (
     DegenerateGradient,
@@ -31,7 +30,7 @@ from fedarena.errors import (
     TooFewReferences,
 )
 from fedarena.selftest import naive_greedy_mask_select, naive_optimize_alpha
-from fedarena.vectors import angle_between, pairwise_angles, scaled_add
+from fedarena.vectors import NORM_FLOOR, angle_between, pairwise_angles, scaled_add, unit_rows
 
 
 def blend_objective(params, mask_X, mask_y, subset, g_attack, alpha, refs):
@@ -83,46 +82,46 @@ class TestAttackGradient:
 class TestBenignAngleBudget:
     def test_identical_is_zero(self):
         g = np.array([1.0, 2.0])
-        assert benign_angle_budget([g, g]) == pytest.approx(0.0, abs=1e-7)
+        assert reference_geometry([g, g]).budget == pytest.approx(0.0, abs=1e-7)
 
     def test_known_geometry(self):
         e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         mid = (e1 + e2) / math.sqrt(2)
-        assert benign_angle_budget([e1, e2, mid]) == pytest.approx(math.pi / 2)
+        assert reference_geometry([e1, e2, mid]).budget == pytest.approx(math.pi / 2)
 
     def test_matches_brute_force(self, rng):
         G = rng.normal(size=(6, 5))
         expected = max(
             angle_between(G[i], G[j]) for i, j in itertools.combinations(range(6), 2)
         )
-        assert benign_angle_budget(G) == pytest.approx(expected, abs=1e-12)
+        assert reference_geometry(G).budget == pytest.approx(expected, abs=1e-12)
 
     def test_too_few_references(self):
         with pytest.raises(TooFewReferences):
-            benign_angle_budget([np.array([1.0, 0.0])])
+            reference_geometry([np.array([1.0, 0.0])])
 
 
 class TestUsableReferences:
     def test_drops_degenerate_rows(self, rng):
         G = rng.normal(size=(3, 5))
         tiny = 3e-83 * rng.normal(size=5)
-        out = usable_references([G[0], np.zeros(5), G[1], tiny, G[2]])
+        out = reference_geometry([G[0], np.zeros(5), G[1], tiny, G[2]]).refs
         assert np.array_equal(out, G)
 
     def test_budget_ignores_degenerate(self, rng):
         G = rng.normal(size=(4, 5))
         with_zero = np.vstack([G, np.zeros(5)])
-        assert benign_angle_budget(with_zero) == benign_angle_budget(G)
+        assert reference_geometry(with_zero).budget == reference_geometry(G).budget
 
     def test_too_few_usable(self, rng):
         with pytest.raises(TooFewReferences):
-            usable_references([rng.normal(size=4), np.zeros(4)])
+            reference_geometry([rng.normal(size=4), np.zeros(4)])
 
     def test_non_finite_still_rejected(self, rng):
         bad = rng.normal(size=4)
         bad[1] = np.nan
         with pytest.raises(DegenerateGradient):
-            usable_references([rng.normal(size=4), rng.normal(size=4), bad])
+            reference_geometry([rng.normal(size=4), rng.normal(size=4), bad])
 
 
 class TestMaskBudget:
@@ -147,9 +146,9 @@ class TestGreedyMaskSelect:
     def test_budget_one_equals_exhaustive_argmax(self, rng):
         for trial in range(10):
             params, mask_X, mask_y, g_attack, refs = self._instance(rng)
-            budget_angle = benign_angle_budget(refs)
+            budget_angle = reference_geometry(refs).budget
             selected, trace = greedy_mask_select(
-                mask_X, mask_y, 1.0 / 6.0 + 1e-12, params, g_attack, 1.0, refs
+                reference_geometry(refs), mask_X, mask_y, 1.0 / 6.0 + 1e-12, params, g_attack, 1.0
             )
             assert len(selected) == 1
             objs = [
@@ -168,7 +167,7 @@ class TestGreedyMaskSelect:
     def test_cardinality_always_met(self, rng):
         params, mask_X, mask_y, g_attack, refs = self._instance(rng, n_mask=8)
         selected, trace = greedy_mask_select(
-            mask_X, mask_y, 0.5, params, g_attack, 1.0, refs
+            reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack, 1.0
         )
         assert len(selected) == 4
         assert len(set(selected)) == 4
@@ -180,7 +179,7 @@ class TestGreedyMaskSelect:
         mask_X = np.tile(row, (5, 1))
         mask_y = np.full(5, 1)
         selected, trace = greedy_mask_select(
-            mask_X, mask_y, 0.5, params, g_attack, 1.0, refs
+            reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack, 1.0
         )
         assert len(selected) == 2
         assert len({step.feasible for step in trace}) == 1
@@ -188,7 +187,7 @@ class TestGreedyMaskSelect:
     def test_empty_budget_rejected(self, rng):
         params, mask_X, mask_y, g_attack, refs = self._instance(rng)
         with pytest.raises(EmptyMaskBudget):
-            greedy_mask_select(mask_X, mask_y, 0.01, params, g_attack, 1.0, refs)
+            greedy_mask_select(reference_geometry(refs), mask_X, mask_y, 0.01, params, g_attack, 1.0)
 
     def test_greedy_beats_random_subsets_on_average(self, rng):
         # constrained objective: feasible max-angle, else a sentinel below all
@@ -199,9 +198,9 @@ class TestGreedyMaskSelect:
         greedy_scores, random_scores = [], []
         for trial in range(25):
             params, mask_X, mask_y, g_attack, refs = self._instance(rng)
-            budget_angle = benign_angle_budget(refs)
+            budget_angle = reference_geometry(refs).budget
             selected, _ = greedy_mask_select(
-                mask_X, mask_y, 0.5, params, g_attack, 1.0, refs
+                reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack, 1.0
             )
             greedy_scores.append(
                 score(selected, params, mask_X, mask_y, g_attack, refs, budget_angle)
@@ -223,7 +222,7 @@ class TestOptimizeAlpha:
         g = rng.normal(size=10)
         refs = np.stack([g + 0.1 * rng.normal(size=10) for _ in range(3)])
         grid = (0.5, 1.0, 2.0)
-        alpha, feasible = optimize_alpha(g, g, refs, grid)
+        alpha, feasible = optimize_alpha(reference_geometry(refs), g, g, grid)
         assert feasible
         assert alpha == 0.5  # objective constant in alpha, tie -> lowest
 
@@ -233,7 +232,7 @@ class TestOptimizeAlpha:
         g_attack = rng.normal(size=8)
         g_mask = rng.normal(size=8)
         grid = (0.01, 0.1, 1.0, 10.0)
-        alpha, feasible = optimize_alpha(g_attack, g_mask, refs, grid)
+        alpha, feasible = optimize_alpha(reference_geometry(refs), g_attack, g_mask, grid)
         assert feasible
         objs = {
             a: max(angle_between(scaled_add(a, g_attack, g_mask), r) for r in refs)
@@ -245,28 +244,28 @@ class TestOptimizeAlpha:
         g = rng.normal(size=6)
         refs = rng.normal(size=(3, 6))
         with pytest.raises(DegenerateGradient):
-            optimize_alpha(g, -g, refs, (0.5, 1.0))  # alpha 1 blends to zero
+            optimize_alpha(reference_geometry(refs), g, -g, (0.5, 1.0))  # alpha 1 blends to zero
         g_bad = g.copy()
         g_bad[0] = np.inf
         with pytest.raises(DegenerateGradient):
-            optimize_alpha(g_bad, g, refs, (0.5, 1.0))
+            optimize_alpha(reference_geometry(refs), g_bad, g, (0.5, 1.0))
 
     def test_infeasible_returns_zero(self, rng):
         refs = np.stack([np.array([1.0, 0.0]), np.array([0.999, 0.01])])
         g_attack = np.array([-1.0, 0.0])
         g_mask = np.array([-1.0, 0.05])
-        alpha, feasible = optimize_alpha(g_attack, g_mask, refs, (0.5, 1.0, 2.0))
+        alpha, feasible = optimize_alpha(reference_geometry(refs), g_attack, g_mask, (0.5, 1.0, 2.0))
         assert not feasible
         assert alpha == 0.0
 
     def test_matches_fine_grid_oracle(self, rng):
         params = perturbed(tiny_net(seed=13), 0.4, rng)
         refs = gradient_like_refs(rng, params, 4)
-        budget = benign_angle_budget(refs)
+        budget = reference_geometry(refs).budget
         g_attack = rng.normal(size=params.dim)
         g_mask = refs.mean(axis=0) + 0.05 * rng.normal(size=params.dim)
         grid = tuple(np.geomspace(0.01, 100, 25))
-        alpha, feasible = optimize_alpha(g_attack, g_mask, refs, grid)
+        alpha, feasible = optimize_alpha(reference_geometry(refs), g_attack, g_mask, grid)
         fine = np.geomspace(0.01, 100, 250)
         fine_objs = np.array(
             [max(angle_between(scaled_add(a, g_attack, g_mask), r) for r in refs) for a in fine]
@@ -315,7 +314,7 @@ class TestBatchedDecisionEquivalence:
         for seed in range(120):
             params, mask_X, mask_y, g_attack, refs = self._instance(rng, seed, centers)
             selected, trace = greedy_mask_select(
-                mask_X, mask_y, 0.3, params, g_attack, 1.0, refs
+                reference_geometry(refs), mask_X, mask_y, 0.3, params, g_attack, 1.0
             )
             feasible = tuple(step.feasible for step in trace)
             assert (selected, feasible) == naive_greedy_mask_select(
@@ -323,7 +322,7 @@ class TestBatchedDecisionEquivalence:
             )
             step_feasibility.update(feasible)
             g_mask = mlp.gradient(params, mask_X[list(selected)], mask_y[list(selected)])
-            got = optimize_alpha(g_attack, g_mask, refs, self.GRID)
+            got = optimize_alpha(reference_geometry(refs), g_attack, g_mask, self.GRID)
             assert got == naive_optimize_alpha(g_attack, g_mask, refs, self.GRID)
             alpha_feasibility.add(got[1])
         # both branches of each rule were exercised
@@ -343,7 +342,7 @@ class TestNearTies:
             rng = np.random.default_rng(seed)
             g = rng.normal(size=10)
             refs = np.stack([g + 0.1 * rng.normal(size=10) for _ in range(3)])
-            assert optimize_alpha(g, g, refs, self.GRID) == naive_optimize_alpha(
+            assert optimize_alpha(reference_geometry(refs), g, g, self.GRID) == naive_optimize_alpha(
                 g, g, refs, self.GRID
             )
 
@@ -355,7 +354,7 @@ class TestNearTies:
             refs = rng.normal(size=(4, 10))
             i = int(np.argmax(pairwise_angles(refs).max(axis=1)))
             g = refs[i]
-            assert optimize_alpha(g, g, refs, self.GRID) == naive_optimize_alpha(
+            assert optimize_alpha(reference_geometry(refs), g, g, self.GRID) == naive_optimize_alpha(
                 g, g, refs, self.GRID
             )
 
@@ -371,7 +370,7 @@ class TestNearTies:
             mask_y = rng.integers(0, 3, size=6)
             g_attack = (-1) ** seed * refs.mean(axis=0)
             selected, trace = greedy_mask_select(
-                mask_X, mask_y, 0.5, params, g_attack, 1e14, refs
+                reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack, 1e14
             )
             feasible = tuple(step.feasible for step in trace)
             assert (selected, feasible) == naive_greedy_mask_select(
@@ -403,7 +402,7 @@ class TestHostileDotSpace:
                 g_attack = scale * rng.normal(size=40)
                 g_mask = -(1 + delta) * g_attack
                 refs = rng.normal(size=(4, 40))
-                got = outcome(optimize_alpha, g_attack, g_mask, refs, self.GRID)
+                got = outcome(optimize_alpha, reference_geometry(refs), g_attack, g_mask, self.GRID)
                 assert got == outcome(naive_optimize_alpha, g_attack, g_mask, refs, self.GRID)
                 seen.add(got if isinstance(got, type) else tuple)
         assert seen == {DegenerateGradient, tuple}
@@ -415,7 +414,7 @@ class TestHostileDotSpace:
             g_attack = scale * rng.normal(size=40)
             g_mask = scale * rng.normal(size=40)
             refs = rng.normal(size=(4, 40))
-            got = outcome(optimize_alpha, g_attack, g_mask, refs, self.GRID)
+            got = outcome(optimize_alpha, reference_geometry(refs), g_attack, g_mask, self.GRID)
             assert got == outcome(naive_optimize_alpha, g_attack, g_mask, refs, self.GRID)
             seen.add(got if isinstance(got, type) else tuple)
         assert seen == {DegenerateGradient, tuple}
@@ -427,9 +426,9 @@ class TestHostileDotSpace:
         flat = params.flat.copy()
         flat[0] = np.nan  # every per-example product is NaN
         diverged = mlp.ModelParams(flat, params.layer_shapes)
-        args = (rng.normal(size=(6, 6)), rng.integers(0, 3, size=6), 0.5, diverged, g_attack, 1.0, refs)
-        assert outcome(greedy_mask_select, *args) is DegenerateGradient
-        assert outcome(naive_greedy_mask_select, *args) is DegenerateGradient
+        args = (rng.normal(size=(6, 6)), rng.integers(0, 3, size=6), 0.5, diverged, g_attack, 1.0)
+        assert outcome(greedy_mask_select, reference_geometry(refs), *args) is DegenerateGradient
+        assert outcome(naive_greedy_mask_select, *args, refs) is DegenerateGradient
 
     def test_near_floor_check_reads_the_unscaled_blend(self):
         # a greedy step m scores m times each blend; a blend of norm
@@ -460,11 +459,11 @@ class TestHostileDotSpace:
             # candidate j alone blends to zero, or to 1e-12 of its norm
             g_attack = -(1 + relative) * mlp.gradient(params, mask_X[[j]], mask_y[[j]])
             refs = gradient_like_refs(rng, params, 4)
-            args = (mask_X, mask_y, 0.5, params, g_attack, 1.0, refs)
-            got = outcome(greedy_mask_select, *args)
+            args = (mask_X, mask_y, 0.5, params, g_attack, 1.0)
+            got = outcome(greedy_mask_select, reference_geometry(refs), *args)
             if not isinstance(got, type):
                 got = (got[0], tuple(step.feasible for step in got[1]))
-            assert got == outcome(naive_greedy_mask_select, *args)
+            assert got == outcome(naive_greedy_mask_select, *args, refs)
             seen.add(got if isinstance(got, type) else tuple)
         assert DegenerateGradient in seen
 
@@ -495,7 +494,7 @@ class TestCraftFedPoisonMia:
             if result.feasible:
                 hits += 1
                 recheck = max(angle_between(result.g_malicious, r) for r in refs)
-                assert recheck <= benign_angle_budget(refs) + 1e-9
+                assert recheck <= reference_geometry(refs).budget + 1e-9
         assert hits > 0  # the certificate must actually get exercised
 
     def test_alpha_consistent_with_selected_mask(self, rng):
@@ -506,7 +505,7 @@ class TestCraftFedPoisonMia:
         g_attack = attack_gradient(params, ctx.attack_features, ctx.flipped_labels)
         idx = list(result.selected_mask_indices)
         g_mask = mlp.gradient(params, ctx.mask_features[idx], ctx.mask_labels[idx])
-        alpha, feasible = optimize_alpha(g_attack, g_mask, refs, ctx.alpha_grid)
+        alpha, feasible = optimize_alpha(reference_geometry(refs), g_attack, g_mask, ctx.alpha_grid)
         assert result.chosen_alpha == alpha
         assert result.feasible == feasible
         assert np.array_equal(
@@ -539,7 +538,7 @@ class TestCraftFedPoisonMia:
 
 def per_pair_objective(g, refs):
     """The crafted update's objective as the per-pair loop scores it."""
-    return max(angle_between(g, r) for r in usable_references(refs))
+    return max(angle_between(g, r) for r in reference_geometry(refs).refs)
 
 
 def counting_angles(monkeypatch):
@@ -575,7 +574,7 @@ class TestPrescreenedObjective:
             d = int(rng.integers(2, 40))
             refs = rng.normal(size=(int(rng.integers(2, 10)), d)) * 10.0 ** rng.integers(-8, 8)
             g = rng.normal(size=d) * 10.0 ** rng.integers(-8, 8)
-            got = attacks._objective(attacks._geometry(refs), g)
+            got = attacks._objective(reference_geometry(refs), g)
             assert got == per_pair_objective(g, refs)
 
     def test_duplicated_reference(self, rng):
@@ -583,7 +582,7 @@ class TestPrescreenedObjective:
             refs = rng.normal(size=(4, 12))
             refs = np.vstack([refs, refs[1]])
             g = rng.normal(size=12)
-            assert attacks._objective(attacks._geometry(refs), g) == per_pair_objective(g, refs)
+            assert attacks._objective(reference_geometry(refs), g) == per_pair_objective(g, refs)
 
     def test_mirrored_references_tie_exactly(self, rng, monkeypatch):
         calls = counting_angles(monkeypatch)
@@ -597,7 +596,7 @@ class TestPrescreenedObjective:
             refs = np.vstack([near, far, mirror])
             assert angle_between(g, far) == angle_between(g, mirror)
             del calls[:]
-            got = attacks._objective(attacks._geometry(refs), g)
+            got = attacks._objective(reference_geometry(refs), g)
             assert len(calls) == 2  # both tied references, scored per pair
             assert got == per_pair_objective(g, refs)
 
@@ -633,7 +632,7 @@ class TestPrescreenedObjective:
                 g = 1.0 * g_attack + -(1 + 1.5e-12 / np.linalg.norm(g_attack)) * g_attack
             del calls[:]
             expected = outcome(per_pair_objective, g, refs)
-            assert outcome(attacks._objective, attacks._geometry(refs), g) == expected
+            assert outcome(attacks._objective, reference_geometry(refs), g) == expected
             assert len(calls) == len(refs)
 
     def test_fewer_angle_calls_than_references(self, monkeypatch):
@@ -777,6 +776,66 @@ class TestAdaptive:
         for tiny in (0.0, 1e-84):
             padded = np.vstack([refs, np.full(params.dim, tiny)])
             assert np.array_equal(craft_adaptive(padded, g, trim_b=1), base)
+
+
+def naive_craft_adaptive(benign_grads, g_attack, trim_b):
+    """craft_adaptive's former loop, with pairwise_angles over the whole
+    stack at every check; a directionless attack row raises as
+    pairwise_angles used to. Returns (update, "break" or "cap")."""
+    refs = reference_geometry(benign_grads).refs
+    g = np.asarray(g_attack, dtype=np.float64)
+    n = refs.shape[0] + 1
+    for _ in range(attacks.ADAPTIVE_MAX_ITERS):
+        stack = np.vstack([refs, g])
+        if unit_rows(stack)[1][-1] <= NORM_FLOOR:
+            raise DegenerateGradient("attack gradient has no direction")
+        A = pairwise_angles(stack)
+        means = A.sum(axis=1) / (n - 1)
+        if means[-1] < np.sort(means)[::-1][2 * trim_b - 1]:
+            return g, "break"
+        g = 0.5 * (g + refs[int(np.argmax(A[-1, :-1]))])
+    return g, "cap"
+
+
+class TestAdaptiveParity:
+    """craft_adaptive keeps the references' angle block and rewrites the
+    attack row per check; it must equal the full recompute bit for bit."""
+
+    def test_matches_full_recompute(self, rng):
+        exits = set()
+        for trial in range(60):
+            d = (3, 20, 200)[trial % 3]
+            k = 6 + trial % 2
+            if trial % 2:  # positive multiples of one row: the loop hits the cap
+                refs = np.outer(rng.uniform(0.5, 2.0, size=k), rng.normal(size=d))
+            else:
+                refs = rng.normal(size=(k, d))
+            b = 1 + (trial // 2) % 3
+            g = rng.normal(size=d)
+            expected, how = naive_craft_adaptive(refs, g, b)
+            exits.add(how)
+            for junk in (0.0, 1e-84):  # skipped references
+                padded = np.vstack([refs[:2], np.full(d, junk), refs[2:]])
+                assert np.array_equal(craft_adaptive(padded, g, b), expected)
+            assert np.array_equal(craft_adaptive(refs, g, b), expected)
+        assert exits == {"break", "cap"}
+
+    def test_directionless_attack_row_raises(self, rng):
+        refs = rng.normal(size=(5, 8))
+        for g in (np.zeros(8), np.full(8, 1e-84)):
+            with pytest.raises(DegenerateGradient):
+                craft_adaptive(refs, g, 1)
+            with pytest.raises(DegenerateGradient):
+                naive_craft_adaptive(refs, g, 1)
+
+    def test_averaged_to_zero_raises(self):
+        # the first check fails and averages g with its antipode, refs[0]
+        refs = np.array([[1.0, 0.0], [0.9, 0.1], [0.8, 0.3], [0.95, -0.2], [0.85, 0.05]])
+        g = -refs[0]
+        with pytest.raises(DegenerateGradient):
+            naive_craft_adaptive(refs, g, 1)
+        with pytest.raises(DegenerateGradient):
+            craft_adaptive(refs, g, 1)
 
 
 class TestPassiveInfer:

@@ -147,6 +147,9 @@ REJECTIONS = [
     ("n_clients = 3\nmalicious_fraction = 0.34\nC = 0.6\nattack = fedpoisonmia", "knowledge"),
     ("n_clients = 3\nmalicious_fraction = 0.34\nC = 0.6\nattack = adaptive", "knowledge"),
     ("n_clients = 10\nmalicious_fraction = 0.1\nC = 0.1\nattack = fedpoisonmia", "knowledge"),
+    # a round of 1 that selects a malicious client leaves agrevader no reference
+    ("attack = agrevader\nC = 0.1", "knowledge"),
+    ("attack = agrevader\nmalicious_fraction = 0.4\nC = 0.1\nn_mask = 4", "knowledge"),
     ("attack = fedpoisonmia\ngamma = 0.05", "gamma"),
     ("attack = fedpoisonmia\nn_mask = 0", "n_mask"),
     ("attack = agrevader\nn_mask = 0", "n_mask"),

@@ -217,14 +217,14 @@ class TestRunSync:
             assert len(res.records) == 8
 
     def test_craft_observer_certificates(self):
-        from fedarena.attacks import benign_angle_budget
+        from fedarena.attacks import reference_geometry
         from fedarena.vectors import angle_between
 
         violations = []
         def observer(t, result, refs):
             if result.feasible:
                 worst = max(angle_between(result.g_malicious, r) for r in refs)
-                if worst > benign_angle_budget(refs) + 1e-9:
+                if worst > reference_geometry(refs).budget + 1e-9:
                     violations.append(t)
 
         cfg = fast_cfg(attack=AttackStrategy("fedpoisonmia", mask_fraction=0.3), seed=4)
@@ -532,7 +532,7 @@ class TestUpdateBuffer:
                 m = order.size
                 if m < 2:
                     continue
-                assert np.array_equal(block, pairwise_angles(G, degenerate_far=True))
+                assert np.array_equal(block, pairwise_angles(G))
                 b = int(rng.integers(0, (m - 1) // 2 + 1))
                 cached, fresh = atm(G, b, angles=block), atm(G, b)
                 assert cached.kept_indices == fresh.kept_indices

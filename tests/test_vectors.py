@@ -101,10 +101,15 @@ class TestPairwiseAngles:
                 expected = 0.0 if i == j else naive_angle(G[i], G[j])
                 assert A[i, j] == pytest.approx(expected, abs=1e-12)
 
-    def test_error_reports_offending_index(self):
-        G = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(DegenerateGradient, match="1"):
-            pairwise_angles(G)
+    def test_degenerate_row_sits_at_pi(self):
+        # a row with norm <= NORM_FLOOR has no direction: pi to every other
+        # row, zero to itself, and the other pairs keep their angles
+        G = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [3e-13, 0.0]])
+        A = pairwise_angles(G)
+        assert np.all(A[[1, 3]][:, [0, 2]] == math.pi)
+        assert A[1, 3] == A[3, 1] == math.pi
+        assert np.all(np.diag(A) == 0.0)
+        assert A[0, 2] == math.pi / 2
 
     def test_ragged_input_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -130,11 +135,11 @@ class TestPairwiseAngles:
         G = rng.normal(size=(n, d))
         if n > 2:
             G[n - 1] = G[0]  # a duplicated row
-        A = pairwise_angles(G, degenerate_far=True)
+        A = pairwise_angles(G)
         assert np.array_equal(A, A.T)
         assert np.all(np.diag(A) == 0.0)
         p = rng.permutation(n)
-        assert np.array_equal(pairwise_angles(G[p], degenerate_far=True), A[np.ix_(p, p)])
+        assert np.array_equal(pairwise_angles(G[p]), A[np.ix_(p, p)])
         U, norms = unit_rows(G)
         bad = norms <= NORM_FLOOR
         for i in range(n):
@@ -150,7 +155,7 @@ class TestPairwiseAngles:
         G[4] = 0.0
         U, norms = unit_rows(G)
         assert norms[2] == np.inf and not U[2].any()
-        A = pairwise_angles(G, degenerate_far=True)
+        A = pairwise_angles(G)
         assert np.all(A[2, [0, 1, 3]] == math.pi / 2)
         assert A[2, 4] == math.pi and A[2, 2] == 0.0
 
