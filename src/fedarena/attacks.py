@@ -12,32 +12,34 @@ skipped.
 
 The search is scored in dot-product space. Each craft builds one
 ReferenceGeometry with reference_geometry: the usable references, their
-unit rows U and the benign budget. Each step of the pipeline is one public
-function taking it (greedy_mask_select, optimize_alpha), and
-craft_adaptive reads its unit rows. The gradient of a mean loss is the
-mean of the per-example gradients P, so a greedy candidate's blend at
-step m is alpha * g_attack + (sum of selected rows + candidate row) / m.
-Its angles are those of m times it, m * alpha * g_attack + (selected sum +
-candidate row), whose dots with U and squared norm follow from
-P @ [U; alpha * g_attack].T and P @ P.T, which one backprop per craft
-yields without forming P (mlp.per_example_products), plus running sums
-over the selected rows; no step divides by m or gathers the remaining
-rows. An alpha-grid blend's dots and squared norm follow likewise from
-U @ g_attack, U @ g_mask and the three dot products of the two gradients.
-No array of the model's width is formed per candidate. A row whose
-expansion is non-finite, cancels (its triangle-inequality bound squared
-exceeds CANCEL_RATIO times its squared norm) or lies near NORM_FLOOR is
-scored per pair instead, which also raises DegenerateGradient on a
-degenerate blend. Objectives within TIE_TOL of the budget or of a rival
-are recomputed with mlp.gradient and angle_between, so every decision
-(mask indices, step feasibility, chosen alpha) is the one the per-pair
-computation makes. The crafted update's final objective is screened in
-cosine space and computed per pair only for the references within
-TIE_TOL of its lowest cosine, which hold the largest per-pair angle.
+unit rows U and the benign budget, computed on first read. Each step of
+the pipeline is one public function taking it (greedy_mask_select,
+optimize_alpha), and craft_adaptive reads its unit rows. The gradient of a
+mean loss is the mean of the per-example gradients P, so a greedy
+candidate's blend at step m is alpha * g_attack + (sum of selected rows +
+candidate row) / m. Its angles are those of m times it, m * alpha *
+g_attack + (selected sum + candidate row), whose dots with U and squared
+norm follow from P @ [U; alpha * g_attack].T and P @ P.T, which one
+backprop per craft yields without forming P (mlp.per_example_products),
+plus running sums over the selected rows; no step divides by m or gathers
+the remaining rows. An alpha-grid blend's dots and squared norm follow
+likewise from U @ g_attack, U @ g_mask and the three dot products of the
+two gradients. No array of the model's width is formed per candidate. A
+row whose expansion is non-finite, cancels (its triangle-inequality bound
+squared exceeds CANCEL_RATIO times its squared norm) or lies near
+NORM_FLOOR is scored per pair instead, which also raises
+DegenerateGradient on a degenerate blend. Objectives within TIE_TOL of the
+budget or of a rival are recomputed with mlp.gradient and angle_between,
+so every decision (mask indices, step feasibility, chosen alpha) is the
+one the per-pair computation makes. The crafted update's final objective
+is screened in cosine space and computed per pair only for the references
+within TIE_TOL of its lowest cosine, which hold the largest per-pair
+angle.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +57,6 @@ from .vectors import (
     _as_matrix,
     angle_between,
     angles_to,
-    pairwise_angles,
     pairwise_sq_distances,
     scaled_add,
     unit_rows,
@@ -146,12 +147,19 @@ class ReferenceGeometry:
 
     refs: np.ndarray  # the usable references
     unit: np.ndarray  # their unit rows (vectors.unit_rows)
-    budget: float  # largest pairwise angle among them
+
+    @cached_property
+    def budget(self) -> float:
+        """Largest pairwise angle among the references, built on first read:
+        the largest arccos(clip(unit @ unit.T)) above the diagonal. Angles
+        are >= 0, so the zeroed lower triangle never wins."""
+        theta = np.arccos(np.clip(self.unit @ self.unit.T, -1.0, 1.0))
+        return float(np.triu(theta, 1).max())
 
 
 def reference_geometry(benign_grads) -> ReferenceGeometry:
-    """Stack the references, drop those too short to carry a direction,
-    and take the largest pairwise angle among the rest as the budget.
+    """Stack the references and drop those too short to carry a direction;
+    the budget is their largest pairwise angle.
 
     A benign gradient can underflow to norm ~1e-83 on a well-fit shard;
     the attacker skips it rather than failing on its undefined angle.
@@ -166,10 +174,7 @@ def reference_geometry(benign_grads) -> ReferenceGeometry:
         refs, unit = refs[usable], unit[usable]
     if refs.shape[0] < 2:
         raise TooFewReferences(f"need at least 2 usable references, got {refs.shape[0]}")
-    # the budget is the largest arccos(clip(unit @ unit.T)) above the
-    # diagonal; angles are >= 0, so the zeroed lower triangle never wins
-    theta = np.arccos(np.clip(unit @ unit.T, -1.0, 1.0))
-    return ReferenceGeometry(refs, unit, float(np.triu(theta, 1).max()))
+    return ReferenceGeometry(refs, unit)
 
 
 def _max_angle_to_refs(g, refs) -> float:
@@ -423,14 +428,18 @@ def craft_adaptive(benign_grads, g_attack, trim_b: int) -> np.ndarray:
     n = refs.shape[0] + 1
     if 2 * trim_b >= n:
         raise TooFewReferences(f"2*{trim_b} >= {n} total gradients")
+    # the references' block, from the geometry's unit rows as
+    # pairwise_angles builds it: one angles_to row per reference, mirrored
+    U = geo.unit
+    bad = np.zeros(n - 1, dtype=bool)  # every reference is usable
     A = np.zeros((n, n))
-    A[:-1, :-1] = pairwise_angles(refs)
-    degenerate = np.zeros(n - 1, dtype=bool)  # every reference is usable
+    for i in range(n - 2):
+        A[i, i + 1 : -1] = A[i + 1 : -1, i] = angles_to(U[i + 1 :], bad[i + 1 :], U[i], False)
     for _ in range(ADAPTIVE_MAX_ITERS):
         u, norm = unit_rows(_as_matrix(g[None]))
         if norm[0] <= NORM_FLOOR:
             raise DegenerateGradient(f"attack gradient has norm {norm[0]:.3e}")
-        A[-1, :-1] = A[:-1, -1] = angles_to(geo.unit, degenerate, u[0], False)
+        A[-1, :-1] = A[:-1, -1] = angles_to(U, bad, u[0], False)
         means = A.sum(axis=1) / (n - 1)
         threshold = np.sort(means)[::-1][2 * trim_b - 1]
         if means[-1] < threshold:

@@ -210,7 +210,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         ("rule.fang_remove", kind != "fang" or rule.fang_remove >= 0, ">= 0"),
         ("rule.top_k", rule.kind != "topk" or rule.top_k >= 0, ">= 0 (0 keeps every dimension)"),
         # a craft needs its references, a mask sample and a nonempty mask budget
-        ("attack.knowledge", refs >= need_refs,
+        ("attack.knowledge", need_refs == 0 or refs >= need_refs,
          f">= {need_refs} malicious clients" if attack.knowledge == "partial" else
          f">= {need_refs} benign participants in a round that selects every malicious "
          f"client, got {per_round} - {n_mal}"),

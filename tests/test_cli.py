@@ -313,6 +313,10 @@ class TestRejections:
             "n_attack = 121",  # 60 non-members fill the holdout
             "partition = noniid\nn_clients = 150\nseed = 1",  # no client is dealt none
             "attack = agrevader\nn_clients = 10\nmalicious_fraction = 0.1",
+            # more malicious clients than a round's participants: these
+            # attacks build no references, so knowledge is not checked
+            "attack = gradient_ascent\nmalicious_fraction = 0.2\nC = 0.1",
+            "attack = passive\nmalicious_fraction = 0.3\nC = 0.2",
         ],
     )
     def test_edge_of_first_round_checks_runs(self, text, tmp_path):
