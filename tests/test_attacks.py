@@ -820,6 +820,13 @@ class TestAdaptiveParity:
             assert np.array_equal(craft_adaptive(refs, g, b), expected)
         assert exits == {"break", "cap"}
 
+    def test_matches_full_recompute_with_fewest_references(self, rng):
+        # two or three references: a block of one or three entries
+        for k in (2, 3):
+            for _ in range(10):
+                refs, g = rng.normal(size=(k, 20)), rng.normal(size=20)
+                assert np.array_equal(craft_adaptive(refs, g, 1), naive_craft_adaptive(refs, g, 1)[0])
+
     def test_directionless_attack_row_raises(self, rng):
         refs = rng.normal(size=(5, 8))
         for g in (np.zeros(8), np.full(8, 1e-84)):
