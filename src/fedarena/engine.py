@@ -5,7 +5,11 @@ Malicious clients take the highest client ids, so dispatching a round in
 ascending id order always computes benign gradients before the attacker
 crafts (the attacker needs those references in full-knowledge mode). All
 stochastic choices draw from tagged substreams of the experiment seed, so
-two runs of the same config are bit-identical.
+two runs of the same config are bit-identical. The draws the loops read
+each round (participants, batches, async delays) are pure functions of
+(seed, tag, round, client), so a run's `_DrawPlan` draws them a block of
+rounds ahead, each kind in one vectorised `rngstream` pass that returns
+bitwise what each stream's own Generator would.
 
 Dispatch: both loops draw a round's updates from `_client_updates`, one
 dispatch segment at a time: consecutive participants that share one
@@ -49,7 +53,7 @@ atm, Krum or fang changes.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -71,10 +75,12 @@ from .attacks import (
     passive_infer,
 )
 from .errors import EmptyFile, EmptyHistory, EmptySet, InvalidC, InvalidConfig, ParseError
-from .rngstream import derive_seed, substream
+from .rngstream import derive_seed, integers, keyed_words, sorted_choices, substream
 from .vectors import NORM_FLOOR, angles_to, sq_distances_to, unit_rows
 
 HIDDEN_WIDTH = 32
+# streams a draw plan draws per block of rounds, which bounds its memory
+_PLAN_STREAMS = 512
 
 
 @dataclass(frozen=True)
@@ -243,12 +249,19 @@ def participant_count(n: int, participation: float) -> int:
     return math.ceil(participation * n - 1e-9)
 
 
+def _selections(n: int, participation: float, rounds, seed: int) -> np.ndarray:
+    """Row i: the participants of round rounds[i], np.sort(substream(seed,
+    "select", round).choice(n, ceil(C*n), replace=False))."""
+    words = keyed_words(seed, "select", [(t,) for t in rounds])
+    return sorted_choices(words, [n] * len(words), participant_count(n, participation))
+
+
 def select_clients(n: int, participation: float, round_idx: int, seed: int) -> np.ndarray:
-    """ceil(C*n) distinct client ids, uniform, deterministic per (seed, round)."""
+    """ceil(C*n) distinct client ids, uniform, deterministic per (seed, round):
+    the one-round form of the draw the loops read from their plan."""
     if not 0 < participation <= 1:
         raise InvalidC(f"participation {participation} outside (0, 1]")
-    rng = substream(seed, "select", round_idx)
-    return np.sort(rng.choice(n, size=participant_count(n, participation), replace=False))
+    return _selections(n, participation, [round_idx], seed)[0]
 
 
 def test_accuracy(params: mlp.ModelParams, features, labels) -> float:
@@ -302,6 +315,11 @@ class _World:
     attacker: datamod.AttackerData
     malicious_ids: tuple[int, ...]
     attack_ctx: AttackerContext | None
+
+    @cached_property
+    def draws(self) -> "_DrawPlan":
+        """The run's draw plan, made at its first read (never by `build_world`)."""
+        return _DrawPlan(self.cfg, self.shards, self.malicious_ids)
 
 
 def build_world(cfg: ExperimentConfig, load_csv=None) -> _World:
@@ -380,11 +398,79 @@ def build_world(cfg: ExperimentConfig, load_csv=None) -> _World:
     )
 
 
-def _batch_indices(world: _World, round_idx: int, client: int) -> np.ndarray:
-    shard = world.shards[client]
-    size = min(world.cfg.batch_size, shard.size)
-    rng = substream(world.cfg.seed, "batch", round_idx, client)
-    return np.sort(rng.choice(shard, size=size, replace=False))
+class _DrawPlan:
+    """A run's draws, one block of rounds at a time: each round's
+    participants, the batch of each (round, client) the loops read (the
+    participants, plus the malicious clients' proxies when a craft under
+    partial knowledge reads them) and, in async runs, each participant's
+    delay. Each is a pure function of (seed, tag, round, client), and a
+    block's draws of one kind come from one `rngstream` pass, bitwise the
+    per-stream Generator's. A block spans as many rounds as fit in
+    _PLAN_STREAMS streams (at least one); a read past it draws the next."""
+
+    def __init__(self, cfg: ExperimentConfig, shards, malicious_ids: tuple[int, ...]):
+        # no reference to the world, which holds the plan: a cycle would
+        # keep each finished run's data alive until a cyclic collection
+        self.cfg, self.malicious_ids = cfg, malicious_ids
+        self.per_round = participant_count(cfg.n_clients, cfg.participation)
+        self.proxies = (
+            cfg.attack.kind in ("agrevader", "fedpoisonmia", "adaptive")
+            and cfg.attack.knowledge == "partial"
+        )
+        self.shard_sizes = np.array([s.size for s in shards])
+        self.flat_shards = np.concatenate(shards)
+        self.offsets = np.cumsum(self.shard_sizes) - self.shard_sizes
+        self.batch_sizes = np.minimum(cfg.batch_size, self.shard_sizes)
+        self.rounds = range(0)
+        self.participants: dict[int, np.ndarray] = {}
+        self.batches: dict[tuple[int, int], np.ndarray] = {}
+        self.delays: dict[tuple[int, int], int] = {}
+
+    def _block(self, t: int):
+        if t in self.rounds:
+            return
+        cfg, mal = self.cfg, self.malicious_ids
+        streams = 1 + self.per_round * (1 + cfg.asynchronous) + len(mal) * self.proxies
+        self.rounds = range(t, max(t + 1, min(cfg.rounds, t + _PLAN_STREAMS // streams)))
+        select = _selections(cfg.n_clients, cfg.participation, self.rounds, cfg.seed)
+        self.participants = dict(zip(self.rounds, select))
+        rows = [(r, ids.tolist()) for r, ids in self.participants.items()]
+        keys = [(r, k) for r, ids in rows for k in ids]
+        proxies = [(r, k) for r, ids in rows for k in mal if k not in ids] if self.proxies else []
+        self.batches = self._draw_batches(keys + proxies)
+        self.delays = {}
+        if cfg.asynchronous:
+            drawn = integers(keyed_words(cfg.seed, "delay", keys), [cfg.tau_max + 1] * len(keys))
+            self.delays = dict(zip(keys, drawn.tolist()))
+
+    def _draw_batches(self, keys) -> dict[tuple[int, int], np.ndarray]:
+        """(round, client) -> np.sort(substream(seed, "batch", round,
+        client).choice(shard, min(batch_size, shard size), replace=False)),
+        one pass per batch size."""
+        out = {}
+        clients = np.array([k for _, k in keys], dtype=np.int64)
+        sizes = self.batch_sizes[clients]
+        for size in sorted(set(sizes.tolist())):
+            group = [keys[i] for i in np.flatnonzero(sizes == size)]
+            ids = clients[sizes == size]
+            picks = sorted_choices(
+                keyed_words(self.cfg.seed, "batch", group), self.shard_sizes[ids], size
+            )
+            out.update(zip(group, np.sort(self.flat_shards[self.offsets[ids, None] + picks], axis=1)))
+        return out
+
+    def selected(self, t: int) -> np.ndarray:
+        self._block(t)
+        return self.participants[t]
+
+    def batch(self, t: int, client: int) -> np.ndarray:
+        self._block(t)
+        return self.batches[t, client]
+
+    def delay(self, t: int, client: int) -> int:
+        """The client's round-t delay, uniform on {0..tau_max}."""
+        self._block(t)
+        return self.delays[t, client]
 
 
 def _shard_gradients(world: _World, params, round_idx: int, clients) -> list[np.ndarray]:
@@ -392,7 +478,7 @@ def _shard_gradients(world: _World, params, round_idx: int, clients) -> list[np.
     order: one `mlp.gradients` call per batch size (a shard smaller than
     batch_size draws a smaller batch). Every row is an owned copy, so a row
     held past the round pins no other client's."""
-    batches = [_batch_indices(world, round_idx, k) for k in clients]
+    batches = [world.draws.batch(round_idx, k) for k in clients]
     by_size: dict[int, list[int]] = {}
     for i, idx in enumerate(batches):
         by_size.setdefault(idx.size, []).append(i)
@@ -519,7 +605,7 @@ def run_sync(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     params = world.params0
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
-        participants = select_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
+        participants = world.draws.selected(t)
         # one segment; a fresh view: the attacker references this round's
         # benign gradients
         updates = _client_updates(world, t, participants.tolist(), {}, params, craft_observer)
@@ -528,10 +614,6 @@ def run_sync(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
         params, outcome = _step(world, cfg.rule, params, order, G, t)
         records.append(_record(world, params, t, participants, {"kept": outcome.kept_indices}))
     return _finish(world, records)
-
-
-def _draw_delay(rng: np.random.Generator, tau_max: int) -> int:
-    return int(rng.integers(0, tau_max + 1))
 
 
 def _clamp_rule(rule: AggregationRule, size: int) -> AggregationRule:
@@ -626,9 +708,9 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
         last_outcome = None
         for t_disp, client, g in sorted(pending.pop(t, []), key=lambda e: (e[0], e[1])):
             last_outcome = apply_arrival(t, t_disp, client, g, staleness_log)
-        participants = select_clients(cfg.n_clients, cfg.participation, t, cfg.seed)
+        participants = world.draws.selected(t)
         clients = participants.tolist()
-        delays = [_draw_delay(substream(cfg.seed, "delay", t, k), cfg.tau_max) for k in clients]
+        delays = [world.draws.delay(t, k) for k in clients]
         # a segment ends after each zero-delay client, whose arrival steps the model
         ends = [i + 1 for i, delay in enumerate(delays) if delay == 0]
         if not ends or ends[-1] < len(clients):

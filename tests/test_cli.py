@@ -700,7 +700,7 @@ class TestDefaults:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == 10
 
 
 COLD_RUN = """

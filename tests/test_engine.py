@@ -22,6 +22,7 @@ from fedarena.engine import (
 )
 from fedarena.engine import test_accuracy as model_test_accuracy
 from fedarena.errors import EmptyHistory, EmptySet, InvalidC, InvalidConfig
+from fedarena.rngstream import substream
 from fedarena.vectors import pairwise_angles, pairwise_sq_distances
 
 FAST = dict(
@@ -57,8 +58,10 @@ def records_equal(a, b):
 
 def client_gradient(world, params, t, k):
     """Per-client reference: client k's round-t batch gradient, by one
-    mlp.gradient call on its own batch."""
-    idx = eng._batch_indices(world, t, k)
+    mlp.gradient call on its own batch, drawn by its own Generator."""
+    shard = world.shards[k]
+    rng = substream(world.cfg.seed, "batch", t, k)
+    idx = np.sort(rng.choice(shard, size=min(world.cfg.batch_size, shard.size), replace=False))
     return mlp.gradient(params, world.train.features[idx], world.train.labels[idx])
 
 
@@ -303,7 +306,7 @@ class TestRunAsync:
             assert np.array_equal(got.membership_preds, preds)
 
     def test_forced_max_delay_staleness(self, monkeypatch):
-        monkeypatch.setattr(eng, "_draw_delay", lambda rng, tau: tau)
+        monkeypatch.setattr(eng._DrawPlan, "delay", lambda plan, t, k: plan.cfg.tau_max)
         cfg = fast_cfg(rounds=10, asynchronous=True, tau_max=3, attack=AttackStrategy("none"), seed=8)
         res = run_async(cfg)
         staleness = [s for r in res.records for s in r.diagnostics["staleness"]]
