@@ -8,16 +8,20 @@ Subcommands:
   selftest  quick built-in property checks
 
 Config files are flat `key = value` lines (# comments allowed). Unknown
-keys are rejected; missing keys take their defaults. Every `run` key in
-`KEYS` maps onto one ExperimentConfig field, whose dataclass declares the
-default and `engine.validate_config` the check of what the config alone
-decides; `engine.build_world` judges the values checked against the data
-(the split, the partition, the attacker's samples, the model dimension)
-when a run builds its world, and a sweep builds each point's world before
-any run. Only the `theory_*` keys are read by the CLI alone, and carry
-their own default and check here. Every rejected value, `--seed`
-included, exits 1 naming its key, with nothing written. Outputs use fixed
-column orders and 9-significant-digit decimals so reruns diff clean.
+keys are rejected; missing keys take their defaults. The run keys are
+derived from the fields of ExperimentConfig, its nested rule and attack
+configs expanded in place: each is its field's last name, except the six
+in `RENAMED` (`C`, `rule`, `inner_rule`, `attack`, `gamma`, `async`).
+The dataclasses declare every run key's default and order, and
+`engine.validate_config` the check of what the config alone decides;
+`engine.build_world` judges the values checked against the data (the
+split, the partition, the attacker's samples, the model dimension) when a
+run builds its world, and a sweep builds each point's world before any
+run. Only the `theory_*` keys are read by the CLI alone, and carry their
+own default and check here; a sweep over one of them, which no run
+reads, is rejected. Every rejected value, `--seed` included, exits 1
+naming its key, with nothing written. Outputs use fixed column orders and
+9-significant-digit decimals so reruns diff clean.
 FEDARENA_THREADS caps sweep parallelism (0 = sequential).
 """
 
@@ -27,16 +31,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from functools import cache, partial, reduce
+from dataclasses import fields, is_dataclass, replace
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from . import data as datamod
-from .aggregation import KINDS as RULE_KINDS
-from .aggregation import AggregationRule
-from .attacks import AttackStrategy
 from .engine import ExperimentConfig, ExperimentResult, build_world, run, validate_config
 from .errors import ConfigError, FedArenaError, InvalidConfig, InvalidParams
 from .theory import (
@@ -54,74 +55,54 @@ EXIT_RUNTIME = 2
 EXIT_ACCEPTANCE = 3
 
 
-@dataclass(frozen=True)
-class CliOnly:
-    """A `theory_*` key, which no ExperimentConfig field holds, with its default."""
-
-    default: object
-
-
-# key -> dotted ExperimentConfig field path, or CliOnly(default); order
-# here is the canonical emission order
-KEYS: dict[str, object] = {
-    "n_clients": "n_clients",
-    "malicious_fraction": "malicious_fraction",
-    "C": "participation",
-    "lr": "lr",
-    "rounds": "rounds",
-    "batch_size": "batch_size",
-    "rule": "rule.kind",
-    "trim_b": "rule.trim_b",
-    "dp_sigma": "rule.dp_sigma",
-    "top_k": "rule.top_k",
-    "krum_f": "rule.krum_f",
-    "krum_count": "rule.krum_count",
-    "fang_mode": "rule.fang_mode",
-    "fang_remove": "rule.fang_remove",
-    "inner_rule": "rule.inner",
-    "attack": "attack.kind",
-    "gamma": "attack.mask_fraction",
-    "alpha_min": "attack.alpha_min",
-    "alpha_max": "attack.alpha_max",
-    "alpha_points": "attack.alpha_points",
-    "knowledge": "attack.knowledge",
-    "ga_scale": "attack.ga_scale",
-    "dataset": "dataset",
-    "csv_path": "csv_path",
-    "classes": "classes",
-    "features": "features",
-    "per_class": "per_class",
-    "spread": "spread",
-    "partition": "partition",
-    "beta": "beta",
-    "train_fraction": "train_fraction",
-    "holdout_fraction": "holdout_fraction",
-    "val_fraction": "val_fraction",
-    "n_attack": "n_attack",
-    "n_mask": "n_mask",
-    "async": "asynchronous",
-    "tau_max": "tau_max",
-    "seed": "seed",
-    "theory_n": CliOnly(20),
-    "theory_mu": CliOnly(math.pi / 2),
-    "theory_sigma": CliOnly(0.3),
-    "theory_m_values": CliOnly((0, 2, 4)),
-    "theory_b_max": CliOnly(5),
-    "theory_trials": CliOnly(2000),
-    "theory_adversaries": CliOnly(ADVERSARIES),
+# the run keys that are not their field's last name
+RENAMED = {
+    "participation": "C",
+    "rule.kind": "rule",
+    "rule.inner": "inner_rule",
+    "attack.kind": "attack",
+    "attack.mask_fraction": "gamma",
+    "asynchronous": "async",
 }
-_KEY_OF_PATH = {row: key for key, row in KEYS.items() if isinstance(row, str)}
+
+# the keys no ExperimentConfig field holds, read by `theory` alone
+THEORY_DEFAULTS = {
+    "theory_n": 20,
+    "theory_mu": math.pi / 2,
+    "theory_sigma": 0.3,
+    "theory_m_values": (0, 2, 4),
+    "theory_b_max": 5,
+    "theory_trials": 2000,
+    "theory_adversaries": ADVERSARIES,
+}
 
 
-def _defaults() -> dict:
-    base = ExperimentConfig()
-    return {
-        key: row.default if isinstance(row, CliOnly) else reduce(getattr, row.split("."), base)
-        for key, row in KEYS.items()
-    }
+def _walk(config, leaf, prefix=""):
+    """`config` rebuilt with the value `v` of each field at dotted path `p`
+    replaced by `leaf(p, v)`, in declaration order, a nested config walked
+    in place. It reads the values, not the annotations, so a postponed
+    annotation cannot flatten a nested config."""
+    changes = {}
+    for f in fields(config):
+        path, value = prefix + f.name, getattr(config, f.name)
+        nested = is_dataclass(value)
+        changes[f.name] = _walk(value, leaf, path + ".") if nested else leaf(path, value)
+    return replace(config, **changes)
 
 
-DEFAULTS = _defaults()
+KEYS: dict[str, str] = {}  # run key -> dotted field path; the canonical emission order
+DEFAULTS: dict = {}
+
+
+def _declare(path: str, default):
+    key = RENAMED.get(path, path.rpartition(".")[2])
+    KEYS[key], DEFAULTS[key] = path, default
+    return default
+
+
+_walk(ExperimentConfig(), _declare)
+DEFAULTS.update(THEORY_DEFAULTS)
+_KEY_OF_PATH = {path: key for key, path in KEYS.items()}
 
 
 def _convert(raw: str, default):
@@ -216,16 +197,7 @@ def to_experiment_config(values: dict) -> ExperimentConfig:
     """Check every value and set it on its field; a rejected value raises
     ConfigError naming its key."""
     _check_cli_keys(values)
-    fields = {"": {}, "rule": {}, "attack": {}}
-    for key, row in KEYS.items():
-        if isinstance(row, str):
-            owner, _, name = row.rpartition(".")
-            fields[owner][name] = values[key]
-    cfg = ExperimentConfig(
-        **fields[""],
-        rule=AggregationRule(**fields["rule"]),
-        attack=AttackStrategy(**fields["attack"]),
-    )
+    cfg = _walk(ExperimentConfig(), lambda path, _: values[_KEY_OF_PATH[path]])
     try:
         validate_config(cfg)
     except InvalidConfig as exc:
@@ -360,6 +332,8 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(key, "unknown sweep key")
+        if key in THEORY_DEFAULTS:
+            raise ConfigError(key, "no run reads it; only `theory` does")
         if key in keys:
             raise ConfigError(key, "swept by two --sweep specs")
         keys.append(key)

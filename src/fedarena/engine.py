@@ -309,7 +309,6 @@ class _World:
     train: datamod.Dataset
     shards: tuple[np.ndarray, ...]
     shard_sizes: np.ndarray
-    holdout: datamod.Dataset
     val: datamod.Dataset
     test: datamod.Dataset
     attacker: datamod.AttackerData
@@ -389,7 +388,6 @@ def build_world(cfg: ExperimentConfig, load_csv=None) -> _World:
         train=train,
         shards=part.shards,
         shard_sizes=np.array([s.size for s in part.shards], dtype=np.float64),
-        holdout=holdout,
         val=val,
         test=test,
         attacker=attacker,

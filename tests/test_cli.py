@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,12 +9,12 @@ import stat
 import subprocess
 import sys
 import time
-from functools import reduce
 from pathlib import Path
 
 import pytest
 
 from fedarena import cli
+from fedarena.aggregation import KINDS as RULE_KINDS
 from fedarena.engine import ExperimentConfig
 from fedarena.errors import ConfigError
 
@@ -566,6 +567,7 @@ class TestSweepCommand:
             # at 150 under seed 0 but not seed 1
             (["partition=noniid", "per_class=100", "n_clients=10,170"], "n_clients"),
             (["partition=noniid", "per_class=100", "n_clients=150", "seed=1,0"], "n_clients"),
+            (["theory_trials=5,6"], "theory_trials"),  # no run reads it
         ],
     )
     def test_rejected_grid_writes_nothing(self, specs, key, tmp_path, capsys):
@@ -617,7 +619,7 @@ class TestSweepCommand:
         keys, points = cli.sweep_points(values, specs, tmp_path)
         assert keys == ["attack", "rule", "seed"]
         assert len(points) == 5 * 8 * 5
-        assert {v["rule"] for v, _ in points} == set(cli.RULE_KINDS)
+        assert {v["rule"] for v, _ in points} == set(RULE_KINDS)
 
     def test_unknown_sweep_key(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -683,14 +685,26 @@ class TestDefaults:
         assert cli.main(["defaults"]) == 0
         assert capsys.readouterr().out == DEFAULTS_TEXT
 
-    def test_every_run_key_is_a_config_field(self):
-        base = ExperimentConfig()
-        for key, row in cli.KEYS.items():
-            if key.startswith("theory_"):
-                assert isinstance(row, cli.CliOnly), key
-            else:
-                assert isinstance(row, str), key
-                assert reduce(getattr, row.split("."), base) == cli.DEFAULTS[key], key
+    def test_run_keys_are_a_bijection_onto_the_config_fields(self):
+        def leaves(config, prefix=""):
+            for f in dataclasses.fields(config):
+                value = getattr(config, f.name)
+                if dataclasses.is_dataclass(value):
+                    yield from leaves(value, f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name, value
+
+        base = dict(leaves(ExperimentConfig()))
+        # every leaf field has exactly one run key, and the keys are distinct
+        assert sorted(cli.KEYS.values()) == sorted(base)
+        for key, path in cli.KEYS.items():
+            assert key == cli.RENAMED.get(path, path.rpartition(".")[2]), key
+            assert cli.DEFAULTS[key] == base[path], key
+        # no run key is a theory key, and every other key is one
+        theory = [key for key in cli.DEFAULTS if key not in cli.KEYS]
+        assert theory and all(key.startswith("theory_") for key in theory)
+        assert not any(key.startswith("theory_") for key in cli.KEYS)
+        assert set(cli.RENAMED) <= set(base)
 
     def test_defaults_subcommand_round_trips(self, tmp_path, capsys):
         assert cli.main(["defaults"]) == 0
