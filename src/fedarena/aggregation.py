@@ -2,10 +2,12 @@
 
 `apply_rule` is the boundary: it checks the client gradients once, into a
 finite (n, d) float64 matrix (`vectors._as_matrix`), and dispatches the
-configured kind. Every rule takes that checked matrix and returns an
-AggregationOutcome: the aggregate, which client indices survived any
-filtering, and rule-specific diagnostics. dp and topk are row transforms
-(`dp_noise`, `topk_rows`) that `apply_rule` runs before their inner kind.
+configured kind. The engine screens each update once, as it arrives, and
+hands the rows over as a `_Screened` view, which is not checked again.
+Every rule takes that checked matrix and returns an AggregationOutcome:
+the aggregate, which client indices survived any filtering, and
+rule-specific diagnostics. dp and topk are row transforms (`dp_noise`,
+`topk_rows`) that `apply_rule` runs before their inner kind.
 Rules are pure given their inputs (noise injection takes an explicit
 seed).
 """
@@ -50,6 +52,14 @@ class AggregationRule:
     fang_mode: str = "lfr"  # err|lfr
     fang_remove: int = 1
     inner: str = "fedavg"  # run on these same knobs; not dp|topk itself
+
+
+class _Screened(np.ndarray):
+    """A view of rows already screened into a finite (n, d) float64 matrix:
+    the engine screens each update once (`UpdateBuffer.put` as it arrives,
+    `_as_matrix` on a sync round's stack) and marks the rows it aggregates
+    with `view(_Screened)`. `apply_rule` takes them as a plain view at once,
+    so no array derived from them carries the mark."""
 
 
 KINDS = ("fedavg", "median", "trimmed_mean", "atm", "multi_krum", "dp", "topk", "fang")
@@ -416,7 +426,9 @@ def apply_rule(
     lr: float = 0.01,
     block=None,
 ) -> AggregationOutcome:
-    """Check `grads` once and run the configured rule on them. Weights
+    """Check `grads` once and run the configured rule on them; rows the
+    engine has screened come as a `_Screened` view and are taken as they
+    are, while any other caller's rows are checked (`_as_matrix`). Weights
     reach fedavg only. dp and topk transform the rows (`dp_noise`,
     `topk_rows`), then run their `inner` kind on the same knobs. `block` is
     the block of `grads` a caller keeps for the kind: the pairwise angles a
@@ -424,7 +436,7 @@ def apply_rule(
     multi_krum reads (its `sq_dists`), or the first-layer products a
     top-level fang reads (its `val_products`); a dp/topk transform changes
     the rows, so its inner rule recomputes it."""
-    G = _as_matrix(grads)
+    G = grads.view(np.ndarray) if isinstance(grads, _Screened) else _as_matrix(grads)
     kind = rule.kind
     if kind in ("dp", "topk"):
         if rule.inner in ("dp", "topk"):

@@ -19,9 +19,11 @@ split, the partition, the attacker's samples, the model dimension) when a
 run builds its world, and a sweep builds each point's world before any
 run. Only the `theory_*` keys are read by the CLI alone, and carry their
 own default and check here; a sweep over one of them, which no run
-reads, is rejected. Every rejected value, `--seed` included, exits 1
-naming its key, with nothing written. Outputs use fixed column orders and
-9-significant-digit decimals so reruns diff clean.
+reads, is rejected, as is a sweep over a key of `READ_WHEN` (`tau_max`,
+`csv_path`, ...) that no point of the sweep reads. Every rejected value,
+`--seed` included, exits 1 naming its key, with nothing written. Outputs
+use fixed column orders and 9-significant-digit decimals so reruns diff
+clean.
 FEDARENA_THREADS caps sweep parallelism (0 = sequential).
 """
 
@@ -38,7 +40,14 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datamod
-from .engine import ExperimentConfig, ExperimentResult, build_world, run, validate_config
+from .engine import (
+    ExperimentConfig,
+    ExperimentResult,
+    _rows_kind,
+    build_world,
+    run,
+    validate_config,
+)
 from .errors import ConfigError, FedArenaError, InvalidConfig, InvalidParams
 from .theory import (
     ADVERSARIES,
@@ -63,6 +72,17 @@ RENAMED = {
     "attack.kind": "attack",
     "attack.mask_fraction": "gamma",
     "asynchronous": "async",
+}
+
+# the run keys only some configs read: key -> (whether a config reads it,
+# what it needs); a sweep over one that no point reads is rejected
+_FANG = (lambda cfg: _rows_kind(cfg.rule) == "fang", "rule or inner_rule = fang")
+READ_WHEN = {
+    "fang_mode": _FANG,
+    "fang_remove": _FANG,
+    "tau_max": (lambda cfg: cfg.asynchronous, "async = true"),
+    "csv_path": (lambda cfg: cfg.dataset == "csv", "dataset = csv"),
+    "inner_rule": (lambda cfg: cfg.rule.kind in ("dp", "topk"), "rule = dp|topk"),
 }
 
 # the keys no ExperimentConfig field holds, read by `theory` alone
@@ -322,8 +342,9 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
     Cartesian product of `key=v1,v2,...` specs, the last spec varying
     fastest; each point writes into nested `key=value` directories.
     Every point's world is built, as a check, before it is returned (each
-    distinct CSV dataset is parsed once for these checks), and two values
-    of one key that parse to the same value are rejected."""
+    distinct CSV dataset is parsed once for these checks). Two values of
+    one key that parse to the same value are rejected, and so is a key of
+    `READ_WHEN` that no point reads."""
     keys, axes = [], []
     for spec in sweep_specs:
         if "=" not in spec:
@@ -344,18 +365,23 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
                 raise ConfigError(key, f"{raw!r} repeats the value of {first[value]!r}")
             first[value] = raw
     check = partial(build_world, load_csv=cache(datamod.load_csv))
-    points = []
+    points, unread = [], {key for key in keys if key in READ_WHEN}
     for combo in itertools.product(*axes):
         v, out = dict(values), Path(out_dir)
         for key, (raw, value) in zip(keys, combo):
             v[key] = value
             out = out / f"{key}={raw}"
         try:
-            _data_checked(check, to_experiment_config(v))
+            cfg = to_experiment_config(v)
+            _data_checked(check, cfg)
         except ConfigError as exc:
             where = out.relative_to(out_dir).as_posix()
             raise ConfigError(exc.key, f"{exc.message} (at {where})") from None
+        unread = {key for key in unread if not READ_WHEN[key][0](cfg)}
         points.append((v, out))
+    for key in keys:
+        if key in unread:
+            raise ConfigError(key, f"no point of the sweep reads it, none has {READ_WHEN[key][1]}")
     return keys, points
 
 

@@ -37,18 +37,24 @@ per client (stale entries retained). Arrivals queued from earlier rounds
 are applied before the current round's dispatches; a delay of zero means
 the update is applied immediately, before the next client dispatches.
 Trim-style rules clamp their parameters while the buffer is still
-smaller than they require. The buffer is one (n_clients, d) matrix with a
-row per client id. Under atm it also keeps each row's unit vector and the
-(n_clients, n_clients) angles between the rows (`vectors.angles_to`);
-under multi_krum, the squared distances between them
-(`vectors.sq_distances_to`). An arrival rewrites only its client's row and
-column, at O(n*d) instead of the O(n^2*d) a recompute costs. Under fang it
-keeps each row's (v, h) first-layer product with the validation examples
-(`mlp.input_products`, the block fang scores every leave-one-out
-candidate from), and an arrival computes only its client's block. Each
-entry depends only on its own rows, and the fresh path runs the same
-kernel per row, so a kept block is bitwise the recompute and no choice of
-atm, Krum or fang changes.
+smaller than they require. The buffer (`UpdateBuffer`) is one
+(n_clients, d) matrix whose first k rows hold the k clients held so far,
+compact in ascending id order: a client's row is its position in the
+held order, and once every client is held, its id. An arrival overwrites
+its client's row, or on its first arrival shifts the later rows down by
+one, and the rule reads views of the first k rows, never a copy. Each
+row is screened for NaN and Inf once, as it arrives; a sync round's
+stacked matrix once, before its step. Under atm the buffer also keeps
+each row's unit vector and the angles between the rows
+(`vectors.angles_to`); under multi_krum, the squared distances between
+them (`vectors.sq_distances_to`). An arrival rewrites only its client's
+row and column, at O(n*d) instead of the O(n^2*d) a recompute costs.
+Under fang it keeps each row's (v, h) first-layer product with the
+validation examples (`mlp.input_products`, the block fang scores every
+leave-one-out candidate from), and an arrival computes only its client's
+block. Each entry depends only on its own rows, and the fresh path runs
+the same kernel per row, so a kept block is bitwise the recompute and no
+choice of atm, Krum or fang changes.
 """
 
 import math
@@ -60,7 +66,7 @@ import numpy as np
 from . import data as datamod
 from . import mlp
 from .aggregation import KINDS as RULE_KINDS
-from .aggregation import AggregationRule, apply_rule
+from .aggregation import AggregationRule, _Screened, apply_rule
 from .attacks import KINDS as ATTACK_KINDS
 from .attacks import (
     AttackerContext,
@@ -74,9 +80,17 @@ from .attacks import (
     mask_budget,
     passive_infer,
 )
-from .errors import EmptyFile, EmptyHistory, EmptySet, InvalidC, InvalidConfig, ParseError
+from .errors import (
+    DegenerateGradient,
+    EmptyFile,
+    EmptyHistory,
+    EmptySet,
+    InvalidC,
+    InvalidConfig,
+    ParseError,
+)
 from .rngstream import derive_seed, integers, keyed_words, sorted_choices, substream
-from .vectors import NORM_FLOOR, angles_to, sq_distances_to, unit_rows
+from .vectors import NORM_FLOOR, _as_matrix, angles_to, sq_distances_to, unit_rows
 
 HIDDEN_WIDTH = 32
 # streams a draw plan draws per block of rounds, which bounds its memory
@@ -555,13 +569,15 @@ def _client_updates(world: _World, t: int, segment, view, params, craft_observer
 
 
 def _step(world: _World, rule, params, order, G, seed_tag, block=None):
-    """Aggregate the rows `G` of clients `order` and apply the aggregate to
-    `params`; returns the new model and the AggregationOutcome. `block` is
-    the buffer's block for the rule (see `apply_rule`). The step's seed is
-    derived for dp only, the one rule that draws from it."""
+    """Aggregate the screened rows `G` of clients `order` (each row finite,
+    checked once: `_as_matrix` in run_sync, `UpdateBuffer.put` in run_async)
+    and apply the aggregate to `params`; returns the new model and the
+    AggregationOutcome. `block` is the buffer's block for the rule (see
+    `apply_rule`). The step's seed is derived for dp only, the one rule that
+    draws from it."""
     outcome = apply_rule(
         rule,
-        G,
+        G.view(_Screened),
         world.shard_sizes[order],
         seed=derive_seed(world.cfg.seed, "agg", seed_tag) if rule.kind == "dp" else 0,
         params=params,
@@ -608,7 +624,7 @@ def run_sync(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
         # benign gradients
         updates = _client_updates(world, t, participants.tolist(), {}, params, craft_observer)
         order = [k for k, _ in updates]
-        G = np.stack([g for _, g in updates])
+        G = _as_matrix(np.stack([g for _, g in updates]))
         params, outcome = _step(world, cfg.rule, params, order, G, t)
         records.append(_record(world, params, t, participants, {"kept": outcome.kept_indices}))
     return _finish(world, records)
@@ -628,14 +644,26 @@ def _clamp_rule(rule: AggregationRule, size: int) -> AggregationRule:
     return rule
 
 
+def _shift_down(a: np.ndarray, slot: int, k: int) -> None:
+    """Move the C-contiguous `a[slot:k]` one place down, to `a[slot + 1:k + 1]`,
+    in place: as one 1-D overlapping copy, which numpy runs back to front
+    with no temporary (a 2-D one would copy the source first)."""
+    flat, width = a.reshape(-1), a.size // a.shape[0]
+    flat[(slot + 1) * width : (k + 1) * width] = flat[slot * width : k * width]
+
+
 class UpdateBuffer:
-    """The latest update of each client, one row per client id, plus the
-    block the top-level rule `kind` reads, kept one client per arrival (see
-    the module docstring): the angles between the rows held under atm (with
-    each row's unit vector), their squared distances under multi_krum, or
-    under fang each row's validation first-layer product (`products`, a
-    function of one row: `mlp.input_products` bound to the validation
-    examples)."""
+    """The latest update of each client held, compact in ascending client
+    id: slots 0..k-1 hold the k clients held, so a client's slot is its
+    position in the held order, and once every client is held, its id. A
+    repeat put overwrites its client's slot; a first put shifts the later
+    slots down by one. Each row is screened for NaN and Inf once, at its put.
+    Slot for slot the buffer also keeps the block the top-level rule `kind`
+    reads, one client per arrival (see the module docstring): the angles
+    between the rows held under atm (with each row's unit vector), their
+    squared distances under multi_krum, or under fang each row's validation
+    first-layer product (`products`, a function of one row:
+    `mlp.input_products` bound to the validation examples)."""
 
     def __init__(self, n_clients: int, dim: int, kind: str = "fedavg", products=None):
         self.rows = np.zeros((n_clients, dim))
@@ -648,34 +676,44 @@ class UpdateBuffer:
 
     def put(self, client: int, g: np.ndarray):
         """Store `g` as the client's update. Returns the ids held (ascending),
-        their rows and their block of the kept cache (None if none is kept).
-        Once every client is held the rows and the block come back as
-        views, valid until the next put."""
-        self.rows[client] = g
-        self.held[client] = True
-        full = self.held.all()
+        their rows and their block of the kept cache (None if none is kept);
+        the rows and the block are views of the buffer, valid until the next
+        put. A `g` with a NaN or Inf entry raises DegenerateGradient naming
+        its position in the held order, and is not stored."""
+        slot = int(np.count_nonzero(self.held[:client]))
+        if not np.isfinite(g).all():
+            raise DegenerateGradient(f"gradient {slot} contains NaN or Inf entries")
+        if not self.held[client]:
+            k = int(np.count_nonzero(self.held))
+            for a in (self.rows, self.units, self.degenerate, self.products, self.pairs):
+                if a is not None:
+                    _shift_down(a, slot, k)
+            if self.pairs is not None:  # its columns too; at most k * k entries
+                self.pairs[: k + 1, slot + 1 : k + 1] = self.pairs[: k + 1, slot:k]
+            self.held[client] = True
         order = np.flatnonzero(self.held)
-        G = self.rows if full else self.rows[order]
+        k = order.size
+        self.rows[slot] = g
+        G = self.rows[:k]
         if self.product_of is not None:
-            block = self.product_of(self.rows[client])
+            block = self.product_of(self.rows[slot])
             if self.products is None:
                 self.products = np.zeros((self.held.size,) + block.shape)
-            self.products[client] = block
-            return order, G, self.products if full else self.products[order]
+            self.products[slot] = block
+            return order, G, self.products[:k]
         if self.pairs is None:
             return order, G, None
         if self.units is None:
-            row = sq_distances_to(G, self.rows[client])
+            row = sq_distances_to(G, self.rows[slot])
         else:
-            unit, norm = unit_rows(self.rows[client : client + 1])
-            self.units[client] = unit[0]
-            self.degenerate[client] = norm[0] <= NORM_FLOOR
-            U = self.units if full else self.units[order]
-            row = angles_to(U, self.degenerate[order], unit[0], self.degenerate[client])
-        self.pairs[client, order] = row
-        self.pairs[order, client] = row
-        self.pairs[client, client] = 0.0  # a unit row's angle to itself need not round to 0
-        return order, G, self.pairs if full else self.pairs[np.ix_(order, order)]
+            unit, norm = unit_rows(self.rows[slot : slot + 1])
+            self.units[slot] = unit[0]
+            self.degenerate[slot] = norm[0] <= NORM_FLOOR
+            row = angles_to(self.units[:k], self.degenerate[:k], unit[0], self.degenerate[slot])
+        self.pairs[slot, :k] = row
+        self.pairs[:k, slot] = row
+        self.pairs[slot, slot] = 0.0  # a unit row's angle to itself need not round to 0
+        return order, G, self.pairs[:k, :k]
 
 
 def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:

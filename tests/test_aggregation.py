@@ -8,6 +8,7 @@ from fedarena import mlp
 from fedarena.aggregation import (
     KINDS,
     AggregationRule,
+    _Screened,
     apply_rule,
     atm,
     coordinate_median,
@@ -546,6 +547,22 @@ class TestApplyRule:
         y = rng.integers(0, 3, size=10)
         with pytest.raises(DegenerateGradient, match="gradient 2 contains NaN or Inf"):
             apply_rule(rule, G, seed=3, params=params, val_features=X, val_labels=y, lr=0.1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_screened_rows_aggregate_as_plain_rows(self, rng, kind):
+        # the engine's rows come screened and are not checked again; the
+        # mark never reaches an array the rule derives from them
+        params = perturbed(tiny_net(seed=2), 0.3, rng)
+        G = np.stack([mlp.gradient(params, rng.normal(size=(4, 6)), rng.integers(0, 3, 4)) for _ in range(5)])
+        X = rng.normal(size=(10, 6))
+        y = rng.integers(0, 3, size=10)
+        rule = AggregationRule(kind=kind, trim_b=1, krum_f=1, top_k=10)
+        kw = dict(seed=3, params=params, val_features=X, val_labels=y, lr=0.1)
+        plain = apply_rule(rule, G, **kw)
+        screened = apply_rule(rule, G.view(_Screened), **kw)
+        assert screened.kept_indices == plain.kept_indices
+        assert np.array_equal(screened.aggregate, plain.aggregate)
+        assert type(screened.aggregate) is np.ndarray
 
     def test_distances_reach_top_level_krum_only(self, rng):
         G = rng.normal(size=(5, 4))

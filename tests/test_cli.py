@@ -450,6 +450,38 @@ class TestRunCommand:
             for name in ("rounds.csv", "summary.json", "manifest.json"):
                 assert (out / name).exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "rule,tau_max,code,position",
+        [
+            ("fedavg", 5, 2, 3),
+            ("fedavg", 0, 2, 7),
+            ("median", 5, 2, 0),
+            ("multi_krum", 5, 2, 0),
+            ("fang", 5, 2, 3),
+            ("dp", 0, 2, 7),
+            ("atm", 5, 0, None),
+            ("median", 0, 0, None),
+        ],
+    )
+    def test_async_non_finite_update_exit_code(self, rule, tau_max, code, position, tmp_path, capsys):
+        # the position is the non-finite row's place among the clients
+        # held when it arrives, ascending by id
+        cfg = tmp_path / "cfg"
+        cfg.write_text(
+            "async = true\nattack = gradient_ascent\nga_scale = 1e306\nmalicious_fraction = 0.2\n"
+            f"rounds = 5\nrule = {rule}\ntau_max = {tau_max}\n"
+        )
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err == f"error: gradient {position} contains NaN or Inf entries\n"
+            assert not out.exists()
+        else:
+            for name in ("rounds.csv", "summary.json", "manifest.json"):
+                assert (out / name).exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("C = 2.0")
@@ -568,6 +600,14 @@ class TestSweepCommand:
             (["partition=noniid", "per_class=100", "n_clients=10,170"], "n_clients"),
             (["partition=noniid", "per_class=100", "n_clients=150", "seed=1,0"], "n_clients"),
             (["theory_trials=5,6"], "theory_trials"),  # no run reads it
+            # keys that only some configs read, swept where no point does
+            (["fang_mode=err,lfr"], "fang_mode"),
+            (["rule=fedavg,median", "fang_remove=1,2"], "fang_remove"),
+            (["rule=dp", "inner_rule=median", "fang_mode=err,lfr"], "fang_mode"),
+            (["tau_max=1,2"], "tau_max"),
+            (["csv_path=a.csv,b.csv"], "csv_path"),
+            (["inner_rule=atm,median"], "inner_rule"),
+            (["rule=fedavg,median", "inner_rule=fedavg,median"], "inner_rule"),
         ],
     )
     def test_rejected_grid_writes_nothing(self, specs, key, tmp_path, capsys):
@@ -578,6 +618,20 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)] + specs) == 1
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            ["rule=fedavg,fang", "fang_mode=err,lfr"],
+            ["rule=topk", "inner_rule=fang,median", "fang_remove=1,2"],
+            ["async=false,true", "tau_max=1,2"],
+            ["rule=fedavg,dp", "inner_rule=atm,median"],
+        ],
+    )
+    def test_key_read_by_some_point_is_swept(self, specs, tmp_path):
+        values = cli.parse_config_text(SMOKE)
+        keys, points = cli.sweep_points(values, specs, tmp_path / "o")
+        assert len(keys) == len(specs) and len(points) == 4
 
     def test_csv_parsed_once_for_the_checks(self, tmp_path, monkeypatch):
         from fedarena import data

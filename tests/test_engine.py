@@ -21,7 +21,7 @@ from fedarena.engine import (
     select_clients,
 )
 from fedarena.engine import test_accuracy as model_test_accuracy
-from fedarena.errors import EmptyHistory, EmptySet, InvalidC, InvalidConfig
+from fedarena.errors import DegenerateGradient, EmptyHistory, EmptySet, InvalidC, InvalidConfig
 from fedarena.rngstream import substream
 from fedarena.vectors import pairwise_angles, pairwise_sq_distances
 
@@ -500,6 +500,7 @@ class TestUpdateBuffer:
                 assert order.tolist() == sorted(held)
                 assert np.array_equal(G, np.stack([held[k] for k in sorted(held)]))
                 assert np.array_equal(block, pairwise_sq_distances(G))
+                assert np.shares_memory(G, buf.rows) and np.shares_memory(block, buf.pairs)
                 m = order.size
                 if m < 2:
                     continue
@@ -532,6 +533,7 @@ class TestUpdateBuffer:
                 order, G, block = buf.put(client, g)
                 assert order.tolist() == sorted(held)
                 assert np.array_equal(G, np.stack([held[k] for k in sorted(held)]))
+                assert np.shares_memory(G, buf.rows) and np.shares_memory(block, buf.pairs)
                 m = order.size
                 if m < 2:
                     continue
@@ -561,6 +563,7 @@ class TestUpdateBuffer:
             assert order.tolist() == sorted(held)
             fresh = np.stack([products(row) for row in G])
             assert np.array_equal(block, fresh)
+            assert np.shares_memory(G, buf.rows) and np.shares_memory(block, buf.products)
             if order.size < 2:
                 continue
             cached = fang_filter(G, params, X, y, mode, 0.5, order.size - 1, block)
@@ -573,6 +576,69 @@ class TestUpdateBuffer:
         buf = eng.UpdateBuffer(3, 4, "fedavg")
         order, G, block = buf.put(2, rng.normal(size=4))
         assert order.tolist() == [2] and G.shape == (1, 4) and block is None
+
+    SHAPES = ((6, 8), (8, 3))
+    VAL = np.linspace(-1, 1, 30).reshape(5, 6)  # validation features for fang's products
+
+    def fresh_block(self, kind, G):
+        """The block of `G` the buffer keeps for `kind`, computed afresh."""
+        if kind == "atm":
+            return pairwise_angles(G) if len(G) > 1 else np.zeros((1, 1))
+        if kind == "multi_krum":
+            return pairwise_sq_distances(G)
+        return np.stack([mlp.input_products(self.VAL, g, self.SHAPES) for g in G])
+
+    def new_buffer(self, kind, n):
+        dim = mlp.init_params(self.SHAPES, seed=0).dim
+        products = partial(mlp.input_products, self.VAL, layer_shapes=self.SHAPES)
+        return eng.UpdateBuffer(n, dim, kind, products), dim
+
+    @pytest.mark.parametrize("kind", ["fedavg", "atm", "multi_krum", "fang"])
+    @pytest.mark.parametrize(
+        "arrivals",
+        [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [3, 1, 3, 0, 1, 4, 2, 0, 4]],
+        ids=["ascending", "descending", "mixed", "repeats"],
+    )
+    def test_compact_views_at_every_fill_level(self, rng, kind, arrivals):
+        # a first put lands at the front, in the middle or at the end of
+        # the held clients; the rows and the block come back as views of
+        # the buffer whatever the fill level
+        buf, dim = self.new_buffer(kind, 5)
+        held = {}
+        for client in arrivals:
+            held[client] = rng.normal(size=dim)
+            order, G, block = buf.put(client, held[client])
+            assert order.tolist() == sorted(held)
+            assert np.array_equal(G, np.stack([held[k] for k in sorted(held)]))
+            assert np.shares_memory(G, buf.rows)
+            if kind == "fedavg":
+                assert block is None
+                continue
+            assert np.shares_memory(block, buf.products if kind == "fang" else buf.pairs)
+            assert np.array_equal(block, self.fresh_block(kind, G))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises_at_put(self, rng, bad):
+        # the message names the row's position among the clients held,
+        # ascending by id, and the buffer keeps what it held
+        buf, dim = self.new_buffer("atm", 5)
+        for client in (1, 3):
+            buf.put(client, rng.normal(size=dim))
+        for client, position in ((2, 1), (0, 0), (4, 2), (3, 1)):  # partial buffer
+            g = rng.normal(size=dim)
+            g[int(rng.integers(0, dim))] = bad
+            with pytest.raises(DegenerateGradient, match=f"^gradient {position} contains NaN or Inf entries$"):
+                buf.put(client, g)
+            assert np.flatnonzero(buf.held).tolist() == [1, 3]
+        for client in (0, 2, 4):
+            buf.put(client, rng.normal(size=dim))
+        before = buf.rows.copy(), buf.pairs.copy()
+        for client in range(5):  # full buffer: the position is the client id
+            g = rng.normal(size=dim)
+            g[-1] = bad
+            with pytest.raises(DegenerateGradient, match=f"^gradient {client} contains NaN or Inf entries$"):
+                buf.put(client, g)
+        assert np.array_equal(buf.rows, before[0]) and np.array_equal(buf.pairs, before[1])
 
 
 # sha256 of rounds.csv + summary.json, recorded before async Krum kept its
@@ -602,6 +668,10 @@ ASYNC_KRUM_DIGESTS = {
     # recorded while async still crafted once per malicious participant;
     # reusing a craft until the model steps must not change an output
     "rule = atm": "9b013e3cf18447458c20bcb03f1e5f25eab71e4d425c51dc83cd87222a886670",
+    # recorded while a partial buffer handed out copies of its held rows;
+    # its arrivals insert clients before, between and after those held
+    "rule = fang\nfang_mode = lfr":
+        "860d611b5607d688e778d34c39bd477f9b3a98069f5e91d3cf1d9fd0dc9bd6f5",
 }
 
 
