@@ -71,9 +71,10 @@ KINDS = ("fedavg", "median", "trimmed_mean", "atm", "multi_krum", "dp", "topk", 
 # logit margin this small, are recomputed per candidate.
 FANG_TIE_TOL = 1e-9
 
-# multi_krum's running scores differ from sorted sums by float reordering:
-# a row's error is below KRUM_TIE_TOL times its first sorted sum, so rows
-# whose bounds reach the lowest are rescored exactly before the argmin.
+# multi_krum's running score bounds differ from sorted sums by float
+# reordering: a row's error is below KRUM_TIE_TOL times its first sorted
+# sum, so rows whose bounds reach the lowest are rescored exactly before
+# the argmin.
 KRUM_TIE_TOL = 1e-9
 
 
@@ -186,18 +187,26 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None) -> AggregationO
 
     `sq_dists` is the (n, n) squared-distance block of `G` when the caller
     keeps one (async runs update it one row per arrival); it must equal
-    `pairwise_sq_distances(G)` and is not modified.
+    `pairwise_sq_distances(G)`, so it is bitwise symmetric, and is not
+    modified.
 
     A row's score is the sum of its `neigh` smallest distances to the
     remaining rows, sorted ascending (`_krum_scores`); ties keep the lowest
-    id. Picks are made on a copy of the block in which the diagonal and the
-    picked rows' columns are inf. From the pick on which every remaining
-    neighbour counts (the (f+1)-th), each remaining row's score is its
-    sorted sum at that pick less the distances to the rows picked since,
-    one subtraction per pick. That running score rounds differently, by
-    less than KRUM_TIE_TOL times the row's first sorted sum; every row whose
-    score within that bound can reach the lowest is rescored as a sorted
-    sum before the argmin, and until every score is finite each pick is
+    id. Until the pick on which every remaining neighbour counts (the
+    (f+1)-th), each pick sorts every remaining row of a copy of the block
+    in which the diagonal and the picked rows' columns are inf. From that
+    pick on, each remaining row carries a lower and an upper bound on its
+    score, kept in place: its sorted sum at that pick less and plus
+    KRUM_TIE_TOL times itself, each less the distances to the rows picked
+    since (one subtraction of the picked row's block row per pick; a picked
+    row's bounds are inf). Each bound rounds on its own, by at most about
+    n*eps of the row's first sorted sum, and so does the sorted sum of its
+    remaining distances; both are far below KRUM_TIE_TOL, so every row's
+    score lies within its bounds. The row with the lowest upper bound is
+    the pick unless another row's lower bound reaches that bound; then
+    every such row is rescored as the sorted sum of its distances to the
+    remaining rows (the same values in the same order as the per-pick
+    sort) before the argmin. Until every score is finite each pick is
     scored whole. So each pick is the one the per-pick sort
     (`selftest.naive_krum_kept`) makes.
     """
@@ -216,28 +225,35 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None) -> AggregationO
     np.fill_diagonal(d2, np.inf)  # sorts last, so never its own neighbour
     live = np.ones(n, dtype=bool)
     chosen: list[int] = []
-    running = slack = None  # per row; a picked row's running score is inf
+    bounds = None  # (2, n): each row's lower and upper score bound; inf once picked
     while len(chosen) < count:
-        neigh = min(n - f - 1, n - len(chosen) - 1)
-        if running is None:
+        if bounds is None:
+            neigh = min(n - f - 1, n - len(chosen) - 1)
             rows = np.flatnonzero(live)
-            scores = _krum_scores(d2, rows, neigh)
+            scores = _krum_scores(d2[rows], neigh)
             best = int(rows[np.argmin(scores)])
             if neigh == rows.size - 1 and np.isfinite(scores).all():
-                running, slack = np.full(n, np.inf), np.zeros(n)
-                running[rows] = scores
-                slack[rows] = KRUM_TIE_TOL * scores
+                bounds = np.full((2, n), np.inf)
+                lo, hi = bounds  # views, updated in place with it
+                slack = KRUM_TIE_TOL * scores
+                lo[rows] = scores - slack
+                hi[rows] = scores + slack
         else:
+            best = int(hi.argmin())
             # every row whose sorted sum can be the lowest is near; a lone
             # near row is the argmin
-            near = (running - slack <= (running + slack).min()).nonzero()[0]
-            best = int(near[np.argmin(_krum_scores(d2, near, neigh))] if near.size > 1 else near[0])
+            near = lo <= hi[best]
+            if np.count_nonzero(near) > 1:
+                near = np.flatnonzero(near)
+                neigh = n - len(chosen) - 1  # every other remaining row
+                best = int(near[np.argmin(_krum_scores(d2[np.ix_(near, live)], neigh))])
         chosen.append(best)
         live[best] = False
-        if running is not None:
-            np.subtract(running, d2[:, best], out=running, where=live)
-            running[best] = np.inf
-        d2[:, best] = np.inf
+        if bounds is None:
+            d2[:, best] = np.inf
+        else:
+            np.subtract(bounds, d2[best], out=bounds, where=live)
+            lo[best] = hi[best] = np.inf
     kept = sorted(chosen)
     return AggregationOutcome(
         aggregate=G[kept].mean(axis=0),
@@ -246,10 +262,10 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None) -> AggregationO
     )
 
 
-def _krum_scores(d2, rows, neigh: int) -> np.ndarray:
-    """The Krum score of each of `rows`: its `neigh` smallest entries of
-    `d2`, sorted ascending and summed."""
-    return np.sort(d2[rows], axis=1)[:, :neigh].sum(axis=1)
+def _krum_scores(d2_rows, neigh: int) -> np.ndarray:
+    """The Krum score of each row of `d2_rows`: its `neigh` smallest
+    entries, sorted ascending and summed."""
+    return np.sort(d2_rows, axis=1)[:, :neigh].sum(axis=1)
 
 
 def dp_noise(G, noise_std: float, seed: int) -> np.ndarray:
@@ -307,7 +323,11 @@ def fang_filter(
     candidate with a validation example whose top-2 logit margin is within
     FANG_TIE_TOL, is rescored on the per-candidate path before the argmin;
     a pass with a non-finite loss is rescored whole. Each removal is then
-    the one the per-candidate loop (`selftest.naive_fang_kept`) makes.
+    the one the per-candidate loop (`selftest.naive_fang_kept`) makes. A
+    rescored candidate's step is the mean of the other rows held, in
+    order: the survivors if it is picked. So when the last pass's pick was
+    rescored (under lfr the best candidate always is), its step is the
+    aggregate; otherwise the survivors are averaged afresh.
 
     diagnostics: `removed`, the positions dropped in removal order, and
     `scores`, the last pass's score per candidate (the positions held
@@ -336,12 +356,14 @@ def fang_filter(
     first = shapes[0][0] * shapes[0][1]
     XW1 = X @ params.flat[:first].reshape(shapes[0])
 
+    G = np.ascontiguousarray(G)  # so a view of its columns sums as a copy does
     kept = np.arange(n)
     removed: list[int] = []
     scores = np.empty(0)
+    step = None  # the mean of `kept` when the last pick was rescored
     for _ in range(min(remove_count, n - 1)):
-        held = P if kept.size == n else P[kept]
-        logits = _loo_logits(params, XW1, held, G[kept, first:], lr)
+        held = slice(None) if kept.size == n else kept  # views while every row is held
+        logits = _loo_logits(params, XW1, P[held], G[held, first:], lr)
         scores = _scores(logits, y, mode)
         if mode == "err":
             recheck = ~_clear_margins(logits)
@@ -350,15 +372,17 @@ def fang_filter(
             recheck = scores <= best + FANG_TIE_TOL * max(1.0, abs(best))
         else:
             recheck = np.ones(kept.size, dtype=bool)
+        rescored = {}  # candidate -> (the other rows held, their mean)
         for i in np.flatnonzero(recheck):
-            step = G[np.delete(kept, i)].mean(axis=0)
-            scores[i] = _candidate_score(mlp.apply_update(params, step, lr), X, y, mode)
+            others = np.delete(kept, i)
+            rescored[i] = others, G[others].mean(axis=0)
+            scores[i] = _candidate_score(mlp.apply_update(params, rescored[i][1], lr), X, y, mode)
         pick = int(np.argmin(scores))
         removed.append(int(kept[pick]))
-        kept = np.delete(kept, pick)
+        kept, step = rescored[pick] if pick in rescored else (np.delete(kept, pick), None)
     return AggregationOutcome(
-        aggregate=G[kept].mean(axis=0),
-        kept_indices=tuple(int(k) for k in kept),
+        aggregate=G[kept].mean(axis=0) if step is None else step,
+        kept_indices=tuple(kept.tolist()),
         diagnostics={"mode": mode, "removed": tuple(removed), "scores": scores},
     )
 

@@ -631,14 +631,15 @@ def run_sync(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
 
 
 def _clamp_rule(rule: AggregationRule, size: int) -> AggregationRule:
-    """Shrink trim/selection knobs to a warm-up buffer (under dp|topk, the inner kind's)."""
+    """Shrink trim/selection knobs to a warm-up buffer (under dp|topk, the
+    inner kind's); `rule` itself when no knob changes."""
     at = "inner" if rule.kind in ("dp", "topk") else "kind"
     kind = getattr(rule, at)
     if size < 2 and kind in ("atm", "fang", "multi_krum", "median", "trimmed_mean"):
         return replace(rule, **{at: "fedavg"})
-    if kind in ("trimmed_mean", "atm"):
-        return replace(rule, trim_b=min(rule.trim_b, (size - 1) // 2))
-    if kind == "multi_krum":
+    if kind in ("trimmed_mean", "atm") and rule.trim_b > (size - 1) // 2:
+        return replace(rule, trim_b=(size - 1) // 2)
+    if kind == "multi_krum" and (rule.krum_f > size - 2 or rule.krum_count > size):
         f, count = min(rule.krum_f, size - 2), min(rule.krum_count, size)
         return replace(rule, krum_f=f, krum_count=count)
     return rule

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import perturbed, tiny_net
+from fedarena import aggregation as agg
 from fedarena import mlp
 from fedarena.aggregation import (
     KINDS,
@@ -246,6 +247,8 @@ class TestMultiKrum:
                 block = pairwise_sq_distances(G) if trial % 2 else None
                 out = multi_krum(G, f, count, block)
                 assert out.kept_indices == naive_krum_kept(G, f, count)
+                mean = G[sorted(out.kept_indices)].mean(axis=0)
+                assert out.aggregate.tobytes() == mean.tobytes()
 
     def test_running_scores_rescore_near_ties(self):
         # the last two rows' scores tie exactly (each is their one distance),
@@ -255,13 +258,16 @@ class TestMultiKrum:
         assert multi_krum(G, 0, 5).kept_indices == (1, 2, 3, 0, 4)
         assert naive_krum_kept(G, 0, 5) == (1, 2, 3, 0, 4)
         # a regular polygon with one vertex nudged: scores differ by far
-        # less than KRUM_TIE_TOL, so the lowest near id is not the pick
-        for n in (5, 6):
-            for k in range(n):
-                angle = 2 * np.pi * np.arange(n) / n
-                G = 2.0 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-                G[k, 1] += 1e-11
-                assert multi_krum(G, 0, n).kept_indices == naive_krum_kept(G, 0, n)
+        # less than KRUM_TIE_TOL, so the lowest near id is not the pick;
+        # with f > 0 the near-ties reach the running picks after sorted
+        # picks have set inf columns, so the rescore reads live columns only
+        for f in (0, 1, 2):
+            for n in (5, 6):
+                for k in range(n):
+                    angle = 2 * np.pi * np.arange(n) / n
+                    G = 2.0 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+                    G[k, 1] += 1e-11
+                    assert multi_krum(G, f, n).kept_indices == naive_krum_kept(G, f, n)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidKrumParams):
@@ -411,7 +417,28 @@ class TestFangParity:
                 kept, removed = naive_fang_kept(G, params, X, y, mode, lr, remove)
                 assert out.kept_indices == kept
                 assert out.diagnostics["removed"] == removed
-                assert np.array_equal(out.aggregate, G[list(kept)].mean(axis=0))
+                assert out.aggregate.tobytes() == G[list(kept)].mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("forced", [0, 1], ids=["none-rescored", "first-pass-rescored"])
+    def test_unrescored_last_pick_averages_the_survivors(self, rng, monkeypatch, forced):
+        # err mode with every top-2 logit margin clear: the last pass
+        # rescores no candidate, so the survivors' mean is formed afresh,
+        # also after a first pass made to rescore every candidate
+        params, G, X, y = self._instance(rng, ((6, 8), (8, 3)), 6, "plain")
+        passes, rescores = [], []
+        clear, score = agg._clear_margins, agg._candidate_score
+
+        def clear_after_forced(logits):
+            passes.append(logits.shape[0])
+            return clear(logits) & (len(passes) > forced)
+
+        monkeypatch.setattr(agg, "_clear_margins", clear_after_forced)
+        monkeypatch.setattr(agg, "_candidate_score", lambda *a: rescores.append(1) or score(*a))
+        out = fang_filter(G, params, X, y, "err", 0.5, 2)
+        assert passes == [6, 5] and len(rescores) == 6 * forced
+        kept, removed = naive_fang_kept(G, params, X, y, "err", 0.5, 2)
+        assert (out.kept_indices, out.diagnostics["removed"]) == (kept, removed)
+        assert out.aggregate.tobytes() == G[list(kept)].mean(axis=0).tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverged model's inf - inf
     @pytest.mark.parametrize("mode", ["err", "lfr"])
@@ -445,6 +472,18 @@ class TestFangParity:
         none = fang_filter(G, params, X, y, mode, 0.5, 0)
         assert none.kept_indices == tuple(range(6))
         assert none.diagnostics["removed"] == () and none.diagnostics["scores"].size == 0
+
+    @pytest.mark.parametrize("mode", ["err", "lfr"])
+    def test_column_major_rows_score_as_row_major(self, rng, mode):
+        # a pass over every row reads a view of the rows' columns; its
+        # scores must not depend on the caller's memory order
+        for _ in range(5):
+            params, G, X, y = self._instance(rng, ((6, 8), (8, 3)), 12, "plain")
+            rows = fang_filter(G, params, X, y, mode, 0.5, 1)
+            cols = fang_filter(np.asfortranarray(G), params, X, y, mode, 0.5, 1)
+            assert cols.kept_indices == rows.kept_indices
+            assert cols.diagnostics["scores"].tobytes() == rows.diagnostics["scores"].tobytes()
+            assert cols.aggregate.tobytes() == rows.aggregate.tobytes()
 
     def test_products_given_equal_products_computed(self, rng):
         params, G, X, y = self._instance(rng, ((6, 8), (8, 3)), 7, "plain")

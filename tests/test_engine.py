@@ -349,6 +349,22 @@ class TestClampRule:
         assert eng._clamp_rule(rule, 1) == replace(rule, kind="fedavg")
         assert eng._clamp_rule(rule, 2) == rule
 
+    @pytest.mark.parametrize(
+        "rule, smallest",
+        [
+            (AggregationRule("atm", trim_b=5), 11),
+            (AggregationRule("trimmed_mean", trim_b=5), 11),
+            (AggregationRule("multi_krum", krum_f=5), 7),
+            (AggregationRule("multi_krum", krum_f=5, krum_count=9), 9),
+            (AggregationRule("dp", krum_f=5, krum_count=9, inner="multi_krum"), 9),
+        ],
+        ids=["atm", "trimmed_mean", "multi_krum", "multi_krum-count", "dp-multi_krum"],
+    )
+    def test_a_large_enough_buffer_keeps_the_rule_itself(self, rule, smallest):
+        for size in (smallest, smallest + 1, 50):
+            assert eng._clamp_rule(rule, size) is rule
+        assert eng._clamp_rule(rule, smallest - 1) != rule
+
 
 class TestCraftCount:
     ATTACKED = dict(
