@@ -15,20 +15,22 @@ Dispatch: both loops draw a round's updates from `_client_updates`, one
 dispatch segment at a time: consecutive participants that share one
 model. A sync round is one segment. In async every delay is drawn first
 (each is a pure function of seed, round and client), and a segment ends
-after each zero-delay client, whose arrival steps the model. A benign
-client, and any client under `none`/`passive`, sends its shard gradient;
-the segment's gradients come from one `mlp.gradients` backprop per batch
-size, each row bitwise its client's `mlp.gradient`. A benign one is also
-recorded as the attacker's reference for its id. The malicious clients of
-a segment send one crafted update, built once against the references held
-after the segment's benign gradients (a sync round's benign gradients; in
-async the freshest benign gradient per client). Their ids are the
-highest, so this is the view each would see if dispatched alone, and a
+after each zero-delay client, whose arrival steps the model. A segment's
+updates are one (len(segment), d) matrix in id order. A benign client,
+and any client under `none`/`passive`, sends its shard gradient: one
+`mlp.gradients` backprop per batch size writes its group's rows, each
+bitwise its client's `mlp.gradient`. The malicious clients of a segment
+send one crafted update, written into the matrix's tail (their ids are
+the highest), built once against the benign references: in sync the
+matrix's benign prefix itself, a view; in async the freshest benign
+gradient per client, an attacker's view that gains the segment's benign
+rows first and is kept only when the attack crafts. Either way that is
+the view each malicious client would see if dispatched alone, and a
 craft depends only on the model, the round and the references. Sync
-therefore crafts once per round, async once per segment. Rows held past
-a segment (the attacker's view, the async queue) are owned copies, so
-none pins the segment's gradient matrix. Both loops step the model
-through `_step`.
+therefore crafts once per round, async once per segment. A sync round
+steps on its matrix; the rows held past an async segment (the attacker's
+view, the queue of delayed arrivals) are owned copies, so none pins the
+segment's matrix. Both loops step the model through `_step`.
 
 Async semantics: each round dispatches the selected clients in id order;
 every update arrives after an integer delay uniform on {0..tau_max} and
@@ -44,7 +46,7 @@ held order, and once every client is held, its id. An arrival overwrites
 its client's row, or on its first arrival shifts the later rows down by
 one, and the rule reads views of the first k rows, never a copy. Each
 row is screened for NaN and Inf once, as it arrives; a sync round's
-stacked matrix once, before its step. Under atm the buffer also keeps
+matrix once, before its step. Under atm the buffer also keeps
 each row's unit vector and the angles between the rows
 (`vectors.angles_to`); under multi_krum, the squared distances between
 them (`vectors.sq_distances_to`). An arrival rewrites only its client's
@@ -259,8 +261,9 @@ def num_malicious(cfg: ExperimentConfig) -> int:
 
 
 def participant_count(n: int, participation: float) -> int:
-    """ceil(C*n), nudged so 0.55 * 100 style products stay exact."""
-    return math.ceil(participation * n - 1e-9)
+    """ceil(C*n), nudged so 0.55 * 100 style products stay exact, and at
+    least 1: the ceiling of a positive product is."""
+    return max(1, math.ceil(participation * n - 1e-9))
 
 
 def _selections(n: int, participation: float, rounds, seed: int) -> np.ndarray:
@@ -485,41 +488,27 @@ class _DrawPlan:
         return self.delays[t, client]
 
 
-def _shard_gradients(world: _World, params, round_idx: int, clients) -> list[np.ndarray]:
-    """Each client's round-`round_idx` batch gradient under `params`, in
-    order: one `mlp.gradients` call per batch size (a shard smaller than
-    batch_size draws a smaller batch). Every row is an owned copy, so a row
-    held past the round pins no other client's."""
+def _shard_gradients(world: _World, params, round_idx: int, clients, rows: int = 0) -> np.ndarray:
+    """Each client's round-`round_idx` batch gradient under `params`, as the
+    leading rows of one (max(rows, len(clients)), d) matrix, in order: one
+    `mlp.gradients` call per batch size (a shard smaller than batch_size
+    draws a smaller batch) writes its group's rows. Rows past the clients'
+    are left for the caller to fill."""
     batches = [world.draws.batch(round_idx, k) for k in clients]
     by_size: dict[int, list[int]] = {}
     for i, idx in enumerate(batches):
         by_size.setdefault(idx.size, []).append(i)
-    grads = [None] * len(batches)
+    U = np.empty((max(rows, len(batches)), params.flat.size))
     for members in by_size.values():
         idx = np.stack([batches[i] for i in members])
-        G = mlp.gradients(params, world.train.features[idx], world.train.labels[idx])
-        for i, g in zip(members, G):
-            grads[i] = g.copy()
-    return grads
+        U[members] = mlp.gradients(params, world.train.features[idx], world.train.labels[idx])
+    return U
 
 
-def attacker_references(knowledge: str, benign_grads, proxy_grads):
-    """Reference gradients per knowledge level. Partial knowledge sees only
-    the proxies computed from the malicious clients' own shards."""
-    if knowledge == "partial":
-        return proxy_grads
-    return benign_grads
-
-
-def _craft_update(
-    world: _World,
-    params: mlp.ModelParams,
-    round_idx: int,
-    benign_grads: list[np.ndarray],
-    craft_observer=None,
-):
-    """One crafted update for the model `params`, against the references
-    `benign_grads` (or, under partial knowledge, the malicious shards)."""
+def _craft_update(world: _World, params, round_idx: int, refs, craft_observer=None):
+    """One crafted update for the model `params`, against the benign
+    references `refs` (rows), or under partial knowledge the gradients of
+    the malicious clients' own shards."""
     cfg = world.cfg
     kind = cfg.attack.kind
     att = world.attacker
@@ -527,10 +516,8 @@ def _craft_update(
         return craft_gradient_ascent(
             params, att.attack_features, att.attack_labels, cfg.attack.ga_scale
         )
-    proxies = []
     if cfg.attack.knowledge == "partial":
-        proxies = _shard_gradients(world, params, round_idx, world.malicious_ids)
-    refs = attacker_references(cfg.attack.knowledge, benign_grads, proxies)
+        refs = _shard_gradients(world, params, round_idx, world.malicious_ids)
     if kind == "fedpoisonmia":
         result = craft_fedpoisonmia(world.attack_ctx, params, refs)
         if craft_observer is not None:
@@ -553,19 +540,22 @@ def _craft_update(
 
 
 def _client_updates(world: _World, t: int, segment, view, params, craft_observer=None):
-    """(client, update) per client of a dispatch segment, in id order: the
-    clients dispatched against the one model `params` (see the module
-    docstring). `view` maps client id -> benign reference and gains the
-    segment's benign gradients before the segment's one craft."""
+    """The updates of a dispatch segment's clients (see the module
+    docstring), as the rows of one (len(segment), d) matrix in id order:
+    the clients dispatched against the one model `params`. The benign
+    gradients fill its prefix and the segment's one craft its tail. `view`,
+    the async attacker's (client id -> benign reference), gains owned
+    copies of the benign rows when the attack crafts, before its craft; a
+    sync round passes None and crafts against the prefix itself."""
     crafts = world.cfg.attack.kind not in ("none", "passive")
-    sends_gradient = [k for k in segment if not (crafts and k in world.malicious_ids)]
-    grads = dict(zip(sends_gradient, _shard_gradients(world, params, t, sends_gradient)))
-    view.update((k, g) for k, g in grads.items() if k not in world.malicious_ids)
-    if len(grads) < len(segment):
-        refs = [view[i] for i in sorted(view)]
-        crafted = _craft_update(world, params, t, refs, craft_observer)
-        return [(k, grads.get(k, crafted)) for k in segment]
-    return [(k, grads[k]) for k in segment]
+    benign = [k for k in segment if not (crafts and k in world.malicious_ids)]
+    U = _shard_gradients(world, params, t, benign, len(segment))
+    if crafts and view is not None:
+        view.update((k, g.copy()) for k, g in zip(benign, U))
+    if len(benign) < len(segment):
+        refs = U[: len(benign)] if view is None else [view[k] for k in sorted(view)]
+        U[len(benign) :] = _craft_update(world, params, t, refs, craft_observer)
+    return U
 
 
 def _step(world: _World, rule, params, order, G, seed_tag, block=None):
@@ -620,12 +610,10 @@ def run_sync(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     records: list[RoundRecord] = []
     for t in range(cfg.rounds):
         participants = world.draws.selected(t)
-        # one segment; a fresh view: the attacker references this round's
-        # benign gradients
-        updates = _client_updates(world, t, participants.tolist(), {}, params, craft_observer)
-        order = [k for k, _ in updates]
-        G = _as_matrix(np.stack([g for _, g in updates]))
-        params, outcome = _step(world, cfg.rule, params, order, G, t)
+        # one segment: the craft references this round's benign rows
+        U = _client_updates(world, t, participants.tolist(), None, params, craft_observer)
+        G = _as_matrix(U)
+        params, outcome = _step(world, cfg.rule, params, participants, G, t)
         records.append(_record(world, params, t, participants, {"kept": outcome.kept_indices}))
     return _finish(world, records)
 
@@ -728,7 +716,8 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     if cfg.rule.kind == "fang":
         products = partial(mlp.input_products, world.val.features, layer_shapes=params.layer_shapes)
     buffer = UpdateBuffer(cfg.n_clients, params.flat.size, cfg.rule.kind, products)
-    attacker_view: dict[int, np.ndarray] = {}  # freshest benign gradient per client
+    # freshest benign gradient per client, kept only when the attack crafts
+    attacker_view: dict[int, np.ndarray] = {}
     pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     records: list[RoundRecord] = []
 
@@ -754,12 +743,12 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
             ends.append(len(clients))
         for start, end in zip([0] + ends, ends):
             segment = clients[start:end]
-            updates = _client_updates(world, t, segment, attacker_view, params, craft_observer)
-            for (k, g), delay in zip(updates, delays[start:end]):
+            U = _client_updates(world, t, segment, attacker_view, params, craft_observer)
+            for k, g, delay in zip(segment, U, delays[start:end]):
                 if delay == 0:
                     last_outcome = apply_arrival(t, t, k, g, staleness_log)
-                else:
-                    pending.setdefault(t + delay, []).append((t, k, g))
+                else:  # an owned copy, which pins no other row of U
+                    pending.setdefault(t + delay, []).append((t, k, g.copy()))
         kept = last_outcome.kept_indices if last_outcome else ()
         diagnostics = {"kept": kept, "staleness": tuple(staleness_log)}
         records.append(_record(world, params, t, participants, diagnostics))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fedarena import cli
+from fedarena import cli, engine
 from fedarena.aggregation import KINDS as RULE_KINDS
 from fedarena.engine import ExperimentConfig
 from fedarena.errors import ConfigError
@@ -388,6 +388,42 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["attack_accuracy"] == pytest.approx(best, abs=1e-8)
         assert summary["final_test_acc"] == pytest.approx(last_test, abs=1e-8)
+
+    # C = 0.5 of 8 clients: 4 participants per sync round
+    @pytest.mark.parametrize(
+        "rule_lines, kept",
+        [
+            ("rule = fedavg", 4),
+            ("rule = median", 4),
+            ("rule = trimmed_mean\ntrim_b = 1", 4),
+            ("rule = atm\ntrim_b = 1", 4 - 2 * 1),
+            ("rule = multi_krum\nkrum_f = 1", 4 - 1),  # krum_count = 0: n - krum_f
+            ("rule = multi_krum\nkrum_f = 1\nkrum_count = 2", 2),
+            ("rule = fang\nfang_remove = 1", 4 - 1),
+        ],
+    )
+    def test_kept_count_matches_rule(self, tmp_path, rule_lines, kept):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMOKE.replace("n_clients = 4", "n_clients = 8\nC = 0.5") + rule_lines + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "rounds.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 10
+        assert {row.split(",")[4] for row in rows} == {str(kept)}
+
+    @pytest.mark.parametrize("rule", ["atm", "multi_krum", "fang"])
+    def test_async_kept_count_is_kept_ids(self, tmp_path, rule):
+        text = SMOKE.replace("n_clients = 4", "n_clients = 8")
+        text += f"async = true\ntau_max = 2\nrule = {rule}\n"
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "rounds.csv").read_text().strip().splitlines()[1:]
+        records = engine.run(cli.to_experiment_config(cli.parse_config_text(text))).records
+        counts = [int(row.split(",")[4]) for row in rows]
+        assert counts == [len(r.diagnostics["kept"]) for r in records]
+        assert len(set(counts)) > 1  # the buffer fills over the run
 
     def test_manifest_reproduces_run(self, tmp_path):
         cfg = tmp_path / "cfg"

@@ -14,7 +14,6 @@ from fedarena.engine import (
     RoundRecord,
     attack_accuracy,
     attack_precision_recall,
-    attacker_references,
     build_world,
     run_async,
     run_sync,
@@ -78,6 +77,18 @@ class TestSelectClients:
         c = select_clients(10, 0.5, 5, seed=1)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("asynchronous", [False, True])
+    def test_tiny_c_selects_one(self, asynchronous):
+        # ceil(1e-12 * 10) is 1; the nudge against float error must not take it to 0
+        assert eng.participant_count(10, 1e-12) == 1
+        assert len(select_clients(10, 1e-12, 0, seed=0)) == 1
+        cfg = fast_cfg(rounds=4, participation=1e-12, attack=AttackStrategy("none"),
+                       asynchronous=asynchronous, tau_max=2)
+        res = eng.run(cfg)
+        for r in res.records:
+            assert len(r.participants) == 1
+            assert r.participants == tuple(select_clients(10, 1e-12, r.round, cfg.seed))
 
     def test_invalid_c(self):
         with pytest.raises(InvalidC):
@@ -243,19 +254,6 @@ class TestRunSync:
             run_sync(fast_cfg(lr=0.0))
         with pytest.raises(InvalidConfig):
             run_sync(fast_cfg(n_attack=0))
-
-
-class TestAttackerReferences:
-    def test_partial_sees_only_proxies(self):
-        benign = [np.ones(3)]
-        proxies = [np.zeros(3), np.full(3, 2.0)]
-        out = attacker_references("partial", benign, proxies)
-        assert out is proxies
-
-    def test_full_sees_benign(self):
-        benign = [np.ones(3)]
-        out = attacker_references("full", benign, [])
-        assert out is benign
 
 
 class TestRunAsync:
@@ -444,15 +442,39 @@ class TestSegmentDispatch:
         cfg = fast_cfg(**self.ATTACKED)
         world = build_world(cfg)
         participants = select_clients(cfg.n_clients, cfg.participation, 0, cfg.seed).tolist()
-        view = {}
-        updates = eng._client_updates(world, 0, participants, view, world.params0)
-        assert [k for k, _ in updates] == participants
-        for k, g in updates:
-            if k not in world.malicious_ids:
-                assert np.array_equal(g, client_gradient(world, world.params0, 0, k))
-                assert view[k] is g
+        U = eng._client_updates(world, 0, participants, None, world.params0)
+        assert U.shape == (len(participants), world.params0.dim)
+        benign = [k for k in participants if k not in world.malicious_ids]
+        assert participants[: len(benign)] == benign  # the crafted rows are the tail
+        for k, g in zip(benign, U):
+            assert np.array_equal(g, client_gradient(world, world.params0, 0, k))
+        assert (U[len(benign) :] == U[-1]).all()  # one craft per round
         calls = self.assert_same_run(cfg, monkeypatch)
         assert calls and all(K > 1 for K, _ in calls)  # one stacked call per round
+
+    def test_sync_craft_references_are_the_round_rows(self, monkeypatch):
+        # the crafter reads the benign prefix of the matrix the round steps
+        # on, not a stack of its rows
+        refs, stepped = [], []
+        craft, step = eng.craft_fedpoisonmia, eng._step
+
+        def craft_spy(ctx, params, benign_grads):
+            refs.append(benign_grads)
+            return craft(ctx, params, benign_grads)
+
+        def step_spy(world, rule, params, order, G, *args):
+            stepped.append((order, G))
+            return step(world, rule, params, order, G, *args)
+
+        monkeypatch.setattr(eng, "craft_fedpoisonmia", craft_spy)
+        monkeypatch.setattr(eng, "_step", step_spy)
+        cfg = fast_cfg(**self.ATTACKED)
+        eng.run(cfg)
+        assert len(refs) == len(stepped) == cfg.rounds
+        for R, (order, G) in zip(refs, stepped):
+            n_benign = sum(k < cfg.n_clients - eng.num_malicious(cfg) for k in order)
+            assert np.shares_memory(R, G)
+            assert R.shape == (n_benign, G.shape[1]) and np.array_equal(R, G[:n_benign])
 
     def test_async_segments_match_per_client(self, monkeypatch):
         cfg = fast_cfg(asynchronous=True, tau_max=3, **self.ATTACKED)
@@ -482,20 +504,46 @@ class TestSegmentDispatch:
     def test_held_rows_own_their_memory(self, monkeypatch):
         # the attacker's view and the async queue outlive a segment: a row
         # that is a view into the segment's (K, d) matrix would pin all of it
-        held = []
+        matrices, viewed, arrived = [], [], []
+        client_updates = eng._client_updates
 
         def recording(world, t, segment, view, params, craft_observer=None):
-            updates = client_updates(world, t, segment, view, params, craft_observer)
-            held.extend(g for _, g in updates)
-            held.extend(view.values())
-            return updates
+            U = client_updates(world, t, segment, view, params, craft_observer)
+            matrices.append(U)
+            viewed.extend(view.values())
+            return U
 
-        client_updates = eng._client_updates
+        class Buffer(eng.UpdateBuffer):
+            def put(self, client, g):
+                arrived.append((g, matrices[-1]))
+                return super().put(client, g)
+
         monkeypatch.setattr(eng, "_client_updates", recording)
+        monkeypatch.setattr(eng, "UpdateBuffer", Buffer)
         eng.run(fast_cfg(asynchronous=True, tau_max=3, **self.ATTACKED))
-        assert held
-        for g in held:
-            assert g.base is None or g.base.size == g.size
+        assert viewed and all(g.base is None for g in viewed)
+        # a zero-delay arrival is a row of its own segment's matrix; a queued
+        # one arrives later, as an owned copy
+        queued = [g for g, U in arrived if not np.shares_memory(g, U)]
+        assert queued and len(queued) < len(arrived)
+        for g in queued:
+            assert g.base is None
+            assert not any(np.shares_memory(g, U) for U in matrices)
+
+    @pytest.mark.parametrize("kind", ["none", "passive"])
+    def test_view_empty_without_craft(self, monkeypatch, kind):
+        sizes = []
+        client_updates = eng._client_updates
+
+        def recording(world, t, segment, view, params, craft_observer=None):
+            U = client_updates(world, t, segment, view, params, craft_observer)
+            sizes.append(len(view))
+            return U
+
+        monkeypatch.setattr(eng, "_client_updates", recording)
+        cfg = fast_cfg(asynchronous=True, tau_max=3, **dict(self.ATTACKED, attack=AttackStrategy(kind)))
+        eng.run(cfg)
+        assert sizes and set(sizes) == {0}
 
 
 class TestUpdateBuffer:
