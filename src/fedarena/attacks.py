@@ -14,8 +14,9 @@ The search is scored in dot-product space. Each craft builds one
 ReferenceGeometry with reference_geometry: the usable references, their
 unit rows U and the benign budget, computed on first read. Each step of
 the pipeline is one public function taking it (greedy_mask_select,
-optimize_alpha), and craft_adaptive reads its unit rows. The gradient of a
-mean loss is the mean of the per-example gradients P, so a greedy
+optimize_alpha), and craft_adaptive builds its angle block from its unit
+rows with pairwise_angles' kernel. The gradient of a mean loss is the
+mean of the per-example gradients P, so a greedy
 candidate's blend at step m is alpha * g_attack + (sum of selected rows +
 candidate row) / m. Its angles are those of m times it, m * alpha *
 g_attack + (selected sum + candidate row), whose dots with U and squared
@@ -46,7 +47,6 @@ import numpy as np
 from . import mlp
 from .errors import (
     DegenerateGradient,
-    EmptyBatch,
     EmptyMaskBudget,
     SingleClassDataset,
     TooFewReferences,
@@ -54,11 +54,13 @@ from .errors import (
 from .rngstream import substream
 from .vectors import (
     NORM_FLOOR,
+    _angle_block,
     _as_matrix,
     angle_between,
     angles_to,
     pairwise_sq_distances,
     scaled_add,
+    sq_distances_to,
     unit_rows,
 )
 
@@ -134,11 +136,6 @@ def flip_labels(labels, num_classes: int, seed: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64)
     offsets = substream(seed, "flip").integers(1, num_classes, size=y.shape[0])
     return (y + offsets) % num_classes
-
-
-def attack_gradient(params: mlp.ModelParams, features, flipped_labels) -> np.ndarray:
-    """Gradient on the flipped-label target set."""
-    return mlp.gradient(params, features, flipped_labels)
 
 
 @dataclass(frozen=True)
@@ -356,7 +353,7 @@ def craft_fedpoisonmia(
     against one reference geometry.
     """
     geo = reference_geometry(benign_grads)
-    g_attack = attack_gradient(params, ctx.attack_features, ctx.flipped_labels)
+    g_attack = mlp.gradient(params, ctx.attack_features, ctx.flipped_labels)
     selected, _trace = greedy_mask_select(
         geo, ctx.mask_features, ctx.mask_labels, ctx.mask_fraction, params, g_attack, 1.0
     )
@@ -377,10 +374,7 @@ def craft_gradient_ascent(
     params: mlp.ModelParams, features, labels, scale: float
 ) -> np.ndarray:
     """Ascent step on the target samples: the negated descent gradient."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise EmptyBatch("target set is empty")
-    return -float(scale) * mlp.gradient(params, X, labels)
+    return -float(scale) * mlp.gradient(params, features, labels)
 
 
 def craft_agrevader(
@@ -393,17 +387,17 @@ def craft_agrevader(
 ) -> np.ndarray:
     """Blend the flipped-label gradient with the full-pool mask gradient,
     halving the attack share until the blend lands within the benign
-    cluster's Euclidean diameter (or give up and send the mask alone).
+    cluster's Euclidean diameter (or give up and send the mask alone), in
+    squared distances from Krum's kernels.
     """
     refs = _as_matrix(benign_grads)
     g_attack = mlp.gradient(params, flipped_features, flipped_labels)
     g_mask = mlp.gradient(params, mask_features, mask_labels)
-    dist_budget = float(np.sqrt(pairwise_sq_distances(refs).max()))
+    sq_budget = pairwise_sq_distances(refs).max()
     scale = 1.0
     for _ in range(AGREVADER_MAX_HALVINGS + 1):
         g = scale * g_attack + g_mask
-        nearest = float(np.min(np.linalg.norm(refs - g, axis=1)))
-        if nearest <= dist_budget:
+        if sq_distances_to(refs, g).min() <= sq_budget:
             return g
         scale /= 2.0
     return g_mask
@@ -415,8 +409,9 @@ def craft_adaptive(benign_grads, g_attack, trim_b: int) -> np.ndarray:
 
     Each failed check averages the attack gradient with the benign
     gradient farthest from it in angle. The references' angle block is
-    built once; each check rewrites only the attack gradient's row and
-    column (`angles_to`), so the block is bitwise
+    built once, by `pairwise_angles`' kernel on the geometry's unit rows;
+    each check rewrites only the attack gradient's row and column
+    (`angles_to`), so the block is bitwise
     `pairwise_angles(np.vstack([refs, g]))`. An attack gradient with norm
     <= NORM_FLOOR raises DegenerateGradient.
     """
@@ -428,18 +423,13 @@ def craft_adaptive(benign_grads, g_attack, trim_b: int) -> np.ndarray:
     n = refs.shape[0] + 1
     if 2 * trim_b >= n:
         raise TooFewReferences(f"2*{trim_b} >= {n} total gradients")
-    # the references' block, from the geometry's unit rows as
-    # pairwise_angles builds it: one angles_to row per reference, mirrored
-    U = geo.unit
     bad = np.zeros(n - 1, dtype=bool)  # every reference is usable
-    A = np.zeros((n, n))
-    for i in range(n - 2):
-        A[i, i + 1 : -1] = A[i + 1 : -1, i] = angles_to(U[i + 1 :], bad[i + 1 :], U[i], False)
+    A = np.pad(_angle_block(geo.unit, bad), (0, 1))  # the attack gradient's row last
     for _ in range(ADAPTIVE_MAX_ITERS):
         u, norm = unit_rows(_as_matrix(g[None]))
         if norm[0] <= NORM_FLOOR:
             raise DegenerateGradient(f"attack gradient has norm {norm[0]:.3e}")
-        A[-1, :-1] = A[:-1, -1] = angles_to(U, bad, u[0], False)
+        A[-1, :-1] = A[:-1, -1] = angles_to(geo.unit, bad, u[0], False)
         means = A.sum(axis=1) / (n - 1)
         threshold = np.sort(means)[::-1][2 * trim_b - 1]
         if means[-1] < threshold:

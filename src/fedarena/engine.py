@@ -24,7 +24,7 @@ send one crafted update, written into the matrix's tail (their ids are
 the highest), built once against the benign references: in sync the
 matrix's benign prefix itself, a view; in async the freshest benign
 gradient per client, an attacker's view that gains the segment's benign
-rows first and is kept only when the attack crafts. Either way that is
+rows first and is kept only when a craft reads it. Either way that is
 the view each malicious client would see if dispatched alone, and a
 craft depends only on the model, the round and the references. Sync
 therefore crafts once per round, async once per segment. A sync round
@@ -73,7 +73,6 @@ from .attacks import KINDS as ATTACK_KINDS
 from .attacks import (
     AttackerContext,
     AttackStrategy,
-    attack_gradient,
     craft_adaptive,
     craft_agrevader,
     craft_fedpoisonmia,
@@ -534,7 +533,7 @@ def _craft_update(world: _World, params, round_idx: int, refs, craft_observer=No
             refs,
         )
     if kind == "adaptive":
-        g_attack = attack_gradient(params, att.attack_features, flipped)
+        g_attack = mlp.gradient(params, att.attack_features, flipped)
         return craft_adaptive(refs, g_attack, max(cfg.rule.trim_b, 1))
     raise InvalidConfig(f"unknown attack kind {kind!r}")
 
@@ -545,12 +544,12 @@ def _client_updates(world: _World, t: int, segment, view, params, craft_observer
     the clients dispatched against the one model `params`. The benign
     gradients fill its prefix and the segment's one craft its tail. `view`,
     the async attacker's (client id -> benign reference), gains owned
-    copies of the benign rows when the attack crafts, before its craft; a
-    sync round passes None and crafts against the prefix itself."""
+    copies of the benign rows before its craft; a sync round, and an async
+    run whose craft reads no view, pass None and craft against the prefix."""
     crafts = world.cfg.attack.kind not in ("none", "passive")
     benign = [k for k in segment if not (crafts and k in world.malicious_ids)]
     U = _shard_gradients(world, params, t, benign, len(segment))
-    if crafts and view is not None:
+    if view is not None:
         view.update((k, g.copy()) for k, g in zip(benign, U))
     if len(benign) < len(segment):
         refs = U[: len(benign)] if view is None else [view[k] for k in sorted(view)]
@@ -716,8 +715,10 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     if cfg.rule.kind == "fang":
         products = partial(mlp.input_products, world.val.features, layer_shapes=params.layer_shapes)
     buffer = UpdateBuffer(cfg.n_clients, params.flat.size, cfg.rule.kind, products)
-    # freshest benign gradient per client, kept only when the attack crafts
-    attacker_view: dict[int, np.ndarray] = {}
+    # freshest benign gradient per client, kept only when a craft reads it:
+    # a full-knowledge agrevader, fedpoisonmia or adaptive
+    reads_view = world.attack_ctx is not None and cfg.attack.knowledge == "full"
+    attacker_view: dict[int, np.ndarray] | None = {} if reads_view else None
     pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     records: list[RoundRecord] = []
 
@@ -732,7 +733,9 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     for t in range(cfg.rounds):
         staleness_log: list[int] = []
         last_outcome = None
-        for t_disp, client, g in sorted(pending.pop(t, []), key=lambda e: (e[0], e[1])):
+        # rounds run in order and each segment dispatches in ascending id, so
+        # each list is already in (dispatch round, client) order
+        for t_disp, client, g in pending.pop(t, []):
             last_outcome = apply_arrival(t, t_disp, client, g, staleness_log)
         participants = world.draws.selected(t)
         clients = participants.tolist()

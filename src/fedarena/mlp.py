@@ -107,7 +107,7 @@ def _check_batch(params: ModelParams, X, y):
     y = np.asarray(y, dtype=np.int64)
     if X.ndim == 1:
         X = X[None, :]
-        y = y.reshape(1)
+        y = y.reshape(-1)
     if X.shape[0] == 0:
         raise EmptyBatch("batch is empty")
     if X.shape[1] != params.input_dim or y.shape[0] != X.shape[0]:
@@ -189,8 +189,6 @@ def gradients(params: ModelParams, Xs, ys) -> np.ndarray:
         )
     if Xs.shape[1] == 0:
         raise EmptyBatch("batches are empty")
-    if Xs.shape[0] == 1:  # the unstacked kernel skips the stacked matmul's overhead
-        return _backprop(params, Xs[0], ys[0])[None]
     return _backprop(params, Xs, ys)
 
 

@@ -60,18 +60,24 @@ def angles_to(U: np.ndarray, bad: np.ndarray, u: np.ndarray, u_bad: bool) -> np.
 
 
 def pairwise_angles(grads) -> np.ndarray:
-    """Symmetric zero-diagonal matrix of angles between all gradient pairs,
-    one `angles_to` row of the strict upper triangle at a time, mirrored.
+    """Symmetric zero-diagonal matrix of angles between all gradient pairs
+    (`_angle_block` of their unit rows).
 
     A gradient with norm <= NORM_FLOOR has no direction: it sits at angle
     pi to every other gradient, the most deviant an angle can be.
     """
     G = _as_matrix(grads)
-    n = G.shape[0]
-    if n < 2:
-        raise DimensionMismatch(f"need at least 2 gradients, got {n}")
+    if G.shape[0] < 2:
+        raise DimensionMismatch(f"need at least 2 gradients, got {G.shape[0]}")
     U, norms = unit_rows(G)
-    bad = norms <= NORM_FLOOR
+    return _angle_block(U, norms <= NORM_FLOOR)
+
+
+def _angle_block(U: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The symmetric zero-diagonal angles between the unit rows `U` (see
+    `angles_to`), one `angles_to` row of the strict upper triangle at a
+    time, mirrored."""
+    n = U.shape[0]
     theta = np.zeros((n, n))
     for i in range(n - 1):
         theta[i, i + 1 :] = angles_to(U[i + 1 :], bad[i + 1 :], U[i], bad[i])

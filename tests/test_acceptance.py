@@ -19,7 +19,6 @@ from fedarena import cli, mlp
 from fedarena.aggregation import AggregationRule, atm
 from fedarena.attacks import (
     AttackStrategy,
-    attack_gradient,
     craft_adaptive,
     flip_labels,
     greedy_mask_select,
@@ -214,7 +213,7 @@ def test_criterion_06_greedy_effectiveness():
         mask_y = rng.integers(0, 3, size=12)
         att_X = rng.normal(size=(8, 6))
         att_y = rng.integers(0, 3, size=8)
-        g_attack = attack_gradient(params, att_X, flip_labels(att_y, 3, seed=trial))
+        g_attack = mlp.gradient(params, att_X, flip_labels(att_y, 3, seed=trial))
         refs = gradient_like_refs(rng, params, 4)
         geo = reference_geometry(refs)
         budget = geo.budget

@@ -14,7 +14,6 @@ from fedarena.attacks import (
     craft_agrevader,
     craft_fedpoisonmia,
     craft_gradient_ascent,
-    attack_gradient,
     flip_labels,
     greedy_mask_select,
     mask_budget,
@@ -24,6 +23,7 @@ from fedarena.attacks import (
 )
 from fedarena.errors import (
     DegenerateGradient,
+    EmptyBatch,
     EmptyMaskBudget,
     FedArenaError,
     SingleClassDataset,
@@ -61,21 +61,12 @@ class TestFlipLabels:
 
 
 class TestAttackGradient:
-    def test_is_model_gradient(self, rng):
-        params = perturbed(tiny_net(), 0.3, rng)
-        X = rng.normal(size=(6, 6))
-        y = rng.integers(0, 3, size=6)
-        flipped = flip_labels(y, 3, seed=1)
-        assert np.array_equal(
-            attack_gradient(params, X, flipped), mlp.gradient(params, X, flipped)
-        )
-
     def test_differs_from_true_label_gradient(self, rng):
         params = perturbed(tiny_net(seed=5), 0.3, rng)
         X = rng.normal(size=(8, 6))
         y = rng.integers(0, 3, size=8)
         g_true = mlp.gradient(params, X, y)
-        g_att = attack_gradient(params, X, flip_labels(y, 3, seed=2))
+        g_att = mlp.gradient(params, X, flip_labels(y, 3, seed=2))
         assert angle_between(g_true, g_att) > 0.1
 
 
@@ -139,7 +130,7 @@ class TestGreedyMaskSelect:
         mask_y = rng.integers(0, 3, size=n_mask)
         att_X = rng.normal(size=(8, 6))
         att_y = rng.integers(0, 3, size=8)
-        g_attack = attack_gradient(params, att_X, flip_labels(att_y, 3, seed=0))
+        g_attack = mlp.gradient(params, att_X, flip_labels(att_y, 3, seed=0))
         refs = gradient_like_refs(rng, params, n_refs)
         return params, mask_X, mask_y, g_attack, refs
 
@@ -303,7 +294,7 @@ class TestBatchedDecisionEquivalence:
         params = perturbed(mlp.init_params(((64, 32), (32, 3)), seed=seed), 0.1, rng)
         refs = np.stack([mlp.gradient(params, *blobs(6)) for _ in range(7)])
         att_X, att_y = blobs(20)
-        g_attack = attack_gradient(params, att_X, flip_labels(att_y, 3, seed))
+        g_attack = mlp.gradient(params, att_X, flip_labels(att_y, 3, seed))
         mask_X, mask_y = blobs(16)
         return params, mask_X, mask_y, g_attack, refs
 
@@ -502,7 +493,7 @@ class TestCraftFedPoisonMia:
         ctx = self._ctx(rng, params)
         refs = gradient_like_refs(rng, params, 4)
         result = craft_fedpoisonmia(ctx, params, refs)
-        g_attack = attack_gradient(params, ctx.attack_features, ctx.flipped_labels)
+        g_attack = mlp.gradient(params, ctx.attack_features, ctx.flipped_labels)
         idx = list(result.selected_mask_indices)
         g_mask = mlp.gradient(params, ctx.mask_features[idx], ctx.mask_labels[idx])
         alpha, feasible = optimize_alpha(reference_geometry(refs), g_attack, g_mask, ctx.alpha_grid)
@@ -671,6 +662,10 @@ class TestGradientAscent:
         assert angle_between(g, mlp.gradient(params, X, y)) == pytest.approx(
             math.pi, abs=1e-7
         )
+
+    def test_empty_target_set(self):
+        with pytest.raises(EmptyBatch):
+            craft_gradient_ascent(tiny_net(), np.empty((0, 6)), np.empty(0, dtype=int), 1.0)
 
     def test_linear_in_scale(self, rng):
         params = perturbed(tiny_net(), 0.3, rng)

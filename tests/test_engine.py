@@ -530,18 +530,29 @@ class TestSegmentDispatch:
             assert g.base is None
             assert not any(np.shares_memory(g, U) for U in matrices)
 
-    @pytest.mark.parametrize("kind", ["none", "passive"])
-    def test_view_empty_without_craft(self, monkeypatch, kind):
+    # only a full-knowledge agrevader, fedpoisonmia or adaptive craft reads
+    # the view; gradient_ascent and partial knowledge craft without it
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            AttackStrategy("none"),
+            AttackStrategy("passive"),
+            AttackStrategy("gradient_ascent"),
+            AttackStrategy("fedpoisonmia", mask_fraction=0.3, knowledge="partial"),
+        ],
+        ids=["none", "passive", "gradient_ascent", "fedpoisonmia-partial"],
+    )
+    def test_view_empty_without_craft(self, monkeypatch, attack):
         sizes = []
         client_updates = eng._client_updates
 
         def recording(world, t, segment, view, params, craft_observer=None):
             U = client_updates(world, t, segment, view, params, craft_observer)
-            sizes.append(len(view))
+            sizes.append(0 if view is None else len(view))
             return U
 
         monkeypatch.setattr(eng, "_client_updates", recording)
-        cfg = fast_cfg(asynchronous=True, tau_max=3, **dict(self.ATTACKED, attack=AttackStrategy(kind)))
+        cfg = fast_cfg(asynchronous=True, tau_max=3, **dict(self.ATTACKED, attack=attack))
         eng.run(cfg)
         assert sizes and set(sizes) == {0}
 
@@ -794,6 +805,11 @@ CRAFT_DIGESTS = {
         "6fc5815987294ab727790fd4c51f969de6b50534ac6b70c140d9f6c3e501c84a",
     "async = false\nknowledge = partial\nrule = atm":
         "fcc1c361e27edbf936e59cd7e36b404c2613e4d519f40bfddd5bd1580e2d32b1",
+    # async agrevader, recorded before it took Krum's squared distances
+    "attack = agrevader":
+        "5a2577e9c5f0dc577c9662dfd3fda96f98e995796adff3cf50648b71c241c00b",
+    "attack = agrevader\nrule = multi_krum":
+        "a1be6f6cbebeb9587a793513e3f9274dfe43b51f4a3393e00f143b165f3dc53e",
 }
 
 

@@ -155,6 +155,12 @@ class TestGradient:
         with pytest.raises(EmptyBatch):
             mlp.gradient(tiny_net(), np.empty((0, 6)), np.empty(0, dtype=int))
 
+    @pytest.mark.parametrize("x, y", [(np.empty(0), []), (np.zeros(6), [0, 1])])
+    def test_one_example_label_count_mismatch(self, x, y):
+        # a 1-D x is one example, so it takes exactly one label
+        with pytest.raises(DimensionMismatch):
+            mlp.gradient(tiny_net(), x, np.array(y, dtype=int))
+
 
 def assert_rel_close(actual, expected, rtol=1e-12):
     assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
