@@ -307,15 +307,15 @@ def fang_filter(
 
     A pass scores its k candidates in one batch. Candidate i steps the
     model by the mean of the other rows, (S - g_i)/(k-1), S the sum of the
-    rows held. The first layer is linear in that step, so the candidate's
-    first-layer pre-activation on the validation examples X is
-    X@W1 + b1_i - lr/(k-1) * (XS - XG_i), where XG_i = X @ W1-block(g_i)
-    is the row's (v, h) block (`mlp.input_products`) and XS the sum of the
-    held blocks. Only the later parameters (b1 onward) are formed per
-    candidate, and every layer after the first is one stacked matmul.
-    `val_products` is the (n, v, h) stack of the blocks when the caller
-    keeps them (async runs store one per arrival); it must equal the stack
-    this function would compute.
+    rows held. The first layer is linear in that step, so with c =
+    lr/(k-1) the candidate's first-layer pre-activation on the validation
+    examples X is Z - c * (sum P - P_i): Z = X @ W1 + b1 is the model's
+    own, P_i = X @ W1(g_i) + b1(g_i) the row's (v, h) block, and the sum
+    runs over the held rows (each `mlp.input_products`). Each later layer
+    steps its weights and bias the same way per candidate, and is one
+    stacked matmul. `val_products` is the (n, v, h) stack of the
+    blocks when the caller keeps them (async runs store one per arrival);
+    it must equal the stack this function would compute.
 
     Batched scores round differently from stepping each candidate model
     (by about 1e-15 relative). So under lfr every candidate whose loss is
@@ -342,28 +342,26 @@ def fang_filter(
         raise EmptyValidationSet("validation set is empty")
     if mode not in ("err", "lfr"):
         raise InvalidConfig(f"unknown fang mode {mode!r}")
-    shapes = params.layer_shapes
     if G.shape[1] != params.dim:
         raise DimensionMismatch(f"gradients of length {G.shape[1]} for a model of {params.dim}")
     if X.ndim != 2 or X.shape[1] != params.input_dim or y.shape != (X.shape[0],):
         raise DimensionMismatch(f"validation shapes {X.shape}/{y.shape} incompatible with model")
+    G = np.ascontiguousarray(G)  # its products and layer views round alike in any memory order
+    Z = mlp.input_products(X, params.flat, params.layer_shapes)
     if val_products is None:
-        P = np.stack([mlp.input_products(X, g, shapes) for g in G])
+        P = mlp.input_products(X, G, params.layer_shapes)
     else:
         P = np.asarray(val_products, dtype=np.float64)
-        if P.shape != (n, X.shape[0], shapes[0][1]):
+        if P.shape != (n,) + Z.shape:
             raise DimensionMismatch(f"product block shaped {P.shape} for {n} gradients")
-    first = shapes[0][0] * shapes[0][1]
-    XW1 = X @ params.flat[:first].reshape(shapes[0])
 
-    G = np.ascontiguousarray(G)  # so a view of its columns sums as a copy does
     kept = np.arange(n)
     removed: list[int] = []
     scores = np.empty(0)
     step = None  # the mean of `kept` when the last pick was rescored
     for _ in range(min(remove_count, n - 1)):
         held = slice(None) if kept.size == n else kept  # views while every row is held
-        logits = _loo_logits(params, XW1, P[held], G[held, first:], lr)
+        logits = _loo_logits(params, Z, P[held], G[held], lr)
         scores = _scores(logits, y, mode)
         if mode == "err":
             recheck = ~_clear_margins(logits)
@@ -387,26 +385,19 @@ def fang_filter(
     )
 
 
-def _loo_logits(params: mlp.ModelParams, XW1, P, T, lr: float) -> np.ndarray:
+def _loo_logits(params: mlp.ModelParams, Z, P, G, lr: float) -> np.ndarray:
     """(k, c, v) class-major validation logits of the k leave-one-out
-    models, from the held rows' first-layer products P (k, v, h) and
-    parameter tails T (k, d - d_in*h): candidate i steps by lr times the
-    mean of the other rows."""
-    k = P.shape[0]
-    c = lr / (k - 1)
-    shapes = params.layer_shapes
-    tails = params.flat[shapes[0][0] * shapes[0][1] :] - c * (T.sum(axis=0) - T)
+    models, from the model's first-layer pre-activation Z (v, h), the held
+    rows' first-layer products P (k, v, h) and the held rows G (k, d):
+    candidate i steps by lr times the mean of the other rows, so each of
+    its layers is the model's less c * (the held rows' sum - row i's)."""
+    c = lr / (P.shape[0] - 1)
     a = P * c
-    a += XW1 - c * P.sum(axis=0)
-    offset = 0
-    for li, (fi, fo) in enumerate(shapes):
-        if li > 0:
-            a = a @ tails[:, offset : offset + fi * fo].reshape(k, fi, fo)
-            offset += fi * fo
-        a += tails[:, None, offset : offset + fo]
-        offset += fo
-        if li < len(shapes) - 1:
-            np.maximum(a, 0.0, out=a)
+    a += Z - c * P.sum(axis=0)
+    for (W, b), (W_G, b_G) in zip(params.layers[1:], mlp.split_layers(G, params.layer_shapes)[1:]):
+        np.maximum(a, 0.0, out=a)
+        a = a @ (W - c * (W_G.sum(axis=0) - W_G))
+        a += (b - c * (b_G.sum(axis=0) - b_G))[:, None, :]
     return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 

@@ -51,12 +51,12 @@ each row's unit vector and the angles between the rows
 (`vectors.angles_to`); under multi_krum, the squared distances between
 them (`vectors.sq_distances_to`). An arrival rewrites only its client's
 row and column, at O(n*d) instead of the O(n^2*d) a recompute costs.
-Under fang it keeps each row's (v, h) first-layer product with the
-validation examples (`mlp.input_products`, the block fang scores every
-leave-one-out candidate from), and an arrival computes only its client's
-block. Each entry depends only on its own rows, and the fresh path runs
-the same kernel per row, so a kept block is bitwise the recompute and no
-choice of atm, Krum or fang changes.
+Under fang it keeps each row's (v, h) first-layer product X @ W1(g) +
+b1(g) with the validation examples (`mlp.input_products`, the block fang
+scores every leave-one-out candidate from), and an arrival computes only
+its client's block. Each entry depends only on its own rows, and the
+fresh path's stacked products are bitwise the per-row ones, so a kept
+block is bitwise the recompute and no choice of atm, Krum or fang changes.
 """
 
 import math
@@ -650,8 +650,8 @@ class UpdateBuffer:
     reads, one client per arrival (see the module docstring): the angles
     between the rows held under atm (with each row's unit vector), their
     squared distances under multi_krum, or under fang each row's validation
-    first-layer product (`products`, a function of one row:
-    `mlp.input_products` bound to the validation examples)."""
+    first-layer product, weights and bias (`products`, a function of one
+    row: `mlp.input_products` bound to the validation examples)."""
 
     def __init__(self, n_clients: int, dim: int, kind: str = "fedavg", products=None):
         self.rows = np.zeros((n_clients, dim))

@@ -1,9 +1,9 @@
 """Small fully connected classifier with analytic gradients.
 
-Parameters live in one flat float64 vector (per layer: row-major weight
-matrix, then bias), which is the unit every aggregation rule and attack
-operates on. Hidden layers use ReLU, the final layer emits raw logits,
-and the loss is mean softmax cross-entropy.
+Parameters live in one flat float64 vector, laid out per layer as
+`split_layers` states, which is the unit every aggregation rule and
+attack operates on. Hidden layers use ReLU, the final layer emits raw
+logits, and the loss is mean softmax cross-entropy.
 """
 
 from dataclasses import dataclass
@@ -52,35 +52,41 @@ def init_params(layer_shapes, seed: int) -> ModelParams:
         if fo != fi:
             raise InvalidShapes(f"layer output {fo} does not feed next input {fi}")
     rng = np.random.default_rng(seed)
-    pieces = []
+    layers = []
     for fi, fo in shapes:
         scale = np.sqrt(6.0 / (fi + fo))
-        pieces.append(rng.uniform(-scale, scale, size=fi * fo))
-        pieces.append(np.zeros(fo))
-    return ModelParams(flat=np.concatenate(pieces), layer_shapes=shapes)
+        layers.append((rng.uniform(-scale, scale, size=(fi, fo)), np.zeros(fo)))
+    return ModelParams(flat=flatten_layers(layers), layer_shapes=shapes)
 
 
-def unflatten(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector back into (weights, bias) per layer."""
+def split_layers(V, layer_shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weights (..., fi, fo), bias (..., fo)) views of one flat
+    parameter vector V (dim,) or a stack of them (..., dim). The layout:
+    per layer, the row-major weight matrix, then the bias."""
+    dim = sum(fi * fo + fo for fi, fo in layer_shapes)
+    if V.shape[-1] != dim:
+        raise InvalidShapes(f"flat length {V.shape[-1]} != layout {dim}")
     layers = []
     offset = 0
-    for fi, fo in params.layer_shapes:
-        W = params.flat[offset : offset + fi * fo].reshape(fi, fo)
-        offset += fi * fo
-        b = params.flat[offset : offset + fo]
-        offset += fo
-        layers.append((W, b))
-    if offset != params.flat.shape[0]:
-        raise InvalidShapes(f"flat length {params.flat.shape[0]} != layout {offset}")
+    for fi, fo in layer_shapes:
+        end = offset + fi * fo
+        layers.append((V[..., offset:end].reshape(V.shape[:-1] + (fi, fo)), V[..., end : end + fo]))
+        offset = end + fo
     return layers
 
 
+def unflatten(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split the flat vector back into (weights, bias) views per layer."""
+    return split_layers(params.flat, params.layer_shapes)
+
+
 def flatten_layers(layers) -> np.ndarray:
-    pieces = []
-    for W, b in layers:
-        pieces.append(np.asarray(W, dtype=np.float64).ravel())
-        pieces.append(np.asarray(b, dtype=np.float64).ravel())
-    return np.concatenate(pieces)
+    """The flat vector whose split_layers views are `layers`."""
+    flat = np.zeros(sum(np.size(W) + np.size(b) for W, b in layers))
+    for (W, b), (W_to, b_to) in zip(layers, split_layers(flat, [np.shape(W) for W, _ in layers])):
+        W_to[:] = W
+        b_to[:] = b
+    return flat
 
 
 def forward(params: ModelParams, x) -> np.ndarray:
@@ -209,25 +215,24 @@ def per_example_products(params: ModelParams, X, y, V) -> tuple[np.ndarray, np.n
         raise DimensionMismatch(f"V shape {V.shape} incompatible with dim {params.dim}")
     layers = params.layers
     acts, delta = _output_delta(layers, X, y)
-    starts = np.cumsum([0] + [fi * fo + fo for fi, fo in params.layer_shapes])
     PV = np.zeros((len(y), V.shape[0]))
     PP = np.zeros((len(y), len(y)))
-    for li, (a_in, d) in zip(reversed(range(len(layers))), _layer_deltas(layers, acts, delta)):
-        fi, fo = params.layer_shapes[li]
-        w_end = starts[li] + fi * fo
-        V_W = V[:, starts[li] : w_end].reshape(-1, fi, fo)
-        PV += np.einsum("rno,no->nr", a_in @ V_W, d) + d @ V[:, w_end : w_end + fo].T
+    V_layers = reversed(split_layers(V, params.layer_shapes))
+    for (a_in, d), (V_W, V_b) in zip(_layer_deltas(layers, acts, delta), V_layers):
+        PV += np.einsum("rno,no->nr", a_in @ V_W, d) + d @ V_b.T
         DD = d @ d.T
         PP += (a_in @ a_in.T) * DD + DD
     return PV, PP
 
 
 def input_products(X, g, layer_shapes) -> np.ndarray:
-    """(v, h) product of the examples X (v, d_in) with the first-layer
-    weight block of the flat vector g: the change in X's first-layer
-    pre-activation per unit step along g."""
-    d_in, h = layer_shapes[0]
-    return X @ g[: d_in * h].reshape(d_in, h)
+    """(v, h) first-layer product X @ W1(g) + b1(g) of the examples X
+    (v, d_in) with the flat vector g, or the (..., v, h) stack of them for
+    a stack of vectors g (..., dim): the change in X's first-layer
+    pre-activation per unit step along g, and under a model's own vector
+    that pre-activation."""
+    W, b = split_layers(g, layer_shapes)[0]
+    return X @ W + b[..., None, :]
 
 
 def apply_update(params: ModelParams, g, lr: float) -> ModelParams:

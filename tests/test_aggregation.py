@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import perturbed, tiny_net
+from conftest import gradient_like_refs, perturbed, tiny_net
 from fedarena import aggregation as agg
 from fedarena import mlp
 from fedarena.aggregation import (
@@ -473,12 +473,34 @@ class TestFangParity:
         assert none.kept_indices == tuple(range(6))
         assert none.diagnostics["removed"] == () and none.diagnostics["scores"].size == 0
 
+    @pytest.mark.parametrize("lr", [1e-6, 0.1, 10.0])
+    def test_benchmark_shape_scores_and_removals(self, rng, lr):
+        # the async benchmark's shape: 50 held rows, 75 validation examples,
+        # the desk model; a few rows ascend instead of descend
+        params = perturbed(mlp.init_params(((64, 32), (32, 3)), seed=5), 0.3, rng)
+        X, y = rng.normal(size=(75, 64)), rng.integers(0, 3, size=75)
+        G = gradient_like_refs(rng, params, 50)
+        G[rng.choice(50, size=5, replace=False)] *= -5.0
+        out = fang_filter(G, params, X, y, "lfr", lr, 1)
+        exact = [
+            mlp.loss(mlp.apply_update(params, np.delete(G, i, axis=0).mean(axis=0), lr), X, y)
+            for i in range(50)
+        ]
+        assert np.allclose(out.diagnostics["scores"], exact, rtol=1e-12, atol=0)
+        for mode in ("err", "lfr"):
+            out = fang_filter(G, params, X, y, mode, lr, 3)
+            kept, removed = naive_fang_kept(G, params, X, y, mode, lr, 3)
+            assert (out.kept_indices, out.diagnostics["removed"]) == (kept, removed)
+
     @pytest.mark.parametrize("mode", ["err", "lfr"])
     def test_column_major_rows_score_as_row_major(self, rng, mode):
         # a pass over every row reads a view of the rows' columns; its
-        # scores must not depend on the caller's memory order
-        for _ in range(5):
+        # scores must not depend on the caller's memory order, also with
+        # one validation example, where a matmul on a strided row leaves BLAS
+        for trial in range(12):
             params, G, X, y = self._instance(rng, ((6, 8), (8, 3)), 12, "plain")
+            if trial % 2:
+                X, y = X[:1], y[:1]
             rows = fang_filter(G, params, X, y, mode, 0.5, 1)
             cols = fang_filter(np.asfortranarray(G), params, X, y, mode, 0.5, 1)
             assert cols.kept_indices == rows.kept_indices

@@ -747,6 +747,17 @@ ASYNC_KRUM_DIGESTS = {
     # its arrivals insert clients before, between and after those held
     "rule = fang\nfang_mode = lfr":
         "860d611b5607d688e778d34c39bd477f9b3a98069f5e91d3cf1d9fd0dc9bd6f5",
+    # recorded before fang's kept blocks carried the first-layer bias: err
+    # mode's recheck, several removals, the fresh-products path under dp,
+    # and sync fang
+    "rule = fang\nfang_mode = err":
+        "b2601b584fa3a7d290a32c59d42df059ce118eb4fcb764fd08641cbe6bd02efd",
+    "rule = fang\nfang_remove = 3":
+        "70a1656f0059ca534b0c6232f50464375b7a82f0e74199403a970862e1e1f786",
+    "rule = dp\ninner_rule = fang\ndp_sigma = 0.01":
+        "3992f14e7ee2e6a23e20193d45527faa607e1b1ddfa1c359f5ca2ffdf5c49a3d",
+    "rule = fang\nasync = false":
+        "eedb2048b6fe34907e48f3898ccd0610628ceb6470fc5bf83c892aceb803819c",
 }
 
 

@@ -58,6 +58,53 @@ class TestInit:
         assert np.array_equal(p.flat, again)
 
 
+class TestSplitLayers:
+    SHAPES = (((6, 8), (8, 3)), ((5, 7), (7, 6), (6, 4)), ((4, 3),))
+
+    def test_views_of_a_vector(self, rng):
+        for shapes in self.SHAPES:
+            p = perturbed(mlp.init_params(shapes, seed=1), 0.3, rng)
+            layers = mlp.split_layers(p.flat, shapes)
+            assert [(W.shape, b.shape) for W, b in layers] == [((fi, fo), (fo,)) for fi, fo in shapes]
+            assert all(np.shares_memory(W, p.flat) and np.shares_memory(b, p.flat) for W, b in layers)
+            assert np.array_equal(mlp.flatten_layers(layers), p.flat)
+
+    def test_views_of_a_stack(self, rng):
+        for shapes in self.SHAPES:
+            dim = mlp.init_params(shapes, seed=0).dim
+            G = rng.normal(size=(5, dim))
+            layers = mlp.split_layers(G, shapes)
+            for (W, b), (fi, fo) in zip(layers, shapes):
+                assert W.shape == (5, fi, fo) and b.shape == (5, fo)
+                assert np.shares_memory(W, G) and np.shares_memory(b, G)
+            for k in range(5):  # row k's layers are the stack's k-th views
+                for (W, b), (W_k, b_k) in zip(layers, mlp.split_layers(G[k], shapes)):
+                    assert np.array_equal(W[k], W_k) and np.array_equal(b[k], b_k)
+
+    def test_wrong_length(self):
+        dim = tiny_net().dim
+        for V in (np.zeros(dim - 1), np.zeros(dim + 1), np.zeros((3, dim + 2))):
+            with pytest.raises(InvalidShapes):
+                mlp.split_layers(V, tiny_net().layer_shapes)
+
+
+class TestInputProducts:
+    def test_a_models_product_is_its_first_layer(self, rng):
+        # a one-layer model's first-layer pre-activation is its logits
+        p = perturbed(mlp.init_params(((6, 4),), seed=2), 0.3, rng)
+        X = rng.normal(size=(7, 6))
+        assert np.array_equal(mlp.input_products(X, p.flat, p.layer_shapes), mlp.forward(p, X))
+
+    def test_stack_is_its_rows_products(self, rng):
+        # bitwise, also with one example, where the row kernel is a vector product
+        for shapes in TestSplitLayers.SHAPES + (((64, 32), (32, 3)),):
+            G = rng.normal(size=(9, mlp.init_params(shapes, seed=0).dim))
+            for v in (1, 2, 11):
+                X = rng.normal(size=(v, shapes[0][0]))
+                rows = np.stack([mlp.input_products(X, g, shapes) for g in G])
+                assert np.array_equal(mlp.input_products(X, G, shapes), rows)
+
+
 class TestForward:
     def test_zero_params_zero_logits(self):
         p = tiny_net()
