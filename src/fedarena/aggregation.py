@@ -355,13 +355,14 @@ def fang_filter(
         if P.shape != (n,) + Z.shape:
             raise DimensionMismatch(f"product block shaped {P.shape} for {n} gradients")
 
+    later = mlp.split_layers(G, params.layer_shapes)[1:]
     kept = np.arange(n)
     removed: list[int] = []
     scores = np.empty(0)
     step = None  # the mean of `kept` when the last pick was rescored
     for _ in range(min(remove_count, n - 1)):
         held = slice(None) if kept.size == n else kept  # views while every row is held
-        logits = _loo_logits(params, Z, P[held], G[held], lr)
+        logits = _loo_logits(params, Z, P[held], [(W[held], b[held]) for W, b in later], lr)
         scores = _scores(logits, y, mode)
         if mode == "err":
             recheck = ~_clear_margins(logits)
@@ -385,16 +386,17 @@ def fang_filter(
     )
 
 
-def _loo_logits(params: mlp.ModelParams, Z, P, G, lr: float) -> np.ndarray:
+def _loo_logits(params: mlp.ModelParams, Z, P, later, lr: float) -> np.ndarray:
     """(k, c, v) class-major validation logits of the k leave-one-out
     models, from the model's first-layer pre-activation Z (v, h), the held
-    rows' first-layer products P (k, v, h) and the held rows G (k, d):
+    rows' first-layer products P (k, v, h) and their later layers `later`,
+    a (weights (k, fi, fo), bias (k, fo)) pair per layer after the first:
     candidate i steps by lr times the mean of the other rows, so each of
     its layers is the model's less c * (the held rows' sum - row i's)."""
     c = lr / (P.shape[0] - 1)
     a = P * c
     a += Z - c * P.sum(axis=0)
-    for (W, b), (W_G, b_G) in zip(params.layers[1:], mlp.split_layers(G, params.layer_shapes)[1:]):
+    for (W, b), (W_G, b_G) in zip(params.layers[1:], later):
         np.maximum(a, 0.0, out=a)
         a = a @ (W - c * (W_G.sum(axis=0) - W_G))
         a += (b - c * (b_G.sum(axis=0) - b_G))[:, None, :]

@@ -226,20 +226,27 @@ def _objectives(dots, norm2, bound, exact, scale=1, taken=None) -> np.ndarray:
     return objectives
 
 
-def _best_feasible(objectives, angle_budget: float, exact):
-    """Index of the largest objective within the budget (first on ties), or None.
+def _pick(objectives, angle_budget: float, exact) -> tuple[int, bool]:
+    """(index, feasible): the largest objective within the budget, or when
+    none is, the smallest objective; the first on ties.
 
-    Objectives within TIE_TOL of the budget, or of each other at the top,
-    are first replaced by exact(i), their per-pair value.
+    Objectives within TIE_TOL of the budget are first replaced by exact(i),
+    their per-pair value, and then those within TIE_TOL of the pick's, when
+    more than one is.
     """
     _recompute(objectives, np.abs(objectives - angle_budget) <= TIE_TOL, exact)
     feasible = objectives <= angle_budget
-    if not feasible.any():
-        return None
-    top = feasible & (objectives >= objectives[feasible].max() - TIE_TOL)
-    if np.count_nonzero(top) > 1:
-        _recompute(objectives, top, exact)
-    return int(np.argmax(np.where(feasible, objectives, -np.inf)))
+    ok = bool(feasible.any())
+
+    def ranked():  # higher is better
+        return np.where(feasible, objectives, -np.inf) if ok else -objectives
+
+    rank = ranked()
+    near = rank >= rank.max() - TIE_TOL
+    if np.count_nonzero(near) > 1:
+        _recompute(objectives, near, exact)
+        rank = ranked()
+    return int(np.argmax(rank)), ok
 
 
 def greedy_mask_select(
@@ -294,13 +301,7 @@ def greedy_mask_select(
             norm2 = (m * m * bb + 2 * m * sb + ss) + (2 * (m * Pb + sP) + pp)
             bound = (m * b_norm + s_norm) + row_norm
             objectives = _objectives(dots, norm2, bound, exact, m, taken)
-            pick = _best_feasible(objectives, geo.budget, exact)
-            step_ok = pick is not None
-            if not step_ok:
-                low = objectives <= objectives.min() + TIE_TOL
-                if np.count_nonzero(low) > 1:
-                    _recompute(objectives, low, exact)
-                pick = int(np.argmin(objectives))
+            pick, step_ok = _pick(objectives, geo.budget, exact)
             selected.append(pick)
             taken[pick] = True
             sU += PU[pick]
@@ -339,10 +340,8 @@ def optimize_alpha(
         dots = alphas[:, None] * (geo.unit @ g_attack) + geo.unit @ g_mask
         norm2 = alphas * alphas * aa + 2 * alphas * am + mm
         bound = np.abs(alphas) * math.sqrt(aa) + math.sqrt(mm)
-        pick = _best_feasible(_objectives(dots, norm2, bound, exact), geo.budget, exact)
-    if pick is None:
-        return 0.0, False
-    return float(alphas[pick]), True
+        pick, feasible = _pick(_objectives(dots, norm2, bound, exact), geo.budget, exact)
+    return (float(alphas[pick]), True) if feasible else (0.0, False)
 
 
 def craft_fedpoisonmia(

@@ -272,14 +272,6 @@ def _selections(n: int, participation: float, rounds, seed: int) -> np.ndarray:
     return sorted_choices(words, [n] * len(words), participant_count(n, participation))
 
 
-def select_clients(n: int, participation: float, round_idx: int, seed: int) -> np.ndarray:
-    """ceil(C*n) distinct client ids, uniform, deterministic per (seed, round):
-    the one-round form of the draw the loops read from their plan."""
-    if not 0 < participation <= 1:
-        raise InvalidC(f"participation {participation} outside (0, 1]")
-    return _selections(n, participation, [round_idx], seed)[0]
-
-
 def test_accuracy(params: mlp.ModelParams, features, labels) -> float:
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -288,32 +280,22 @@ def test_accuracy(params: mlp.ModelParams, features, labels) -> float:
     return float(np.mean(mlp.predict_batch(params, X) == y))
 
 
-def attack_accuracy(records, truth) -> float:
-    """Best-round fraction of correct membership calls."""
-    truth = np.asarray(truth, dtype=bool)
-    if not records:
-        raise EmptyHistory("no round records")
-    return max(
-        float(np.mean(r.membership_preds == truth)) for r in records
-    )
-
-
-def attack_precision_recall(records, truth) -> tuple[float, float]:
-    """Precision and recall at the round attack_accuracy picked (earliest
-    best round on ties). Precision is 0 when nothing is predicted member."""
+def membership_metrics(records, truth) -> tuple[float, float, float]:
+    """Accuracy, precision and recall of the membership calls at the best
+    round: the earliest with the most correct calls. Precision is 0 when
+    nothing is predicted member."""
     truth = np.asarray(truth, dtype=bool)
     if not records:
         raise EmptyHistory("no round records")
     if not truth.any():
         raise InvalidConfig("evaluation set has no actual members")
     correct = [int(np.sum(r.membership_preds == truth)) for r in records]
-    best = records[int(np.argmax(correct))]
-    preds = best.membership_preds
+    best = int(np.argmax(correct))
+    preds = records[best].membership_preds
     tp = int(np.sum(preds & truth))
     predicted_pos = int(np.sum(preds))
     precision = tp / predicted_pos if predicted_pos else 0.0
-    recall = tp / int(np.sum(truth))
-    return float(precision), float(recall)
+    return correct[best] / truth.size, precision, tp / int(np.sum(truth))
 
 
 @dataclass(frozen=True)
@@ -591,11 +573,11 @@ def _record(world: _World, params, round_idx, participants, diagnostics) -> Roun
 
 def _finish(world: _World, records: list[RoundRecord]) -> ExperimentResult:
     truth = world.attacker.member_flags
-    prec, rec = attack_precision_recall(records, truth)
+    acc, prec, rec = membership_metrics(records, truth)
     return ExperimentResult(
         records=tuple(records),
         member_flags=truth,
-        attack_acc=attack_accuracy(records, truth),
+        attack_acc=acc,
         attack_prec=prec,
         attack_rec=rec,
         final_test_acc=records[-1].test_acc,

@@ -89,8 +89,20 @@ def flatten_layers(layers) -> np.ndarray:
     return flat
 
 
+def _forward(layers, X):
+    """Activations entering each layer, and the logits, for one batch X
+    (B, d_in) or a stack of batches (K, B, d_in)."""
+    acts = [X]
+    for W, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ W + b, 0.0))
+    W, b = layers[-1]
+    return acts, acts[-1] @ W + b
+
+
 def forward(params: ModelParams, x) -> np.ndarray:
-    """Logits for one example (1-D input) or a batch (2-D input)."""
+    """Logits for one example (1-D input) or a batch (2-D input). One
+    example runs as a 1-row batch, so its logits are bitwise those of
+    forward(params, x[None])[0]."""
     X = np.asarray(x, dtype=np.float64)
     single = X.ndim == 1
     if single:
@@ -99,12 +111,7 @@ def forward(params: ModelParams, x) -> np.ndarray:
         raise DimensionMismatch(
             f"input shape {np.asarray(x).shape} incompatible with input_dim {params.input_dim}"
         )
-    a = X
-    layers = params.layers
-    for W, b in layers[:-1]:
-        a = np.maximum(a @ W + b, 0.0)
-    W, b = layers[-1]
-    logits = a @ W + b
+    logits = _forward(params.layers, X)[1]
     return logits[0] if single else logits
 
 
@@ -126,7 +133,7 @@ def _check_batch(params: ModelParams, X, y):
 def loss(params: ModelParams, X, y) -> float:
     """Mean softmax cross-entropy over the batch."""
     X, y = _check_batch(params, X, y)
-    logits = forward(params, X)
+    logits = _forward(params.layers, X)[1]
     zmax = logits.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
     return float(np.mean(lse - logits[np.arange(len(y)), y]))
@@ -135,14 +142,7 @@ def loss(params: ModelParams, X, y) -> float:
 def _output_delta(layers, X, y):
     """Activations entering each layer, and d(per-example loss)/d(logits),
     for one batch X (B, d_in) or a stack of batches (K, B, d_in)."""
-    acts = [X]
-    a = X
-    for W, b in layers[:-1]:
-        a = np.maximum(a @ W + b, 0.0)
-        acts.append(a)
-    W, b = layers[-1]
-    logits = acts[-1] @ W + b
-
+    acts, logits = _forward(layers, X)
     zmax = logits.max(axis=-1, keepdims=True)
     ez = np.exp(logits - zmax)
     delta = ez / ez.sum(axis=-1, keepdims=True)
@@ -249,8 +249,5 @@ def predict(params: ModelParams, x) -> int:
 
 
 def predict_batch(params: ModelParams, X) -> np.ndarray:
-    """Predicted class per row of X."""
-    logits = forward(params, np.asarray(X, dtype=np.float64))
-    if logits.ndim == 1:
-        return np.array([int(np.argmax(logits))])
-    return np.argmax(logits, axis=1)
+    """Predicted class per row of the batch X (n, d_in)."""
+    return np.argmax(forward(params, X), axis=1)

@@ -12,12 +12,11 @@ from fedarena.attacks import AttackStrategy, passive_infer
 from fedarena.engine import (
     ExperimentConfig,
     RoundRecord,
-    attack_accuracy,
-    attack_precision_recall,
     build_world,
+    membership_metrics,
     run_async,
     run_sync,
-    select_clients,
+    validate_config,
 )
 from fedarena.engine import test_accuracy as model_test_accuracy
 from fedarena.errors import DegenerateGradient, EmptyHistory, EmptySet, InvalidC, InvalidConfig
@@ -64,25 +63,36 @@ def client_gradient(world, params, t, k):
     return mlp.gradient(params, world.train.features[idx], world.train.labels[idx])
 
 
+def select_clients(n, participation, t, seed):
+    """Participants oracle: round t's draw by its own Generator."""
+    rng = substream(seed, "select", t)
+    return np.sort(rng.choice(n, eng.participant_count(n, participation), replace=False))
+
+
 class TestSelectClients:
+    """The participants each run reads from its draw plan."""
+
+    def participants(self, **over):
+        cfg = fast_cfg(rounds=6, attack=AttackStrategy("none"), **over)
+        return [r.participants for r in eng.run(cfg).records]
+
     def test_full_participation(self):
-        assert list(select_clients(7, 1.0, 0, seed=0)) == list(range(7))
+        assert self.participants(participation=1.0) == [tuple(range(10))] * 6
 
     def test_default_fraction(self):
-        assert len(select_clients(10, 0.8, 3, seed=0)) == 8
+        assert eng.participant_count(10, 0.8) == 8
+        assert all(len(p) == 8 for p in self.participants(participation=0.8))
 
     def test_deterministic_per_round(self):
-        a = select_clients(10, 0.5, 4, seed=1)
-        b = select_clients(10, 0.5, 4, seed=1)
-        c = select_clients(10, 0.5, 5, seed=1)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        rounds = self.participants(participation=0.5, seed=1)
+        assert rounds == self.participants(participation=0.5, seed=1)
+        assert rounds == [tuple(select_clients(10, 0.5, t, 1)) for t in range(6)]
+        assert len(set(rounds)) > 1
 
     @pytest.mark.parametrize("asynchronous", [False, True])
     def test_tiny_c_selects_one(self, asynchronous):
         # ceil(1e-12 * 10) is 1; the nudge against float error must not take it to 0
         assert eng.participant_count(10, 1e-12) == 1
-        assert len(select_clients(10, 1e-12, 0, seed=0)) == 1
         cfg = fast_cfg(rounds=4, participation=1e-12, attack=AttackStrategy("none"),
                        asynchronous=asynchronous, tau_max=2)
         res = eng.run(cfg)
@@ -92,9 +102,9 @@ class TestSelectClients:
 
     def test_invalid_c(self):
         with pytest.raises(InvalidC):
-            select_clients(10, 0.0, 0, seed=0)
+            validate_config(fast_cfg(participation=0.0))
         with pytest.raises(InvalidC):
-            select_clients(10, 1.5, 0, seed=0)
+            validate_config(fast_cfg(participation=1.5))
 
 
 class TestMetrics:
@@ -106,35 +116,35 @@ class TestMetrics:
     def test_perfect_round_gives_one(self):
         truth = [True, False]
         records = [self._rec([False, False]), self._rec([True, False], 1)]
-        assert attack_accuracy(records, truth) == 1.0
+        assert membership_metrics(records, truth)[0] == 1.0
 
     def test_counting(self):
         truth = [True, True, False, False]
         records = [self._rec([True, False, False, False])]
-        assert attack_accuracy(records, truth) == 0.75
+        assert membership_metrics(records, truth)[0] == 0.75
 
     def test_matches_per_round_oracle(self, rng):
         truth = rng.random(12) < 0.5
         truth[0] = True
         records = [self._rec(rng.random(12) < 0.5, t) for t in range(20)]
         expected = max(np.mean(r.membership_preds == truth) for r in records)
-        assert attack_accuracy(records, truth) == pytest.approx(expected)
+        assert membership_metrics(records, truth)[0] == expected
 
     def test_precision_recall_perfect(self):
         truth = [True, False, True]
         records = [self._rec([True, False, True])]
-        assert attack_precision_recall(records, truth) == (1.0, 1.0)
+        assert membership_metrics(records, truth)[1:] == (1.0, 1.0)
 
     def test_all_positive_predictions(self):
         truth = [True, True, False, False]
         records = [self._rec([True, True, True, True])]
-        prec, rec = attack_precision_recall(records, truth)
+        prec, rec = membership_metrics(records, truth)[1:]
         assert prec == 0.5 and rec == 1.0
 
     def test_no_positive_predictions_gives_zero_precision(self):
         truth = [True, False]
         records = [self._rec([False, False])]
-        prec, rec = attack_precision_recall(records, truth)
+        prec, rec = membership_metrics(records, truth)[1:]
         assert prec == 0.0 and rec == 0.0
 
     def test_same_round_as_accuracy(self, rng):
@@ -146,13 +156,23 @@ class TestMetrics:
         tp = int(np.sum(best & truth))
         pp = int(np.sum(best))
         expected = (tp / pp if pp else 0.0, tp / int(np.sum(truth)))
-        assert attack_precision_recall(records, truth) == pytest.approx(expected)
+        assert membership_metrics(records, truth)[1:] == pytest.approx(expected)
+
+    def test_tie_takes_earliest_round(self):
+        # rounds 1 and 2 each make 3 of 4 calls right; round 2 alone gives
+        # another precision and recall
+        truth = [True, True, False, False]
+        records = [
+            self._rec([False, False, True, True]),
+            self._rec([True, False, False, False], 1),
+            self._rec([True, True, True, False], 2),
+        ]
+        assert membership_metrics(records, truth) == (0.75, 1.0, 0.5)
+        assert membership_metrics(records[2:], truth) == (0.75, 2 / 3, 1.0)
 
     def test_empty_history(self):
         with pytest.raises(EmptyHistory):
-            attack_accuracy([], [True])
-        with pytest.raises(EmptyHistory):
-            attack_precision_recall([], [True])
+            membership_metrics([], [True])
 
     def test_model_test_accuracy(self, rng):
         params = mlp.init_params(((4, 5), (5, 3)), seed=0)

@@ -23,6 +23,8 @@ def fd_gradient(params, X, y, step=1e-5):
         ) / (2 * h)
     return out
 
+DESK_SHAPES = ((64, 32), (32, 3))
+
 
 class TestInit:
     def test_deterministic(self):
@@ -97,7 +99,7 @@ class TestInputProducts:
 
     def test_stack_is_its_rows_products(self, rng):
         # bitwise, also with one example, where the row kernel is a vector product
-        for shapes in TestSplitLayers.SHAPES + (((64, 32), (32, 3)),):
+        for shapes in TestSplitLayers.SHAPES + (DESK_SHAPES,):
             G = rng.normal(size=(9, mlp.init_params(shapes, seed=0).dim))
             for v in (1, 2, 11):
                 X = rng.normal(size=(v, shapes[0][0]))
@@ -124,6 +126,11 @@ class TestForward:
         hidden = np.array([max(0.0, sum(x[i] * W1[i, j] for i in range(6)) + b1[j]) for j in range(8)])
         logits = np.array([sum(hidden[j] * W2[j, k] for j in range(8)) + b2[k] for k in range(3)])
         assert np.allclose(mlp.forward(p, x), logits, atol=1e-12)
+
+    def test_single_example_is_batch_row(self, rng):
+        p = perturbed(mlp.init_params(DESK_SHAPES, seed=0), 0.3, rng)
+        for x in rng.normal(size=(20, 64)):
+            assert np.array_equal(mlp.forward(p, x), mlp.forward(p, x[None])[0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -153,6 +160,15 @@ class TestLoss:
             probs /= probs.sum()
             per.append(-math.log(probs[y[i]]))
         assert mlp.loss(p, X, y) == pytest.approx(np.mean(per), rel=1e-9)
+
+    def test_is_mean_cross_entropy_of_forward(self, rng):
+        p = perturbed(mlp.init_params(DESK_SHAPES, seed=1), 0.3, rng)
+        for n in (1, 7, 20):
+            X, y = rng.normal(size=(n, 64)), rng.integers(0, 3, size=n)
+            z = mlp.forward(p, X)
+            zmax = z.max(axis=1, keepdims=True)
+            lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+            assert mlp.loss(p, X, y) == float(np.mean(lse - z[np.arange(n), y]))
 
     def test_nonnegative(self, rng):
         p = perturbed(tiny_net(seed=9), 1.0, rng)
@@ -217,7 +233,7 @@ class TestPerExampleGradients:
     """The per-example gradient matrix P, seen through per_example_products:
     its products with a matrix V and its Gram matrix."""
 
-    SHAPES = (((6, 8), (8, 3)), ((5, 7), (7, 6), (6, 4)), ((64, 32), (32, 3)))
+    SHAPES = (((6, 8), (8, 3)), ((5, 7), (7, 6), (6, 4)), DESK_SHAPES)
 
     def _instance(self, rng, shapes, n):
         params = perturbed(mlp.init_params(shapes, seed=n), 0.3, rng)
