@@ -736,8 +736,11 @@ class TestUpdateBuffer:
         assert np.array_equal(buf.rows, before[0]) and np.array_equal(buf.pairs, before[1])
 
 
-# sha256 of rounds.csv + summary.json, recorded before async Krum kept its
-# distances between arrivals; the kept block must not change a choice
+# (sha256 of rounds.csv + summary.json, sha256 of the final model's
+# params.flat bytes); the output digests were recorded before async Krum
+# kept its distances between arrivals, and the kept block must not change a
+# choice. The model digests, recorded before the crafter's screen, rescore
+# and pick became one function, pin the float bits the outputs round away.
 ASYNC_KRUM = """n_clients = 12
 malicious_fraction = 0.25
 rounds = 12
@@ -755,44 +758,83 @@ seed = 4
 krum_f = 2
 """
 ASYNC_KRUM_DIGESTS = {
-    "rule = multi_krum": "bc1e180b79b0d49157d8d75a34d973c83367b0a88add08d7af7da9fb9d1eba4a",
-    "rule = dp\ninner_rule = multi_krum\ndp_sigma = 0.01":
+    "rule = multi_krum": (
+        "bc1e180b79b0d49157d8d75a34d973c83367b0a88add08d7af7da9fb9d1eba4a",
+        "38131c1492f454630581d664710be417257c253e2572bc255f559af710c0e494",
+    ),
+    "rule = dp\ninner_rule = multi_krum\ndp_sigma = 0.01": (
         "f32da474f8e4d1378bbecac4300433222a71efd2354aa91aae51faa9b8f43306",
-    "rule = topk\ninner_rule = multi_krum\ntop_k = 100":
+        "201634605fc4716f76ef8c1125f3550d0512f3fd13ccb28e572f53e2dd2844bf",
+    ),
+    "rule = topk\ninner_rule = multi_krum\ntop_k = 100": (
         "e86f059b5ed2b0d636c3757c322707af4c55245aa8b4338b3c28d804c2ba8ab8",
+        "b18fb3c94941dfdd5e5cd9560d8279f16638d915113a22cc75c319a808624b95",
+    ),
     # recorded while async still crafted once per malicious participant;
     # reusing a craft until the model steps must not change an output
-    "rule = atm": "9b013e3cf18447458c20bcb03f1e5f25eab71e4d425c51dc83cd87222a886670",
+    "rule = atm": (
+        "9b013e3cf18447458c20bcb03f1e5f25eab71e4d425c51dc83cd87222a886670",
+        "eb1a48c30ec35be7e6b355cd29af47fa9b8d8a8502c58dc7f37701efc3b97660",
+    ),
     # recorded while a partial buffer handed out copies of its held rows;
     # its arrivals insert clients before, between and after those held
-    "rule = fang\nfang_mode = lfr":
+    "rule = fang\nfang_mode = lfr": (
         "860d611b5607d688e778d34c39bd477f9b3a98069f5e91d3cf1d9fd0dc9bd6f5",
+        "a58f203f7a9335219e243382caa6d51557dcfff9f8d2d0ac91e4cb3b89047f97",
+    ),
     # recorded before fang's kept blocks carried the first-layer bias: err
     # mode's recheck, several removals, the fresh-products path under dp,
     # and sync fang
-    "rule = fang\nfang_mode = err":
+    "rule = fang\nfang_mode = err": (
         "b2601b584fa3a7d290a32c59d42df059ce118eb4fcb764fd08641cbe6bd02efd",
-    "rule = fang\nfang_remove = 3":
+        "1b81694a440a60fbe112180fda83fd8df7e242a845279d9bdb021f627d93935e",
+    ),
+    "rule = fang\nfang_remove = 3": (
         "70a1656f0059ca534b0c6232f50464375b7a82f0e74199403a970862e1e1f786",
-    "rule = dp\ninner_rule = fang\ndp_sigma = 0.01":
+        "35b4653280150473e0072921783ba6b6f11c50d58c25fff24f1781feddc1ffc9",
+    ),
+    "rule = dp\ninner_rule = fang\ndp_sigma = 0.01": (
         "3992f14e7ee2e6a23e20193d45527faa607e1b1ddfa1c359f5ca2ffdf5c49a3d",
-    "rule = fang\nasync = false":
+        "b7f043973939f18deaec0c85beac54d2cd13c64690dba297b6d52ffd1b66559e",
+    ),
+    "rule = fang\nasync = false": (
         "eedb2048b6fe34907e48f3898ccd0610628ceb6470fc5bf83c892aceb803819c",
+        "f8018d28108b308bd3ed1b1c7c400121d2bd0ad1bf8f9560536d4c005bc3af7c",
+    ),
 }
 
 
 # the same config at tau_max = 0, recorded while every client dispatched
 # on its own; now every dispatch segment holds one client
 ASYNC_ZERO_DELAY_DIGESTS = {
-    "rule = atm": "2bacb4038f62c692ad68e62d6d8e0360fc742d1eb029b53ceb5b148966ced831",
-    "rule = multi_krum": "7cbf17f82afee91797ee36302abf73c64ae3e79632c036f9b3147e5f95c05bdc",
-    "rule = fang\nfang_mode = lfr":
+    "rule = atm": (
+        "2bacb4038f62c692ad68e62d6d8e0360fc742d1eb029b53ceb5b148966ced831",
+        "176655c893614925bbd2dc8ad1013a7321d9461145ef6301071f40023aa3a635",
+    ),
+    "rule = multi_krum": (
+        "7cbf17f82afee91797ee36302abf73c64ae3e79632c036f9b3147e5f95c05bdc",
+        "04832847ec88744b217f7e42205427605621b41d06edd89027911401030d34b9",
+    ),
+    "rule = fang\nfang_mode = lfr": (
         "9a89bfaba58bfa7b5afa9e53efccf1cbd7e93139bda882b925c4aa0a22ba9591",
+        "42b33d5d27d20fd6776e59ead66d8d85641a2aa100742e7a8003c2e9ab902b84",
+    ),
 }
 
 
-def run_digest(tmp_path, text):
-    """sha256 of the rounds.csv and summary.json a `run` of `text` writes."""
+def run_digests(tmp_path, monkeypatch, text):
+    """The sha256 of the rounds.csv and summary.json a `run` of `text`
+    writes, and the sha256 of its final model's `params.flat` bytes (the
+    model the run's last `_step` returns)."""
+    models = []
+
+    def keeping(*args):
+        params, outcome = step(*args)
+        models[:] = [params]
+        return params, outcome
+
+    step = eng._step
+    monkeypatch.setattr(eng, "_step", keeping)
     cfg = tmp_path / "cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
@@ -801,14 +843,14 @@ def run_digest(tmp_path, text):
     for name in ("rounds.csv", "summary.json"):
         h.update((out / name).read_bytes())
         h.update(b"\0")
-    return h.hexdigest()
+    return h.hexdigest(), hashlib.sha256(models[0].flat.tobytes()).hexdigest()
 
 
 class TestAsyncKrumGolden:
     @pytest.mark.parametrize("rule_lines", list(ASYNC_KRUM_DIGESTS))
-    def test_outputs_match_recorded_digest(self, tmp_path, rule_lines):
-        digest = run_digest(tmp_path, ASYNC_KRUM + rule_lines + "\n")
-        assert digest == ASYNC_KRUM_DIGESTS[rule_lines]
+    def test_outputs_match_recorded_digest(self, tmp_path, monkeypatch, rule_lines):
+        digests = run_digests(tmp_path, monkeypatch, ASYNC_KRUM + rule_lines + "\n")
+        assert digests == ASYNC_KRUM_DIGESTS[rule_lines]
 
     @pytest.mark.parametrize("rule_lines", list(ASYNC_ZERO_DELAY_DIGESTS))
     def test_zero_delay_matches_recorded_digest(self, tmp_path, monkeypatch, rule_lines):
@@ -821,33 +863,52 @@ class TestAsyncKrumGolden:
         client_updates = eng._client_updates
         monkeypatch.setattr(eng, "_client_updates", recording)
         text = ASYNC_KRUM.replace("tau_max = 3", "tau_max = 0") + rule_lines + "\n"
-        assert run_digest(tmp_path, text) == ASYNC_ZERO_DELAY_DIGESTS[rule_lines]
+        assert run_digests(tmp_path, monkeypatch, text) == ASYNC_ZERO_DELAY_DIGESTS[rule_lines]
         assert segments and set(segments) == {1}
 
 
 # the ASYNC_KRUM config under crafts no perfbench cell runs, recorded
 # before the crafter's steps became one public function each
 CRAFT_DIGESTS = {
-    "async = false\nattack = adaptive\nrule = atm":
+    "async = false\nattack = adaptive\nrule = atm": (
         "81cd72cd22acd64f20c026fdcb57dd28dd1732dc50de44560ce4d6e81b781a57",
-    "attack = adaptive\nrule = atm":
+        "be35b72a4f108fec8ee28263646e9071bb8d293ed6ecef662a02eec082fa9449",
+    ),
+    "attack = adaptive\nrule = atm": (
         "f6cebe893b509fe0623362bde85586059cf043b0b9b83256899c009dab37101b",
-    "async = false\nattack = agrevader":
+        "2d157d181c8f301e577706affbaa4ddca43e9bb7f676e2ac188021ad6e96165d",
+    ),
+    "async = false\nattack = agrevader": (
         "6fc5815987294ab727790fd4c51f969de6b50534ac6b70c140d9f6c3e501c84a",
-    "async = false\nknowledge = partial\nrule = atm":
+        "e9e46a59135b0bd6dd5843740a4d2dc4ffd368726ba0a9a0acdd953804892e83",
+    ),
+    "async = false\nknowledge = partial\nrule = atm": (
         "fcc1c361e27edbf936e59cd7e36b404c2613e4d519f40bfddd5bd1580e2d32b1",
+        "4d182fb3ecf694a4e03d2ccc95b2519eff8728871909a5672eb659e97c39caad",
+    ),
     # async agrevader, recorded before it took Krum's squared distances
-    "attack = agrevader":
+    "attack = agrevader": (
         "5a2577e9c5f0dc577c9662dfd3fda96f98e995796adff3cf50648b71c241c00b",
-    "attack = agrevader\nrule = multi_krum":
+        "6b6e2d19c60c3eaace74a56e5ea8e0efddf30279afcae478339f606621337ef6",
+    ),
+    "attack = agrevader\nrule = multi_krum": (
         "a1be6f6cbebeb9587a793513e3f9274dfe43b51f4a3393e00f143b165f3dc53e",
+        "acf3bb0ae33d5834913010b80a92c585591f31786ba65a44a0196c1088aea11b",
+    ),
+    # sync full-knowledge fedpoisonmia: the crafter's greedy steps and
+    # alpha grid against one round's benign rows
+    "async = false\nrule = atm": (
+        "7f51c043819a7776a4b323b19b4880658518eb4049f7842bea11cd16dafb7c77",
+        "2c65a44e7449adc1eca827bf974f8cf3ffa82a27137a206a4e0492fd8670d505",
+    ),
 }
 
 
 class TestCraftGolden:
     @pytest.mark.parametrize("lines", list(CRAFT_DIGESTS))
-    def test_outputs_match_recorded_digest(self, tmp_path, lines):
-        assert run_digest(tmp_path, ASYNC_KRUM + lines + "\n") == CRAFT_DIGESTS[lines]
+    def test_outputs_match_recorded_digest(self, tmp_path, monkeypatch, lines):
+        digests = run_digests(tmp_path, monkeypatch, ASYNC_KRUM + lines + "\n")
+        assert digests == CRAFT_DIGESTS[lines]
 
 
 class TestRuleAndDataModes:
