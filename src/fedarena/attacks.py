@@ -25,17 +25,22 @@ backprop per craft yields without forming P (mlp.per_example_products),
 plus running sums over the selected rows; no step divides by m or gathers
 the remaining rows. An alpha-grid blend's dots and squared norm follow
 likewise from U @ g_attack, U @ g_mask and the three dot products of the
-two gradients. No array of the model's width is formed per candidate. A
-row whose expansion is non-finite, cancels (its triangle-inequality bound
-squared exceeds CANCEL_RATIO times its squared norm) or lies near
-NORM_FLOOR is scored per pair instead, which also raises
-DegenerateGradient on a degenerate blend. Objectives within TIE_TOL of the
-budget or of a rival are recomputed with mlp.gradient and angle_between,
-so every decision (mask indices, step feasibility, chosen alpha) is the
-one the per-pair computation makes. The crafted update's final objective
-is screened in cosine space and computed per pair only for the references
-within TIE_TOL of its lowest cosine, which hold the largest per-pair
-angle.
+two gradients. No array of the model's width is formed per candidate.
+
+One kernel, _choose, decides each greedy step and the alpha grid: it
+screens every candidate's objective from that expansion, rescores per
+pair the candidates it cannot trust or that sit near a decision, and
+picks. A candidate is rescored when its expansion is non-finite, cancels
+(its triangle-inequality bound squared exceeds CANCEL_RATIO times its
+squared norm) or lies near NORM_FLOOR, which also raises
+DegenerateGradient on a degenerate blend, and when its objective lies
+within TIE_TOL of the budget or of the pick's. A rescore builds the blend
+(a greedy one with mlp.gradient) and scores it with _objective, the one
+exact objective, so every decision (mask indices, step feasibility,
+chosen alpha) is the one the per-pair computation makes. _objective also
+scores the crafted update: it screens in cosine space and calls
+angle_between only for the references within TIE_TOL of the lowest
+cosine, which hold the largest per-pair angle.
 """
 
 import math
@@ -174,10 +179,6 @@ def reference_geometry(benign_grads) -> ReferenceGeometry:
     return ReferenceGeometry(refs, unit)
 
 
-def _max_angle_to_refs(g, refs) -> float:
-    return max(angle_between(g, r) for r in refs)
-
-
 def _objective(geo: ReferenceGeometry, g: np.ndarray) -> float:
     """Largest angle from the finite vector g to a usable reference, bitwise
     max(angle_between(g, r) for r in geo.refs).
@@ -188,29 +189,28 @@ def _objective(geo: ReferenceGeometry, g: np.ndarray) -> float:
     overflows or lies near NORM_FLOOR is scored against every reference,
     which raises DegenerateGradient on a degenerate g.
     """
+    refs = geo.refs
     norm = math.sqrt(g @ g)
-    if not 2 * NORM_FLOOR < norm < math.inf:
-        return _max_angle_to_refs(g, geo.refs)
-    cos = geo.unit @ g / norm
-    return _max_angle_to_refs(g, geo.refs[cos <= cos.min() + TIE_TOL])
+    if 2 * NORM_FLOOR < norm < math.inf:
+        cos = geo.unit @ g / norm
+        refs = refs[cos <= cos.min() + TIE_TOL]
+    return max(angle_between(g, r) for r in refs)
 
 
-def _recompute(objectives, which, exact) -> None:
-    """Overwrite the batched objectives flagged in `which` by exact(i)."""
-    for i in np.flatnonzero(which):
-        objectives[i] = exact(int(i))
+def _choose(dots, norm2, bound, budget, exact, scale=1, taken=None) -> tuple[int, bool, float]:
+    """(index, feasible, objective) of the blend to take: the largest
+    objective within the budget, or when none is, the smallest; the first
+    on ties. Call it under np.errstate(all="ignore").
 
-
-def _objectives(dots, norm2, bound, exact, scale=1, taken=None) -> np.ndarray:
-    """Largest angle to a reference per blend, from the blend's dots with the
-    unit references (rows x refs), its squared norm and a bound on its norm
-    from the triangle inequality, each of the blend times `scale`. Call it
-    under np.errstate(all="ignore").
-
-    Rows whose expansion is non-finite, cancels or lies near NORM_FLOOR are
-    scored by exact(i) instead, which raises DegenerateGradient on a
-    non-finite or zero blend. Rows flagged in `taken` score inf and are
-    never scored per pair.
+    A blend's objective, its largest angle to a reference, is read from its
+    dots with the unit references (rows x refs), its squared norm and a
+    bound on its norm from the triangle inequality, each of the blend times
+    `scale`. exact(i), blend i's per-pair value, replaces it where the
+    expansion is non-finite, cancels or lies near NORM_FLOOR (raising
+    DegenerateGradient on a non-finite or zero blend), then where it lies
+    within TIE_TOL of the budget, then where it lies within TIE_TOL of the
+    pick's, when more than one does. Rows flagged in `taken` score inf and
+    are never scored per pair.
     """
     sure = (
         np.isfinite(dots).all(axis=1)
@@ -222,20 +222,14 @@ def _objectives(dots, norm2, bound, exact, scale=1, taken=None) -> np.ndarray:
     if taken is not None:
         objectives[taken] = np.inf
         sure |= taken
-    _recompute(objectives, ~sure, exact)
-    return objectives
 
+    def rescore(which):
+        for i in np.flatnonzero(which):
+            objectives[i] = exact(int(i))
 
-def _pick(objectives, angle_budget: float, exact) -> tuple[int, bool]:
-    """(index, feasible): the largest objective within the budget, or when
-    none is, the smallest objective; the first on ties.
-
-    Objectives within TIE_TOL of the budget are first replaced by exact(i),
-    their per-pair value, and then those within TIE_TOL of the pick's, when
-    more than one is.
-    """
-    _recompute(objectives, np.abs(objectives - angle_budget) <= TIE_TOL, exact)
-    feasible = objectives <= angle_budget
+    rescore(~sure)
+    rescore(np.abs(objectives - budget) <= TIE_TOL)
+    feasible = objectives <= budget
     ok = bool(feasible.any())
 
     def ranked():  # higher is better
@@ -244,9 +238,10 @@ def _pick(objectives, angle_budget: float, exact) -> tuple[int, bool]:
     rank = ranked()
     near = rank >= rank.max() - TIE_TOL
     if np.count_nonzero(near) > 1:
-        _recompute(objectives, near, exact)
+        rescore(near)
         rank = ranked()
-    return int(np.argmax(rank)), ok
+    pick = int(np.argmax(rank))
+    return pick, ok, float(objectives[pick])
 
 
 def greedy_mask_select(
@@ -293,15 +288,14 @@ def greedy_mask_select(
     def exact(c):
         trial = selected + [c]
         g_mask = mlp.gradient(params, X[trial], y[trial])
-        return _max_angle_to_refs(scaled_add(alpha_fixed, g_attack, g_mask), geo.refs)
+        return _objective(geo, scaled_add(alpha_fixed, g_attack, g_mask))
 
     with np.errstate(all="ignore"):  # a hostile expansion is scored per pair
         for m in range(1, size + 1):
             dots = (m * bU + sU) + PU
             norm2 = (m * m * bb + 2 * m * sb + ss) + (2 * (m * Pb + sP) + pp)
             bound = (m * b_norm + s_norm) + row_norm
-            objectives = _objectives(dots, norm2, bound, exact, m, taken)
-            pick, step_ok = _pick(objectives, geo.budget, exact)
+            pick, step_ok, objective = _choose(dots, norm2, bound, geo.budget, exact, m, taken)
             selected.append(pick)
             taken[pick] = True
             sU += PU[pick]
@@ -309,9 +303,7 @@ def greedy_mask_select(
             ss += 2 * sP[pick] + pp[pick]
             sP += PP[pick]
             s_norm += row_norm[pick]
-            trace.append(
-                GreedyStep(chosen_index=pick, objective=float(objectives[pick]), feasible=step_ok)
-            )
+            trace.append(GreedyStep(chosen_index=pick, objective=objective, feasible=step_ok))
     return tuple(selected), tuple(trace)
 
 
@@ -334,13 +326,13 @@ def optimize_alpha(
     aa, am, mm = float(g_attack @ g_attack), float(g_attack @ g_mask), float(g_mask @ g_mask)
 
     def exact(i):
-        return _max_angle_to_refs(scaled_add(alphas[i], g_attack, g_mask), geo.refs)
+        return _objective(geo, scaled_add(alphas[i], g_attack, g_mask))
 
     with np.errstate(all="ignore"):  # a hostile expansion is scored per pair
         dots = alphas[:, None] * (geo.unit @ g_attack) + geo.unit @ g_mask
         norm2 = alphas * alphas * aa + 2 * alphas * am + mm
         bound = np.abs(alphas) * math.sqrt(aa) + math.sqrt(mm)
-        pick, feasible = _pick(_objectives(dots, norm2, bound, exact), geo.budget, exact)
+        pick, feasible, _ = _choose(dots, norm2, bound, geo.budget, exact)
     return (float(alphas[pick]), True) if feasible else (0.0, False)
 
 

@@ -387,11 +387,11 @@ def sweep_points(values: dict, sweep_specs: list[str], out_dir) -> tuple[list[st
 
 def run_sweep(values: dict, sweep_specs: list[str], out_dir) -> int:
     keys, points = sweep_points(values, sweep_specs, out_dir)
-    threads = _worker_threads()
-    if threads > 1:
+    workers = min(_worker_threads(), len(points))  # an idle worker still imports numpy
+    if workers > 1:
         import multiprocessing  # only a parallel sweep spawns workers
 
-        with multiprocessing.get_context("spawn").Pool(threads) as pool:
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
             summaries = pool.starmap(run_experiment, points)
     else:
         summaries = [run_experiment(v, out) for v, out in points]

@@ -74,14 +74,14 @@ def pairwise_angles(grads) -> np.ndarray:
 
 
 def _angle_block(U: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """The symmetric zero-diagonal angles between the unit rows `U` (see
-    `angles_to`), one `angles_to` row of the strict upper triangle at a
-    time, mirrored."""
-    n = U.shape[0]
-    theta = np.zeros((n, n))
-    for i in range(n - 1):
-        theta[i, i + 1 :] = angles_to(U[i + 1 :], bad[i + 1 :], U[i], bad[i])
-    return theta + theta.T
+    """The symmetric zero-diagonal angles between the unit rows `U`, with a
+    degenerate row (`bad`) at pi to every other row: entry (i, j) is
+    bitwise `angles_to(U, bad, U[i], bad[i])[j]`, its dot product summed
+    by the same einsum reduction."""
+    theta = np.arccos(np.clip(np.einsum("ik,jk->ij", U, U), -1.0, 1.0))
+    theta[bad] = theta[:, bad] = np.pi
+    np.fill_diagonal(theta, 0.0)
+    return theta
 
 
 def sq_distances_to(G: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -436,7 +436,7 @@ class TestHostileDotSpace:
 
         for scale, per_pair in ((1, []), (3, [0])):
             del scored[:]
-            attacks._objectives(dots, norm2, bound, exact, scale)
+            attacks._choose(dots, norm2, bound, 1.0, exact, scale)
             assert scored == per_pair
 
     @pytest.mark.parametrize("relative", [0.0, 1e-12])

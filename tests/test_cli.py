@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -699,6 +700,38 @@ class TestSweepCommand:
             ) == 0
             results[threads] = (out / "sweep_summary.csv").read_bytes()
         assert results["0"] == results["2"]
+
+    @pytest.mark.parametrize(
+        "threads, seeds, pools",
+        [("64", "0,1", [2]), ("2", "0,1,2", [2]), ("64", "0", []), ("1", "0,1", [])],
+    )
+    def test_pool_never_outnumbers_the_points(self, tmp_path, monkeypatch, threads, seeds, pools):
+        # a fake pool records its size and runs the points in process, so
+        # no worker starts; one worker runs the sweep without a pool
+        import multiprocessing
+
+        opened = []
+
+        class Pool:
+            def __init__(self, n):
+                opened.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args):
+                return list(itertools.starmap(fn, args))
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+        monkeypatch.setenv("FEDARENA_THREADS", threads)
+        values = cli.parse_config_text(SMOKE.replace("rounds = 10", "rounds = 2"))
+        assert cli.run_sweep(values, [f"seed={seeds}"], tmp_path / "sweep") == 0
+        assert opened == pools
+        rows = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(seeds.split(","))
 
     def test_readme_matrix_grid_is_valid(self, tmp_path):
         # the attack x defense matrix is documented as a config block and one grid command

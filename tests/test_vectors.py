@@ -147,6 +147,27 @@ class TestPairwiseAngles:
             row[i] = 0.0
             assert np.array_equal(row, A[i])
 
+    @given(
+        st.integers(2, 40),
+        st.sampled_from([1, 2, 3, 4, 7, 8, 9, 16, 33, 257, 2179]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_equals_per_row_angles_to(self, n, d, seed):
+        # the one-expression block is bitwise the block built from one
+        # `angles_to` row per gradient, with an all-zero row and a row whose
+        # norm overflows among them
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        zero, huge = rng.choice(n, size=2, replace=False)
+        G[zero] = 0.0
+        G[huge] = 1e306 * np.where(G[huge] < 0, -1.0, 1.0)
+        U, norms = unit_rows(G)
+        bad = norms <= NORM_FLOOR
+        expected = np.array([angles_to(U, bad, U[i], bad[i]) for i in range(n)])
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(pairwise_angles(G), expected)
+
     def test_overflowing_norm_is_orthogonal_to_every_row(self, rng):
         # a row whose norm overflows keeps no direction: an all-zero unit
         # row, at pi/2 to every other row (and pi to a zero-norm one)
