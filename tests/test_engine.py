@@ -901,6 +901,17 @@ CRAFT_DIGESTS = {
         "7f51c043819a7776a4b323b19b4880658518eb4049f7842bea11cd16dafb7c77",
         "2c65a44e7449adc1eca827bf974f8cf3ffa82a27137a206a4e0492fd8670d505",
     ),
+    # spread = 0: every example of a class is the same, so mask candidates
+    # tie and the crafter rescores per pair (60 rescores in 21 async
+    # crafts, 24 in 12 sync ones; the default spread makes none)
+    "spread = 0\nrule = atm": (
+        "bae513131e55d95373aa27741e40c81a7620bc2f52a0b632f87c4e45e1b2ffb9",
+        "0ea0bea60fbb416fda5e7d32e1b5ed0bcf87db6e97905b5e9a292fcdd900f49b",
+    ),
+    "async = false\nspread = 0\nrule = atm": (
+        "9518778d99c02b3ad7572e8e382d2634e57637cb38fcb4dfe574d4b3a2371911",
+        "ce76113e080904b638d5ee4be4173f4c26a02c333a5bb9abd8321958f19891df",
+    ),
 }
 
 
