@@ -15,13 +15,14 @@ ReferenceGeometry with reference_geometry: the usable references, their
 unit rows U and the benign budget, computed on first read. Each step of
 the pipeline is one public function taking it (greedy_mask_select,
 optimize_alpha), and craft_adaptive builds its angle block from its unit
-rows with pairwise_angles' kernel. The gradient of a mean loss is the
-mean of the per-example gradients P, so a greedy
-candidate's blend at step m is alpha * g_attack + (sum of selected rows +
-candidate row) / m. Its angles are those of m times it, m * alpha *
-g_attack + (selected sum + candidate row), whose dots with U and squared
-norm follow from P @ [U; alpha * g_attack].T and P @ P.T, which one
-backprop per craft yields without forming P (mlp.per_example_products),
+rows with pairwise_angles' kernel. Every blend is the one expression
+alpha * g_attack + g_mask; the greedy steps fix alpha at 1. The gradient
+of a mean loss is the mean of the per-example gradients P, so a greedy
+candidate's blend at step m is g_attack + (sum of selected rows +
+candidate row) / m. Its angles are those of m times it, m * g_attack +
+(selected sum + candidate row), whose dots with U and squared norm
+follow from P @ [U; g_attack].T and P @ P.T, which one backprop per
+craft yields without forming P (mlp.per_example_products),
 plus running sums over the selected rows; no step divides by m or gathers
 the remaining rows. An alpha-grid blend's dots and squared norm follow
 likewise from U @ g_attack, U @ g_mask and the three dot products of the
@@ -64,7 +65,6 @@ from .vectors import (
     angle_between,
     angles_to,
     pairwise_sq_distances,
-    scaled_add,
     sq_distances_to,
     unit_rows,
 )
@@ -251,21 +251,21 @@ def greedy_mask_select(
     mask_fraction: float,
     params: mlp.ModelParams,
     g_attack: np.ndarray,
-    alpha_fixed: float,
 ) -> tuple[tuple[int, ...], tuple[GreedyStep, ...]]:
     """Grow the mask subset one sample at a time.
 
-    Each step adds the candidate maximising the blend's largest angle to a
-    benign reference among candidates that keep it within the benign
-    budget. If no candidate is feasible the step falls back to the one
-    minimising that angle (marked infeasible in the trace) so the budget
-    cardinality is always reached.
+    Each step adds the candidate whose blend g_attack + g_mask (g_mask the
+    gradient on the selected samples and the candidate) has the largest
+    angle to a benign reference among candidates that keep it within the
+    benign budget. If no candidate is feasible the step falls back to the
+    one minimising that angle (marked infeasible in the trace) so the
+    budget cardinality is always reached.
 
     At step m, running sums over the selected rows S give each pool row c's
-    blend base + (S + P[c]) / m times m, m base + S + P[c], in dot space:
-    its dots with U are m bU + sU + PU[c], and its squared norm is
-    m**2 bb + 2m (sb + Pb[c]) + ss + 2 sP[c] + PP[c, c]. Every pool row is
-    scored each step; the taken ones are masked.
+    blend g_attack + (S + P[c]) / m times m, m g_attack + S + P[c], in dot
+    space (b for g_attack): its dots with U are m bU + sU + PU[c], and its
+    squared norm is m**2 bb + 2m (sb + Pb[c]) + ss + 2 sP[c] + PP[c, c].
+    Every pool row is scored each step; the taken ones are masked.
     """
     X = np.asarray(mask_features, dtype=np.float64)
     y = np.asarray(mask_labels, dtype=np.int64)
@@ -274,10 +274,9 @@ def greedy_mask_select(
         raise EmptyMaskBudget(
             f"mask_fraction {mask_fraction} of {X.shape[0]} samples selects nothing"
         )
-    base = float(alpha_fixed) * g_attack
-    PV, PP = mlp.per_example_products(params, X, y, np.vstack([geo.unit, base]))
+    PV, PP = mlp.per_example_products(params, X, y, np.vstack([geo.unit, g_attack]))
     PU, Pb, pp = PV[:, :-1], PV[:, -1], PP.diagonal()
-    bU, bb = geo.unit @ base, float(base @ base)
+    bU, bb = geo.unit @ g_attack, float(g_attack @ g_attack)
     b_norm, row_norm = math.sqrt(bb), np.sqrt(pp)
     sU, sb, ss, sP, s_norm = np.zeros(PU.shape[1]), 0.0, 0.0, np.zeros(len(y)), 0.0
     taken = np.zeros(len(y), dtype=bool)
@@ -288,7 +287,7 @@ def greedy_mask_select(
     def exact(c):
         trial = selected + [c]
         g_mask = mlp.gradient(params, X[trial], y[trial])
-        return _objective(geo, scaled_add(alpha_fixed, g_attack, g_mask))
+        return _objective(geo, g_attack + g_mask)
 
     with np.errstate(all="ignore"):  # a hostile expansion is scored per pair
         for m in range(1, size + 1):
@@ -326,7 +325,7 @@ def optimize_alpha(
     aa, am, mm = float(g_attack @ g_attack), float(g_attack @ g_mask), float(g_mask @ g_mask)
 
     def exact(i):
-        return _objective(geo, scaled_add(alphas[i], g_attack, g_mask))
+        return _objective(geo, alphas[i] * g_attack + g_mask)
 
     with np.errstate(all="ignore"):  # a hostile expansion is scored per pair
         dots = alphas[:, None] * (geo.unit @ g_attack) + geo.unit @ g_mask
@@ -346,12 +345,12 @@ def craft_fedpoisonmia(
     geo = reference_geometry(benign_grads)
     g_attack = mlp.gradient(params, ctx.attack_features, ctx.flipped_labels)
     selected, _trace = greedy_mask_select(
-        geo, ctx.mask_features, ctx.mask_labels, ctx.mask_fraction, params, g_attack, 1.0
+        geo, ctx.mask_features, ctx.mask_labels, ctx.mask_fraction, params, g_attack
     )
     idx = list(selected)
     g_mask = mlp.gradient(params, ctx.mask_features[idx], ctx.mask_labels[idx])
     alpha, feasible = optimize_alpha(geo, g_attack, g_mask, ctx.alpha_grid)
-    g_mal = alpha * g_attack + g_mask  # scaled_add, on two backprop outputs
+    g_mal = alpha * g_attack + g_mask
     return CraftResult(
         g_malicious=g_mal,
         chosen_alpha=alpha,

@@ -7,23 +7,23 @@ Subcommands:
   theory    deviation-bound verification suite -> CSV
   selftest  quick built-in property checks
 
-Config files are flat `key = value` lines (# comments allowed). Unknown
-keys are rejected; missing keys take their defaults. The run keys are
-derived from the fields of ExperimentConfig, its nested rule and attack
-configs expanded in place: each is its field's last name, except the six
-in `RENAMED` (`C`, `rule`, `inner_rule`, `attack`, `gamma`, `async`).
-The dataclasses declare every run key's default and order, and
-`engine.validate_config` the check of what the config alone decides;
-`engine.build_world` judges the values checked against the data (the
-split, the partition, the attacker's samples, the model dimension) when a
-run builds its world, and a sweep builds each point's world before any
-run. Only the `theory_*` keys are read by the CLI alone, and carry their
-own default and check here; a sweep over one of them, which no run
-reads, is rejected, as is a sweep over a key of `READ_WHEN` (`tau_max`,
-`csv_path`, ...) that no point of the sweep reads. Every rejected value,
-`--seed` included, exits 1 naming its key, with nothing written. Outputs
-use fixed column orders and 9-significant-digit decimals so reruns diff
-clean.
+Config files are flat `key = value` lines; a # outside double quotes
+starts a comment. Unknown keys are rejected; missing keys take their
+defaults. The run keys are derived from the fields of ExperimentConfig,
+its nested rule and attack configs expanded in place: each is its
+field's last name, except the six in `RENAMED` (`C`, `rule`,
+`inner_rule`, `attack`, `gamma`, `async`). The dataclasses declare every
+run key's default and order, and `engine.validate_config` the check of
+what the config alone decides; `engine.build_world` judges the values
+checked against the data (the split, the partition, the attacker's
+samples, the model dimension) when a run builds its world, and a sweep
+builds each point's world before any run. Only the `theory_*` keys are
+read by the CLI alone, and carry their own default and check here; a
+sweep over one of them, which no run reads, is rejected, as is a sweep
+over a key of `READ_WHEN` (`tau_max`, `csv_path`, ...) that no point of
+the sweep reads. Every rejected value, `--seed` included, exits 1 naming
+its key, with nothing written. Outputs use fixed column orders and
+9-significant-digit decimals so reruns diff clean.
 FEDARENA_THREADS caps sweep parallelism (0 = sequential).
 """
 
@@ -164,10 +164,19 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def _uncommented(line: str) -> str:
+    """`line` up to its first # outside double quotes."""
+    parts = line.split('"')
+    for i in range(0, len(parts), 2):  # the even parts lie outside quotes
+        if "#" in parts[i]:
+            return '"'.join(parts[:i] + [parts[i].split("#", 1)[0]])
+    return line
+
+
 def parse_config_text(text: str) -> dict:
     values = dict(DEFAULTS)
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _uncommented(line).strip()
         if not stripped:
             continue
         if "=" not in stripped:

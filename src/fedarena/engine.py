@@ -22,15 +22,16 @@ and any client under `none`/`passive`, sends its shard gradient: one
 bitwise its client's `mlp.gradient`. The malicious clients of a segment
 send one crafted update, written into the matrix's tail (their ids are
 the highest), built once against the benign references: in sync the
-matrix's benign prefix itself, a view; in async the freshest benign
-gradient per client, an attacker's view that gains the segment's benign
-rows first and is kept only when a craft reads it. Either way that is
-the view each malicious client would see if dispatched alone, and a
-craft depends only on the model, the round and the references. Sync
-therefore crafts once per round, async once per segment. A sync round
-steps on its matrix; the rows held past an async segment (the attacker's
-view, the queue of delayed arrivals) are owned copies, so none pins the
-segment's matrix. Both loops step the model through `_step`.
+matrix's benign prefix itself, a view; in async the held rows of the
+attacker's view, an `UpdateBuffer` of the freshest benign gradient per
+client that takes the segment's benign rows first and is kept only when
+a craft reads it. Either way that is the view each malicious client
+would see if dispatched alone, and a craft depends only on the model,
+the round and the references. Sync therefore crafts once per round,
+async once per segment. A sync round steps on its matrix; an async
+buffer copies each row it takes, and the queue of delayed arrivals holds
+owned copies, so nothing held past a segment pins its matrix. Both loops
+step the model through `_step`.
 
 Async semantics: each round dispatches the selected clients in id order;
 every update arrives after an integer delay uniform on {0..tau_max} and
@@ -186,8 +187,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     checks = (
         ("rule.inner", rule.inner in RULE_KINDS and rule.inner not in ("dp", "topk"),
          f"one of {RULE_KINDS} other than dp|topk"),
-        ("attack.alpha_min", 0 < attack.alpha_min <= attack.alpha_max and attack.alpha_points >= 1,
-         "0 < alpha_min <= alpha_max, alpha_points >= 1"),
+        ("attack.alpha_min", 0 < attack.alpha_min <= attack.alpha_max,
+         "0 < alpha_min <= alpha_max"),
+        ("attack.alpha_points", attack.alpha_points >= 1, ">= 1"),
         ("participation", valid_c, "in (0, 1]"),
         ("malicious_fraction", 0 <= cfg.malicious_fraction < 0.5, "in [0, 0.5)"),
         ("rule.kind", rule.kind in RULE_KINDS, f"one of {RULE_KINDS}"),
@@ -525,16 +527,18 @@ def _client_updates(world: _World, t: int, segment, view, params, craft_observer
     docstring), as the rows of one (len(segment), d) matrix in id order:
     the clients dispatched against the one model `params`. The benign
     gradients fill its prefix and the segment's one craft its tail. `view`,
-    the async attacker's (client id -> benign reference), gains owned
-    copies of the benign rows before its craft; a sync round, and an async
-    run whose craft reads no view, pass None and craft against the prefix."""
+    the async attacker's `UpdateBuffer`, takes the benign rows before the
+    craft, which reads its held rows (in ascending id); a sync round, and an
+    async run whose craft reads no view, pass None and craft against the
+    prefix."""
     crafts = world.cfg.attack.kind not in ("none", "passive")
     benign = [k for k in segment if not (crafts and k in world.malicious_ids)]
     U = _shard_gradients(world, params, t, benign, len(segment))
     if view is not None:
-        view.update((k, g.copy()) for k, g in zip(benign, U))
+        for k, g in zip(benign, U):
+            view.put(k, g)
     if len(benign) < len(segment):
-        refs = U[: len(benign)] if view is None else [view[k] for k in sorted(view)]
+        refs = U[: len(benign)] if view is None else view.rows[: np.count_nonzero(view.held)]
         U[len(benign) :] = _craft_update(world, params, t, refs, craft_observer)
     return U
 
@@ -627,13 +631,15 @@ class UpdateBuffer:
     id: slots 0..k-1 hold the k clients held, so a client's slot is its
     position in the held order, and once every client is held, its id. A
     repeat put overwrites its client's slot; a first put shifts the later
-    slots down by one. Each row is screened for NaN and Inf once, at its put.
-    Slot for slot the buffer also keeps the block the top-level rule `kind`
-    reads, one client per arrival (see the module docstring): the angles
-    between the rows held under atm (with each row's unit vector), their
-    squared distances under multi_krum, or under fang each row's validation
-    first-layer product, weights and bias (`products`, a function of one
-    row: `mlp.input_products` bound to the validation examples)."""
+    slots down by one. Each row is screened for NaN and Inf once, at its
+    put, and copied into the buffer. The async attacker's view is one too,
+    with no kept block. Slot for slot the buffer also keeps the block the
+    top-level rule `kind` reads, one client per arrival (see the module
+    docstring): the angles between the rows held under atm (with each row's
+    unit vector), their squared distances under multi_krum, or under fang
+    each row's validation first-layer product, weights and bias (`products`,
+    a function of one row: `mlp.input_products` bound to the validation
+    examples)."""
 
     def __init__(self, n_clients: int, dim: int, kind: str = "fedavg", products=None):
         self.rows = np.zeros((n_clients, dim))
@@ -700,7 +706,7 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     # freshest benign gradient per client, kept only when a craft reads it:
     # a full-knowledge agrevader, fedpoisonmia or adaptive
     reads_view = world.attack_ctx is not None and cfg.attack.knowledge == "full"
-    attacker_view: dict[int, np.ndarray] | None = {} if reads_view else None
+    attacker_view = UpdateBuffer(cfg.n_clients, params.flat.size) if reads_view else None
     pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     records: list[RoundRecord] = []
 

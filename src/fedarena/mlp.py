@@ -16,7 +16,7 @@ from .errors import DimensionMismatch, EmptyBatch, InvalidShapes
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Flat parameter vector plus the layer shapes needed to unflatten it."""
+    """Flat parameter vector plus the layer shapes that split it."""
 
     flat: np.ndarray
     layer_shapes: tuple[tuple[int, int], ...]
@@ -29,15 +29,11 @@ class ModelParams:
     def input_dim(self) -> int:
         return self.layer_shapes[0][0]
 
-    @property
-    def num_classes(self) -> int:
-        return self.layer_shapes[-1][1]
-
     @cached_property
     def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """unflatten(self), split once per model: (weights, bias) views
+        """split_layers of `flat`, once per model: (weights, bias) views
         into `flat`, which every forward and backprop pass reads."""
-        return tuple(unflatten(self))
+        return tuple(split_layers(self.flat, self.layer_shapes))
 
 
 def init_params(layer_shapes, seed: int) -> ModelParams:
@@ -75,11 +71,6 @@ def split_layers(V, layer_shapes) -> list[tuple[np.ndarray, np.ndarray]]:
     return layers
 
 
-def unflatten(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector back into (weights, bias) views per layer."""
-    return split_layers(params.flat, params.layer_shapes)
-
-
 def flatten_layers(layers) -> np.ndarray:
     """The flat vector whose split_layers views are `layers`."""
     flat = np.zeros(sum(np.size(W) + np.size(b) for W, b in layers))
@@ -99,20 +90,14 @@ def _forward(layers, X):
     return acts, acts[-1] @ W + b
 
 
-def forward(params: ModelParams, x) -> np.ndarray:
-    """Logits for one example (1-D input) or a batch (2-D input). One
-    example runs as a 1-row batch, so its logits are bitwise those of
-    forward(params, x[None])[0]."""
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
+def forward(params: ModelParams, X) -> np.ndarray:
+    """Logits for the batch X (n, d_in); one example is a 1-row batch."""
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DimensionMismatch(
-            f"input shape {np.asarray(x).shape} incompatible with input_dim {params.input_dim}"
+            f"input shape {X.shape} incompatible with input_dim {params.input_dim}"
         )
-    logits = _forward(params.layers, X)[1]
-    return logits[0] if single else logits
+    return _forward(params.layers, X)[1]
 
 
 def _check_batch(params: ModelParams, X, y):
@@ -243,11 +228,7 @@ def apply_update(params: ModelParams, g, lr: float) -> ModelParams:
     return ModelParams(flat=params.flat - float(lr) * g, layer_shapes=params.layer_shapes)
 
 
-def predict(params: ModelParams, x) -> int:
-    """Predicted class for one example; ties go to the lowest class index."""
-    return int(np.argmax(forward(params, np.asarray(x, dtype=np.float64))))
-
-
 def predict_batch(params: ModelParams, X) -> np.ndarray:
-    """Predicted class per row of the batch X (n, d_in)."""
+    """Predicted class per row of the batch X (n, d_in); ties go to the
+    lowest class index."""
     return np.argmax(forward(params, X), axis=1)

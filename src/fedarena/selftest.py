@@ -14,7 +14,7 @@ from .aggregation import atm, fang_filter, multi_krum
 from .attacks import greedy_mask_select, mask_budget, optimize_alpha, reference_geometry
 from .rngstream import derive_seed, integers, sorted_choices, stream_words
 from .theory import AngleSample, TruncatedGaussian, deviation_bound, lemma_order_stats_check, monte_carlo_deviation
-from .vectors import angle_between, pairwise_sq_distances, scaled_add
+from .vectors import angle_between, pairwise_sq_distances
 
 
 def _check_angles():
@@ -49,7 +49,7 @@ def _naive_objective(g, refs):
 
 
 def naive_greedy_mask_select(
-    mask_features, mask_labels, mask_fraction, params, g_attack, alpha_fixed, benign_grads
+    mask_features, mask_labels, mask_fraction, params, g_attack, benign_grads
 ):
     """Per-candidate reference for attacks.greedy_mask_select: one
     mlp.gradient and one angle_between per (candidate, reference) pair.
@@ -65,8 +65,7 @@ def naive_greedy_mask_select(
         for ci, k in enumerate(candidates):
             trial = selected + [k]
             g_mask = mlp.gradient(params, X[trial], y[trial])
-            g_mal = scaled_add(alpha_fixed, np.asarray(g_attack), g_mask)
-            objectives[ci] = _naive_objective(g_mal, refs)
+            objectives[ci] = _naive_objective(g_attack + g_mask, refs)
         feas = objectives <= angle_budget
         if feas.any():
             pick = int(np.argmax(np.where(feas, objectives, -np.inf)))
@@ -83,7 +82,7 @@ def naive_optimize_alpha(g_attack, g_mask, benign_grads, alpha_grid):
     refs, angle_budget = geo.refs, geo.budget
     best_alpha, best_obj, feasible = 0.0, -np.inf, False
     for alpha in alpha_grid:
-        obj = _naive_objective(scaled_add(alpha, g_attack, g_mask), refs)
+        obj = _naive_objective(alpha * g_attack + g_mask, refs)
         if obj <= angle_budget and obj > best_obj:
             best_alpha, best_obj, feasible = float(alpha), obj, True
     return best_alpha, feasible
@@ -276,12 +275,12 @@ def _check_crafting():
             X = rng.normal(size=(n_mask, d_in))
             y = rng.integers(0, classes, size=n_mask)
             geo = reference_geometry(refs)
-            selected, trace = greedy_mask_select(geo, X, y, fraction, params, g_attack, 1.0)
-            expected = naive_greedy_mask_select(X, y, fraction, params, g_attack, 1.0, refs)
+            selected, trace = greedy_mask_select(geo, X, y, fraction, params, g_attack)
+            expected = naive_greedy_mask_select(X, y, fraction, params, g_attack, refs)
             assert (selected, tuple(s.feasible for s in trace)) == expected, "greedy mask mismatch"
             for size, step in enumerate(trace, start=1):
                 idx = list(selected[:size])
-                g = scaled_add(1.0, g_attack, mlp.gradient(params, X[idx], y[idx]))
+                g = g_attack + mlp.gradient(params, X[idx], y[idx])
                 assert abs(step.objective - _naive_objective(g, refs)) < 1e-9, "greedy objective drift"
             g_mask = mlp.gradient(params, X[list(selected)], y[list(selected)])
             got = optimize_alpha(geo, g_attack, g_mask, grid)

@@ -105,15 +105,6 @@ def pairwise_sq_distances(G: np.ndarray) -> np.ndarray:
     return d2
 
 
-def scaled_add(a: float, u, v) -> np.ndarray:
-    """Elementwise a*u + v."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape[0] != v.shape[0]:
-        raise DimensionMismatch(f"dimensions differ: {u.shape[0]} vs {v.shape[0]}")
-    return float(a) * u + v
-
-
 def _as_matrix(grads) -> np.ndarray:
     """Stack a gradient collection into a finite (n, d) float64 matrix."""
     try:

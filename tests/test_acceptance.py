@@ -218,7 +218,7 @@ def test_criterion_06_greedy_effectiveness():
         geo = reference_geometry(refs)
         budget = geo.budget
 
-        selected, _ = greedy_mask_select(geo, mask_X, mask_y, 0.25, params, g_attack, 1.0)
+        selected, _ = greedy_mask_select(geo, mask_X, mask_y, 0.25, params, g_attack)
         assert len(selected) == 3
         greedy_scores.append(
             constrained_score(params, mask_X, mask_y, selected, g_attack, refs, budget)
@@ -233,7 +233,7 @@ def test_criterion_06_greedy_effectiveness():
 
         # budget-1 greedy must equal the exhaustive single-sample argmax
         one, trace = greedy_mask_select(
-            geo, mask_X, mask_y, 1.0 / 12.0 + 1e-12, params, g_attack, 1.0
+            geo, mask_X, mask_y, 1.0 / 12.0 + 1e-12, params, g_attack
         )
         objs = []
         for k in range(12):

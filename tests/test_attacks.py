@@ -30,12 +30,12 @@ from fedarena.errors import (
     TooFewReferences,
 )
 from fedarena.selftest import naive_greedy_mask_select, naive_optimize_alpha
-from fedarena.vectors import NORM_FLOOR, angle_between, pairwise_angles, scaled_add, unit_rows
+from fedarena.vectors import NORM_FLOOR, angle_between, pairwise_angles, unit_rows
 
 
 def blend_objective(params, mask_X, mask_y, subset, g_attack, alpha, refs):
     g_mask = mlp.gradient(params, mask_X[list(subset)], mask_y[list(subset)])
-    g = scaled_add(alpha, g_attack, g_mask)
+    g = alpha * g_attack + g_mask
     return max(angle_between(g, r) for r in refs)
 
 
@@ -139,7 +139,7 @@ class TestGreedyMaskSelect:
             params, mask_X, mask_y, g_attack, refs = self._instance(rng)
             budget_angle = reference_geometry(refs).budget
             selected, trace = greedy_mask_select(
-                reference_geometry(refs), mask_X, mask_y, 1.0 / 6.0 + 1e-12, params, g_attack, 1.0
+                reference_geometry(refs), mask_X, mask_y, 1.0 / 6.0 + 1e-12, params, g_attack
             )
             assert len(selected) == 1
             objs = [
@@ -158,7 +158,7 @@ class TestGreedyMaskSelect:
     def test_cardinality_always_met(self, rng):
         params, mask_X, mask_y, g_attack, refs = self._instance(rng, n_mask=8)
         selected, trace = greedy_mask_select(
-            reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack, 1.0
+            reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack
         )
         assert len(selected) == 4
         assert len(set(selected)) == 4
@@ -170,7 +170,7 @@ class TestGreedyMaskSelect:
         mask_X = np.tile(row, (5, 1))
         mask_y = np.full(5, 1)
         selected, trace = greedy_mask_select(
-            reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack, 1.0
+            reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack
         )
         assert len(selected) == 2
         assert len({step.feasible for step in trace}) == 1
@@ -178,7 +178,7 @@ class TestGreedyMaskSelect:
     def test_empty_budget_rejected(self, rng):
         params, mask_X, mask_y, g_attack, refs = self._instance(rng)
         with pytest.raises(EmptyMaskBudget):
-            greedy_mask_select(reference_geometry(refs), mask_X, mask_y, 0.01, params, g_attack, 1.0)
+            greedy_mask_select(reference_geometry(refs), mask_X, mask_y, 0.01, params, g_attack)
 
     def test_greedy_beats_random_subsets_on_average(self, rng):
         # constrained objective: feasible max-angle, else a sentinel below all
@@ -191,7 +191,7 @@ class TestGreedyMaskSelect:
             params, mask_X, mask_y, g_attack, refs = self._instance(rng)
             budget_angle = reference_geometry(refs).budget
             selected, _ = greedy_mask_select(
-                reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack, 1.0
+                reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack
             )
             greedy_scores.append(
                 score(selected, params, mask_X, mask_y, g_attack, refs, budget_angle)
@@ -226,7 +226,7 @@ class TestOptimizeAlpha:
         alpha, feasible = optimize_alpha(reference_geometry(refs), g_attack, g_mask, grid)
         assert feasible
         objs = {
-            a: max(angle_between(scaled_add(a, g_attack, g_mask), r) for r in refs)
+            a: max(angle_between(a * g_attack + g_mask, r) for r in refs)
             for a in grid
         }
         assert objs[alpha] == max(objs.values())
@@ -259,14 +259,14 @@ class TestOptimizeAlpha:
         alpha, feasible = optimize_alpha(reference_geometry(refs), g_attack, g_mask, grid)
         fine = np.geomspace(0.01, 100, 250)
         fine_objs = np.array(
-            [max(angle_between(scaled_add(a, g_attack, g_mask), r) for r in refs) for a in fine]
+            [max(angle_between(a * g_attack + g_mask, r) for r in refs) for a in fine]
         )
         feas_fine = fine_objs[fine_objs <= budget]
         if feasible:
             assert feas_fine.size > 0
             best_fine = float(feas_fine.max())
             coarse_obj = max(
-                angle_between(scaled_add(alpha, g_attack, g_mask), r) for r in refs
+                angle_between(alpha * g_attack + g_mask, r) for r in refs
             )
             # the fine grid may only beat the coarse one by however much the
             # objective can move within a single coarse grid step
@@ -305,11 +305,11 @@ class TestBatchedDecisionEquivalence:
         for seed in range(120):
             params, mask_X, mask_y, g_attack, refs = self._instance(rng, seed, centers)
             selected, trace = greedy_mask_select(
-                reference_geometry(refs), mask_X, mask_y, 0.3, params, g_attack, 1.0
+                reference_geometry(refs), mask_X, mask_y, 0.3, params, g_attack
             )
             feasible = tuple(step.feasible for step in trace)
             assert (selected, feasible) == naive_greedy_mask_select(
-                mask_X, mask_y, 0.3, params, g_attack, 1.0, refs
+                mask_X, mask_y, 0.3, params, g_attack, refs
             )
             step_feasibility.update(feasible)
             g_mask = mlp.gradient(params, mask_X[list(selected)], mask_y[list(selected)])
@@ -350,8 +350,8 @@ class TestNearTies:
             )
 
     def test_attack_dominated_greedy_steps(self):
-        # with a huge fixed scale every candidate's blend points along the
-        # attack gradient and the candidates tie to within rounding
+        # with a huge attack gradient every candidate's blend points along
+        # it and the candidates tie to within rounding
         steps = set()
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -361,11 +361,11 @@ class TestNearTies:
             mask_y = rng.integers(0, 3, size=6)
             g_attack = (-1) ** seed * refs.mean(axis=0)
             selected, trace = greedy_mask_select(
-                reference_geometry(refs), mask_X, mask_y, 0.5, params, g_attack, 1e14
+                reference_geometry(refs), mask_X, mask_y, 0.5, params, 1e14 * g_attack
             )
             feasible = tuple(step.feasible for step in trace)
             assert (selected, feasible) == naive_greedy_mask_select(
-                mask_X, mask_y, 0.5, params, g_attack, 1e14, refs
+                mask_X, mask_y, 0.5, params, 1e14 * g_attack, refs
             )
             steps.update(feasible)
         assert steps == {True, False}
@@ -417,7 +417,7 @@ class TestHostileDotSpace:
         flat = params.flat.copy()
         flat[0] = np.nan  # every per-example product is NaN
         diverged = mlp.ModelParams(flat, params.layer_shapes)
-        args = (rng.normal(size=(6, 6)), rng.integers(0, 3, size=6), 0.5, diverged, g_attack, 1.0)
+        args = (rng.normal(size=(6, 6)), rng.integers(0, 3, size=6), 0.5, diverged, g_attack)
         assert outcome(greedy_mask_select, reference_geometry(refs), *args) is DegenerateGradient
         assert outcome(naive_greedy_mask_select, *args, refs) is DegenerateGradient
 
@@ -450,7 +450,7 @@ class TestHostileDotSpace:
             # candidate j alone blends to zero, or to 1e-12 of its norm
             g_attack = -(1 + relative) * mlp.gradient(params, mask_X[[j]], mask_y[[j]])
             refs = gradient_like_refs(rng, params, 4)
-            args = (mask_X, mask_y, 0.5, params, g_attack, 1.0)
+            args = (mask_X, mask_y, 0.5, params, g_attack)
             got = outcome(greedy_mask_select, reference_geometry(refs), *args)
             if not isinstance(got, type):
                 got = (got[0], tuple(step.feasible for step in got[1]))
@@ -500,7 +500,7 @@ class TestCraftFedPoisonMia:
         assert result.chosen_alpha == alpha
         assert result.feasible == feasible
         assert np.array_equal(
-            result.g_malicious, scaled_add(alpha, g_attack, g_mask)
+            result.g_malicious, alpha * g_attack + g_mask
         )
 
     def test_degenerate_references_skipped(self, rng):
@@ -855,7 +855,7 @@ class TestPassiveInfer:
         y = rng.integers(0, 3, size=12)
         flags = passive_infer(params, X, y)
         for i in range(12):
-            assert flags[i] == (mlp.predict(params, X[i]) == y[i])
+            assert flags[i] == (mlp.predict_batch(params, X[i][None])[0] == y[i])
 
 
 class TestAlphaGrid:

@@ -60,6 +60,11 @@ class TestParseConfig:
         v = cli.parse_config_text("# hello\n\nrounds = 7  # trailing\n")
         assert v["rounds"] == 7
 
+    def test_hash_inside_quotes_is_not_a_comment(self):
+        for line in ('csv_path = "/tmp/run#1.csv"', 'csv_path = "/tmp/run#1.csv"  # the # data'):
+            v = cli.parse_config_text(f"dataset = csv\n{line}\n")
+            assert v["csv_path"] == "/tmp/run#1.csv"
+
     def test_round_trip_defaults(self):
         text = cli.default_config_text()
         assert cli.parse_config_text(text) == cli.parse_config_text("")
@@ -93,7 +98,7 @@ REJECTIONS = [
     ("rule = topk\ninner_rule = topk", "inner_rule"),
     # the inner rule and the alpha grid are checked first
     ("inner_rule = dp\nrounds = 0", "inner_rule"),
-    ("alpha_points = 0\nrule = krum", "alpha_min"),
+    ("alpha_points = 0\nrule = krum", "alpha_points"),
     ("attack = teleport", "attack"),
     ("attack = passive\ngamma = 0", "gamma"),
     ("attack = passive\ngamma = 1", "gamma"),
@@ -105,7 +110,7 @@ REJECTIONS = [
     ("fang_mode = acc", "fang_mode"),
     ("alpha_min = 0", "alpha_min"),
     ("alpha_min = 2\nalpha_max = 1", "alpha_min"),
-    ("alpha_points = 0", "alpha_min"),
+    ("alpha_points = 0", "alpha_points"),
     ("lr = 0", "lr"),
     ("rounds = 0", "rounds"),
     ("tau_max = -1", "tau_max"),

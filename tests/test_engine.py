@@ -178,7 +178,7 @@ class TestMetrics:
         params = mlp.init_params(((4, 5), (5, 3)), seed=0)
         X = rng.normal(size=(20, 4))
         y = rng.integers(0, 3, size=20)
-        expected = np.mean([mlp.predict(params, X[i]) == y[i] for i in range(20)])
+        expected = np.mean([mlp.predict_batch(params, X[i][None])[0] == y[i] for i in range(20)])
         assert model_test_accuracy(params, X, y) == pytest.approx(expected)
         with pytest.raises(EmptySet):
             model_test_accuracy(params, X[:0], y[:0])
@@ -521,29 +521,65 @@ class TestSegmentDispatch:
         calls = self.assert_same_run(cfg, monkeypatch)
         assert {B for _, B in calls} == {10, 11}
 
+    def test_async_craft_references_are_the_view_rows(self, monkeypatch):
+        # an async craft reads the held rows of the attacker's view, a buffer
+        # of each client's freshest benign row, not a stack of them
+        views, fresh, crafted = [], {}, []
+        craft, client_updates, shard_gradients = (
+            eng.craft_fedpoisonmia, eng._client_updates, eng._shard_gradients
+        )
+
+        def recording(world, t, segment, view, *args):
+            views.append(view)
+            return client_updates(world, t, segment, view, *args)
+
+        def gradients_spy(world, params, t, clients, *args):
+            U = shard_gradients(world, params, t, clients, *args)
+            fresh.update((k, g.copy()) for k, g in zip(clients, U))
+            return U
+
+        def craft_spy(ctx, params, benign_grads):
+            view = views[-1]
+            assert np.shares_memory(benign_grads, view.rows)
+            assert np.flatnonzero(view.held).tolist() == sorted(fresh)
+            assert np.array_equal(benign_grads, np.stack([fresh[k] for k in sorted(fresh)]))
+            crafted.append(len(fresh))
+            return craft(ctx, params, benign_grads)
+
+        monkeypatch.setattr(eng, "_client_updates", recording)
+        monkeypatch.setattr(eng, "_shard_gradients", gradients_spy)
+        monkeypatch.setattr(eng, "craft_fedpoisonmia", craft_spy)
+        cfg = fast_cfg(asynchronous=True, tau_max=3, **self.ATTACKED)
+        eng.run(cfg)
+        assert all(view is views[0] for view in views)
+        assert crafted and max(crafted) > min(crafted)  # the view grows
+
     def test_held_rows_own_their_memory(self, monkeypatch):
         # the attacker's view and the async queue outlive a segment: a row
         # that is a view into the segment's (K, d) matrix would pin all of it
-        matrices, viewed, arrived = [], [], []
+        matrices, views, arrived = [], [], []
         client_updates = eng._client_updates
 
         def recording(world, t, segment, view, params, craft_observer=None):
             U = client_updates(world, t, segment, view, params, craft_observer)
             matrices.append(U)
-            viewed.extend(view.values())
+            views.append((view, int(np.count_nonzero(view.held))))
             return U
 
         class Buffer(eng.UpdateBuffer):
             def put(self, client, g):
-                arrived.append((g, matrices[-1]))
+                arrived.append((self, g, matrices[-1] if matrices else None))
                 return super().put(client, g)
 
         monkeypatch.setattr(eng, "_client_updates", recording)
         monkeypatch.setattr(eng, "UpdateBuffer", Buffer)
         eng.run(fast_cfg(asynchronous=True, tau_max=3, **self.ATTACKED))
-        assert viewed and all(g.base is None for g in viewed)
+        view = views[0][0]
+        assert all(v is view for v, _ in views) and max(held for _, held in views) > 0
+        assert not any(np.shares_memory(view.rows, U) for U in matrices)
         # a zero-delay arrival is a row of its own segment's matrix; a queued
         # one arrives later, as an owned copy
+        arrived = [(g, U) for buffer, g, U in arrived if buffer is not view]
         queued = [g for g, U in arrived if not np.shares_memory(g, U)]
         assert queued and len(queued) < len(arrived)
         for g in queued:
@@ -568,7 +604,7 @@ class TestSegmentDispatch:
 
         def recording(world, t, segment, view, params, craft_observer=None):
             U = client_updates(world, t, segment, view, params, craft_observer)
-            sizes.append(0 if view is None else len(view))
+            sizes.append(0 if view is None else int(np.count_nonzero(view.held)))
             return U
 
         monkeypatch.setattr(eng, "_client_updates", recording)

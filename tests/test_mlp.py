@@ -34,7 +34,7 @@ class TestInit:
 
     def test_biases_zero(self):
         p = mlp.init_params(((4, 8), (8, 3)), seed=1)
-        for _, b in mlp.unflatten(p):
+        for _, b in p.layers:
             assert np.all(b == 0.0)
 
     def test_seeds_differ(self):
@@ -44,7 +44,7 @@ class TestInit:
 
     def test_weight_scale(self):
         p = mlp.init_params(((100, 50),), seed=0)
-        W, _ = mlp.unflatten(p)[0]
+        W, _ = p.layers[0]
         s = math.sqrt(6.0 / 150)
         assert np.all(np.abs(W) <= s)
 
@@ -56,7 +56,7 @@ class TestInit:
 
     def test_roundtrip_flat_layers(self, rng):
         p = perturbed(tiny_net(), 0.5, rng)
-        again = mlp.flatten_layers(mlp.unflatten(p))
+        again = mlp.flatten_layers(p.layers)
         assert np.array_equal(p.flat, again)
 
 
@@ -111,30 +111,27 @@ class TestForward:
     def test_zero_params_zero_logits(self):
         p = tiny_net()
         zero = mlp.ModelParams(np.zeros(p.dim), p.layer_shapes)
-        assert np.array_equal(mlp.forward(zero, np.ones(6)), np.zeros(3))
+        assert np.array_equal(mlp.forward(zero, np.ones((1, 6))), np.zeros((1, 3)))
 
     def test_identity_single_layer(self):
         flat = mlp.flatten_layers([(np.eye(3), np.zeros(3))])
         p = mlp.ModelParams(flat, ((3, 3),))
         x = np.array([0.5, -2.0, 7.0])
-        assert np.allclose(mlp.forward(p, x), x)
+        assert np.allclose(mlp.forward(p, x[None])[0], x)
 
     def test_matches_hand_rolled_oracle(self, rng):
         p = perturbed(tiny_net(seed=3), 0.3, rng)
-        (W1, b1), (W2, b2) = mlp.unflatten(p)
+        (W1, b1), (W2, b2) = p.layers
         x = rng.normal(size=6)
         hidden = np.array([max(0.0, sum(x[i] * W1[i, j] for i in range(6)) + b1[j]) for j in range(8)])
         logits = np.array([sum(hidden[j] * W2[j, k] for j in range(8)) + b2[k] for k in range(3)])
-        assert np.allclose(mlp.forward(p, x), logits, atol=1e-12)
-
-    def test_single_example_is_batch_row(self, rng):
-        p = perturbed(mlp.init_params(DESK_SHAPES, seed=0), 0.3, rng)
-        for x in rng.normal(size=(20, 64)):
-            assert np.array_equal(mlp.forward(p, x), mlp.forward(p, x[None])[0])
+        assert np.allclose(mlp.forward(p, x[None])[0], logits, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mlp.forward(tiny_net(), np.ones(5))
+        # a batch of the wrong width, and one example that is not a batch
+        for X in (np.ones((2, 5)), np.ones(6)):
+            with pytest.raises(DimensionMismatch):
+                mlp.forward(tiny_net(), X)
 
 
 class TestLoss:
@@ -155,7 +152,7 @@ class TestLoss:
         X, y = random_batch(rng, 7)
         per = []
         for i in range(7):
-            z = mlp.forward(p, X[i])
+            z = mlp.forward(p, X[i][None])[0]
             probs = np.exp(z - z.max())
             probs /= probs.sum()
             per.append(-math.log(probs[y[i]]))
@@ -303,7 +300,7 @@ class TestStackedGradients:
             Xs = rng.normal(size=(K, B, shapes[0][0]))
             if case == "dead_relu":
                 Xs[:, : B // 2 + 1] *= 0.0  # zero inputs: the first layer's sign is its bias
-                W, b = mlp.unflatten(params)[0]
+                W, b = params.layers[0]
                 b[: b.size // 2] = -1.0  # half the units are dead on those rows
             if case == "integer":
                 Xs = np.round(3 * Xs)
@@ -373,18 +370,18 @@ class TestPredict:
     def test_argmax(self):
         flat = mlp.flatten_layers([(np.eye(3), np.array([0.1, 0.9, 0.3]))])
         p = mlp.ModelParams(flat, ((3, 3),))
-        assert mlp.predict(p, np.zeros(3)) == 1
+        assert mlp.predict_batch(p, np.zeros((1, 3)))[0] == 1
 
     def test_tie_goes_low(self):
         p = tiny_net()
         zero = mlp.ModelParams(np.zeros(p.dim), p.layer_shapes)
-        assert mlp.predict(zero, np.ones(6)) == 0
+        assert mlp.predict_batch(zero, np.ones((1, 6)))[0] == 0
 
     def test_matches_argmax_oracle(self, rng):
         p = perturbed(tiny_net(seed=8), 0.4, rng)
         X, _ = random_batch(rng, 10)
         preds = mlp.predict_batch(p, X)
         for i in range(10):
-            logits = mlp.forward(p, X[i])
+            logits = mlp.forward(p, X[i][None])[0]
             best = max(range(3), key=lambda k: (logits[k], -k))
-            assert preds[i] == best == mlp.predict(p, X[i])
+            assert preds[i] == best == mlp.predict_batch(p, X[i][None])[0]

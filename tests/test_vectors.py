@@ -12,7 +12,6 @@ from fedarena.vectors import (
     angles_to,
     pairwise_angles,
     pairwise_sq_distances,
-    scaled_add,
     unit_rows,
 )
 
@@ -190,20 +189,3 @@ class TestPairwiseSqDistances:
             assert np.array_equal(
                 pairwise_sq_distances(G), np.einsum("ijk,ijk->ij", diffs, diffs)
             )
-
-
-class TestScaledAdd:
-    def test_zero_scale(self):
-        u, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        assert np.array_equal(scaled_add(0, u, v), v)
-
-    def test_unit_scale_zero_base(self):
-        u = np.array([1.0, 2.0])
-        assert np.array_equal(scaled_add(1, u, np.zeros(2)), u)
-
-    def test_arithmetic(self):
-        assert np.array_equal(scaled_add(2, [1, 2], [3, 4]), [5.0, 8.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            scaled_add(1.0, [1.0], [1.0, 2.0])
