@@ -7,23 +7,24 @@ Subcommands:
   theory    deviation-bound verification suite -> CSV
   selftest  quick built-in property checks
 
-Config files are flat `key = value` lines; a # outside double quotes
-starts a comment. Unknown keys are rejected; missing keys take their
-defaults. The run keys are derived from the fields of ExperimentConfig,
-its nested rule and attack configs expanded in place: each is its
-field's last name, except the six in `RENAMED` (`C`, `rule`,
-`inner_rule`, `attack`, `gamma`, `async`). The dataclasses declare every
-run key's default and order, and `engine.validate_config` the check of
-what the config alone decides; `engine.build_world` judges the values
-checked against the data (the split, the partition, the attacker's
-samples, the model dimension) when a run builds its world, and a sweep
-builds each point's world before any run. Only the `theory_*` keys are
-read by the CLI alone, and carry their own default and check here; a
-sweep over one of them, which no run reads, is rejected, as is a sweep
-over a key of `READ_WHEN` (`tau_max`, `csv_path`, ...) that no point of
-the sweep reads. Every rejected value, `--seed` included, exits 1 naming
-its key, with nothing written. Outputs use fixed column orders and
-9-significant-digit decimals so reruns diff clean.
+Config files are flat `key = value` lines (# comments allowed; a # inside
+double quotes is part of the value). Unknown
+keys are rejected; missing keys take their defaults. The run keys are
+derived from the fields of ExperimentConfig, its nested rule and attack
+configs expanded in place: each is its field's last name, except the six
+in `RENAMED` (`C`, `rule`, `inner_rule`, `attack`, `gamma`, `async`).
+The dataclasses declare every run key's default and order, and
+`engine.validate_config` the check of what the config alone decides;
+`engine.build_world` judges the values checked against the data (the
+split, the partition, the attacker's samples, the model dimension) when a
+run builds its world, and a sweep builds each point's world before any
+run. Only the `theory_*` keys are read by the CLI alone, and carry their
+own default and check here; a sweep over one of them, which no run
+reads, is rejected, as is a sweep over a key of `READ_WHEN` (`tau_max`,
+`csv_path`, ...) that no point of the sweep reads. Every rejected value,
+`--seed` included, exits 1 naming its key, with nothing written. Outputs
+use fixed column orders and 9-significant-digit decimals so reruns diff
+clean.
 FEDARENA_THREADS caps sweep parallelism (0 = sequential).
 """
 
