@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fedarena import cli, mlp
+from fedarena import cli, data, mlp
 from fedarena import engine as eng
 from fedarena.aggregation import AggregationRule, apply_rule, atm, fang_filter, multi_krum
 from fedarena.attacks import AttackStrategy, passive_infer
@@ -956,6 +956,58 @@ class TestCraftGolden:
     def test_outputs_match_recorded_digest(self, tmp_path, monkeypatch, lines):
         digests = run_digests(tmp_path, monkeypatch, ASYNC_KRUM + lines + "\n")
         assert digests == CRAFT_DIGESTS[lines]
+
+
+# the ASYNC_KRUM config under the rules, attacks, partition and dataset no
+# other golden runs: fedavg, median and trimmed_mean (three of the four
+# sync-attack rules), the attacks that craft nothing, noniid shards, and a
+# CSV file ("csv" reads the blobs save_csv writes to tmp_path)
+MODE_DIGESTS = {
+    "async = false\nrule = fedavg": (
+        "d2a618343067f75e6da790e5881a0e124f6d6480b3ce48b0a4bc2818207d6f07",
+        "8dac8c5bc83bb9306bd9cb1622cdc1a4416af57f8534c588c9cca5631aa0f7eb",
+    ),
+    "async = false\nrule = median": (
+        "a94b3545e74c797da7b22e0f907ab6ac547d0c736695d7d745f8808ce7ff57b5",
+        "33b9183afaf20eac5d767b762a6dc02d354eb561bfb5df80374b3be502c9d015",
+    ),
+    "async = false\nrule = trimmed_mean\ntrim_b = 2": (
+        "2433ca57f86033ac65811894874cb8f2164d7b562485b7e20604cbb0feaa8a2f",
+        "e89a0f9bc7a1c26b6a9a07167abc4672b7b04d350139f28d5ccb4cbcf96b4858",
+    ),
+    "attack = none\nrule = median": (
+        "d9fda7f8234377b2cb87a9620baeb64116c345f8731b64f43858cb47d69a2a3c",
+        "e72914298b32eeb7f9a2a1172f89cad90c3121f3af378eb2642f87eb9710b1f8",
+    ),
+    "attack = passive\nrule = trimmed_mean": (
+        "3b36af1cd9c484e44e3aaa84a1f6b2355be2d62292e48b4c49e96be8364de3b7",
+        "cc83c227189b9852aa9c944d5d24d866ab3a6dda89c90808e854c3aefe8eb3d9",
+    ),
+    "attack = gradient_ascent\nrule = atm": (
+        "7d4e89bc46c9647c6b81d61ddffccf61283eae6723a7765763f9e8e8da5215d1",
+        "e710cbb5b6dc4214ff0ebd6b5d84d81ba55ec8b7a7b554365a049e128e6657b5",
+    ),
+    "async = false\npartition = noniid\nrule = atm": (
+        "637c644d6d3115a2a25a2c6addd8012e750843e131e430d5cd12dd5f98d12508",
+        "4f2b6b5fd01d6fd5a8113e97f4eeb01f36f0bc1ff93992d400a865dfff2306e2",
+    ),
+    "csv": (
+        "c2b69916d3d3257794512dd1ff0c4064ff33b1260e468d7b896c03e061237f59",
+        "8f90d929de84ce37e3bb74d8635776a354d4f8dade1810159792c2abb5f6efb7",
+    ),
+}
+
+
+class TestModeGolden:
+    @pytest.mark.parametrize("lines", list(MODE_DIGESTS))
+    def test_outputs_match_recorded_digest(self, tmp_path, monkeypatch, lines):
+        text = lines
+        if lines == "csv":
+            path = tmp_path / "blobs.csv"
+            data.save_csv(data.synth_dataset(4, 6, 30, 0.5, 9), path)
+            text = f"async = false\nrule = atm\ndataset = csv\ncsv_path = {path}"
+        digests = run_digests(tmp_path, monkeypatch, ASYNC_KRUM + text + "\n")
+        assert digests == MODE_DIGESTS[lines]
 
 
 class TestRuleAndDataModes:
