@@ -336,16 +336,13 @@ def fang_filter(
     n = G.shape[0]
     if n < 2:
         raise EmptyInput(f"leave-one-out filtering needs at least 2 gradients, got {n}")
-    X = np.asarray(val_features, dtype=np.float64)
-    y = np.asarray(val_labels, dtype=np.int64)
-    if X.shape[0] == 0:
+    if len(val_features) == 0:
         raise EmptyValidationSet("validation set is empty")
     if mode not in ("err", "lfr"):
         raise InvalidConfig(f"unknown fang mode {mode!r}")
     if G.shape[1] != params.dim:
         raise DimensionMismatch(f"gradients of length {G.shape[1]} for a model of {params.dim}")
-    if X.ndim != 2 or X.shape[1] != params.input_dim or y.shape != (X.shape[0],):
-        raise DimensionMismatch(f"validation shapes {X.shape}/{y.shape} incompatible with model")
+    X, y = mlp._check_batch(params, val_features, val_labels)
     G = np.ascontiguousarray(G)  # its products and layer views round alike in any memory order
     Z = mlp.input_products(X, params.flat, params.layer_shapes)
     if val_products is None:

@@ -431,6 +431,5 @@ def craft_adaptive(benign_grads, g_attack, trim_b: int) -> np.ndarray:
 
 def passive_infer(params: mlp.ModelParams, features, labels) -> np.ndarray:
     """Member flag per sample: correctly predicted means member."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    X, y = mlp._check_batch(params, features, labels)
     return mlp.predict_batch(params, X) == y

@@ -34,11 +34,12 @@ owned copies, so nothing held past a segment pins its matrix. Both loops
 step the model through `_step`.
 
 Async semantics: each round dispatches the selected clients in id order;
-every update arrives after an integer delay uniform on {0..tau_max} and
+every update is due after an integer delay uniform on {0..tau_max} and
 is applied individually, re-aggregating the most recent update buffered
-per client (stale entries retained). Arrivals queued from earlier rounds
-are applied before the current round's dispatches; a delay of zero means
-the update is applied immediately, before the next client dispatches.
+per client (stale entries retained); one due after the last round is
+never applied. Arrivals queued from earlier rounds are applied before
+the current round's dispatches; a delay of zero means the update is
+applied immediately, before the next client dispatches.
 Trim-style rules clamp their parameters while the buffer is still
 smaller than they require. The buffer (`UpdateBuffer`) is one
 (n_clients, d) matrix whose first k rows hold the k clients held so far,
@@ -275,10 +276,9 @@ def _selections(n: int, participation: float, rounds, seed: int) -> np.ndarray:
 
 
 def test_accuracy(params: mlp.ModelParams, features, labels) -> float:
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.shape[0] == 0:
+    if len(features) == 0:
         raise EmptySet("test set is empty")
+    X, y = mlp._check_batch(params, features, labels)
     return float(np.mean(mlp.predict_batch(params, X) == y))
 
 

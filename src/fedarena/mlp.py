@@ -90,29 +90,24 @@ def _forward(layers, X):
     return acts, acts[-1] @ W + b
 
 
-def forward(params: ModelParams, X) -> np.ndarray:
-    """Logits for the batch X (n, d_in); one example is a 1-row batch."""
+def _check_batch(params: ModelParams, X, y=None):
+    """The batch contract: X a non-empty (rows, input_dim) float64 array,
+    and its labels y, when given, int64 of shape (rows,). One example is a
+    1-row batch."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.input_dim:
-        raise DimensionMismatch(
-            f"input shape {X.shape} incompatible with input_dim {params.input_dim}"
-        )
-    return _forward(params.layers, X)[1]
-
-
-def _check_batch(params: ModelParams, X, y):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim == 1:
-        X = X[None, :]
-        y = y.reshape(-1)
-    if X.shape[0] == 0:
+    y = None if y is None else np.asarray(y, dtype=np.int64)
+    if X.ndim == 2 and X.shape[0] == 0:
         raise EmptyBatch("batch is empty")
-    if X.shape[1] != params.input_dim or y.shape[0] != X.shape[0]:
+    if X.shape[1:] != (params.input_dim,) or (y is not None and y.shape != X.shape[:1]):
         raise DimensionMismatch(
-            f"batch shapes {X.shape}/{y.shape} incompatible with model"
+            f"batch shapes {X.shape}/{np.shape(y)} incompatible with input_dim {params.input_dim}"
         )
     return X, y
+
+
+def forward(params: ModelParams, X) -> np.ndarray:
+    """Logits for the batch X (n, d_in)."""
+    return _forward(params.layers, _check_batch(params, X)[0])[1]
 
 
 def loss(params: ModelParams, X, y) -> float:

@@ -5,7 +5,16 @@ import pytest
 
 from conftest import perturbed, random_batch, tiny_net
 from fedarena import mlp
-from fedarena.errors import DimensionMismatch, EmptyBatch, InvalidShapes
+from fedarena.aggregation import fang_filter
+from fedarena.attacks import passive_infer
+from fedarena.engine import test_accuracy as model_test_accuracy
+from fedarena.errors import (
+    DimensionMismatch,
+    EmptyBatch,
+    EmptySet,
+    EmptyValidationSet,
+    InvalidShapes,
+)
 
 
 def fd_gradient(params, X, y, step=1e-5):
@@ -217,7 +226,7 @@ class TestGradient:
 
     @pytest.mark.parametrize("x, y", [(np.empty(0), []), (np.zeros(6), [0, 1])])
     def test_one_example_label_count_mismatch(self, x, y):
-        # a 1-D x is one example, so it takes exactly one label
+        # a 1-D x is not a batch, whatever labels come with it
         with pytest.raises(DimensionMismatch):
             mlp.gradient(tiny_net(), x, np.array(y, dtype=int))
 
@@ -242,7 +251,7 @@ class TestPerExampleGradients:
     def test_row_is_single_example_gradient(self, rng):
         for shapes in self.SHAPES:
             params, X, y, V = self._instance(rng, shapes, 9)
-            G = np.stack([mlp.gradient(params, X[i], y[i]) for i in range(9)])
+            G = np.stack([mlp.gradient(params, X[i : i + 1], y[i : i + 1]) for i in range(9)])
             PV, PP = mlp.per_example_products(params, X, y, V)
             assert PV.shape == (9, 5) and PP.shape == (9, 9)
             assert_rel_close(PV, G @ V.T)
@@ -258,9 +267,9 @@ class TestPerExampleGradients:
                 assert_rel_close(PV[idx].mean(axis=0), V @ g)
                 assert PP[np.ix_(idx, idx)].mean() == pytest.approx(g @ g, rel=1e-12)
 
-    def test_single_1d_example(self, rng):
+    def test_one_row_batch(self, rng):
         params, X, y, V = self._instance(rng, self.SHAPES[0], 1)
-        PV, PP = mlp.per_example_products(params, X[0], y[0], V)
+        PV, PP = mlp.per_example_products(params, X, y, V)
         g = mlp.gradient(params, X, y)
         assert PV.shape == (1, 5) and PP.shape == (1, 1)
         assert_rel_close(PV[0], V @ g)
@@ -385,3 +394,51 @@ class TestPredict:
             logits = mlp.forward(p, X[i][None])[0]
             best = max(range(3), key=lambda k: (logits[k], -k))
             assert preds[i] == best == mlp.predict_batch(p, X[i][None])[0]
+
+
+# every reader of one batch, each as (params, X, y) -> its output; forward
+# and predict_batch take no labels
+BATCH_READERS = {
+    "forward": lambda p, X, y: mlp.forward(p, X),
+    "predict_batch": lambda p, X, y: mlp.predict_batch(p, X),
+    "loss": mlp.loss,
+    "gradient": mlp.gradient,
+    "per_example_products": lambda p, X, y: mlp.per_example_products(p, X, y, np.ones((2, p.dim))),
+    "fang_filter": lambda p, X, y: fang_filter(np.ones((3, p.dim)), p, X, y, "lfr", 0.1),
+    "test_accuracy": model_test_accuracy,
+    "passive_infer": passive_infer,
+}
+
+
+class TestBatchContract:
+    """A batch is a non-empty (rows, input_dim) array, with labels, when
+    given, of shape (rows,); every batch reader checks it in mlp._check_batch."""
+
+    def bad_batch(self, rng, case):
+        X, y = random_batch(rng, 5)
+        if case == "1-D example":
+            return X[0], y[0]
+        if case == "stack":
+            return rng.normal(size=(2, 6, 6)), rng.integers(0, 3, size=(2, 6))
+        return X, y[:, None]  # column labels
+
+    @pytest.mark.parametrize(
+        "reader, case",
+        [
+            (reader, case)
+            for reader in BATCH_READERS
+            for case in ("1-D example", "stack", "column labels")
+            if case != "column labels" or reader not in ("forward", "predict_batch")
+        ],
+    )
+    def test_rejects_what_is_not_a_batch(self, rng, reader, case):
+        X, y = self.bad_batch(rng, case)
+        with pytest.raises(DimensionMismatch):
+            BATCH_READERS[reader](tiny_net(), X, y)
+
+    @pytest.mark.parametrize("reader", list(BATCH_READERS))
+    def test_empty_batch(self, reader):
+        # fang's validation set and the test set name their own emptiness
+        error = {"fang_filter": EmptyValidationSet, "test_accuracy": EmptySet}.get(reader, EmptyBatch)
+        with pytest.raises(error):
+            BATCH_READERS[reader](tiny_net(), np.empty((0, 6)), np.empty(0, dtype=int))
