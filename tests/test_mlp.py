@@ -419,7 +419,7 @@ class TestBatchContract:
         if case == "1-D example":
             return X[0], y[0]
         if case == "stack":
-            return rng.normal(size=(2, 6, 6)), rng.integers(0, 3, size=(2, 6))
+            return rng.normal(size=(2, 6, 6)), y[:2]  # one label per leading row
         return X, y[:, None]  # column labels
 
     @pytest.mark.parametrize(
