@@ -12,21 +12,22 @@ skipped.
 
 The search is scored in dot-product space. Each craft builds one
 ReferenceGeometry with reference_geometry: the usable references, their
-unit rows U and the benign budget, computed on first read. Each step of
-the pipeline is one public function taking it (greedy_mask_select,
-optimize_alpha), and craft_adaptive builds its angle block from its unit
-rows with pairwise_angles' kernel. Every blend is the one expression
-alpha * g_attack + g_mask; the greedy steps fix alpha at 1. The gradient
-of a mean loss is the mean of the per-example gradients P, so a greedy
-candidate's blend at step m is g_attack + (sum of selected rows +
-candidate row) / m. Its angles are those of m times it, m * g_attack +
-(selected sum + candidate row), whose dots with U and squared norm
-follow from P @ [U; g_attack].T and P @ P.T, which one backprop per
-craft yields without forming P (mlp.per_example_products),
-plus running sums over the selected rows; no step divides by m or gathers
-the remaining rows. An alpha-grid blend's dots and squared norm follow
-likewise from U @ g_attack, U @ g_mask and the three dot products of the
-two gradients. No array of the model's width is formed per candidate.
+unit rows U and the benign budget, their largest pairwise angle. Each
+step of the pipeline is one public function taking it
+(greedy_mask_select, optimize_alpha), and craft_adaptive builds its
+angle block from its unit rows with pairwise_angles' kernel. Every blend
+is the one expression alpha * g_attack + g_mask; the greedy steps fix
+alpha at 1. The gradient of a mean loss is the mean of the per-example
+gradients P, so a greedy candidate's blend at step m is g_attack + (sum
+of selected rows + candidate row) / m. Its angles are those of m times
+it, m * g_attack + (selected sum + candidate row), whose dots with U and
+squared norm follow from P @ [U; g_attack].T and P @ P.T, which one
+backprop per craft yields without forming P (mlp.per_example_products),
+plus running sums over the selected rows; no step divides by m or
+gathers the remaining rows. An alpha-grid blend's dots and squared norm
+follow likewise from U @ g_attack, U @ g_mask and the three dot products
+of the two gradients. No array of the model's width is formed per
+candidate.
 
 One kernel, _choose, decides each greedy step and the alpha grid: it
 screens every candidate's objective from that expansion, rescores per
@@ -46,7 +47,6 @@ cosine, which hold the largest per-pair angle.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -149,19 +149,14 @@ class ReferenceGeometry:
 
     refs: np.ndarray  # the usable references
     unit: np.ndarray  # their unit rows (vectors.unit_rows)
-
-    @cached_property
-    def budget(self) -> float:
-        """Largest pairwise angle among the references, built on first read:
-        the largest arccos(clip(unit @ unit.T)) above the diagonal. Angles
-        are >= 0, so the zeroed lower triangle never wins."""
-        theta = np.arccos(np.clip(self.unit @ self.unit.T, -1.0, 1.0))
-        return float(np.triu(theta, 1).max())
+    budget: float  # their largest pairwise angle
 
 
 def reference_geometry(benign_grads) -> ReferenceGeometry:
     """Stack the references and drop those too short to carry a direction;
-    the budget is their largest pairwise angle.
+    the budget is their largest pairwise angle, the largest
+    arccos(clip(unit @ unit.T)) above the diagonal. Angles are >= 0, so the
+    zeroed lower triangle never wins.
 
     A benign gradient can underflow to norm ~1e-83 on a well-fit shard;
     the attacker skips it rather than failing on its undefined angle.
@@ -176,7 +171,8 @@ def reference_geometry(benign_grads) -> ReferenceGeometry:
         refs, unit = refs[usable], unit[usable]
     if refs.shape[0] < 2:
         raise TooFewReferences(f"need at least 2 usable references, got {refs.shape[0]}")
-    return ReferenceGeometry(refs, unit)
+    theta = np.arccos(np.clip(unit @ unit.T, -1.0, 1.0))
+    return ReferenceGeometry(refs, unit, float(np.triu(theta, 1).max()))
 
 
 def _objective(geo: ReferenceGeometry, g: np.ndarray) -> float:

@@ -63,7 +63,7 @@ block is bitwise the recompute and no choice of atm, Krum or fang changes.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -302,7 +302,9 @@ def membership_metrics(records, truth) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class _World:
-    """Everything a run needs, materialised once from the config."""
+    """Everything a run needs, materialised once from the config by
+    `build_world`, the draw plan included (which draws each block of rounds
+    at its first read)."""
 
     cfg: ExperimentConfig
     params0: mlp.ModelParams
@@ -314,11 +316,7 @@ class _World:
     attacker: datamod.AttackerData
     malicious_ids: tuple[int, ...]
     attack_ctx: AttackerContext | None
-
-    @cached_property
-    def draws(self) -> "_DrawPlan":
-        """The run's draw plan, made at its first read (never by `build_world`)."""
-        return _DrawPlan(self.cfg, self.shards, self.malicious_ids)
+    draws: "_DrawPlan"
 
 
 def build_world(cfg: ExperimentConfig, load_csv=None) -> _World:
@@ -393,28 +391,25 @@ def build_world(cfg: ExperimentConfig, load_csv=None) -> _World:
         attacker=attacker,
         malicious_ids=malicious_ids,
         attack_ctx=ctx,
+        draws=_DrawPlan(cfg, part.shards, malicious_ids),
     )
 
 
 class _DrawPlan:
     """A run's draws, one block of rounds at a time: each round's
-    participants, the batch of each (round, client) the loops read (the
-    participants, plus the malicious clients' proxies when a craft under
-    partial knowledge reads them) and, in async runs, each participant's
-    delay. Each is a pure function of (seed, tag, round, client), and a
-    block's draws of one kind come from one `rngstream` pass, bitwise the
-    per-stream Generator's. A block spans as many rounds as fit in
-    _PLAN_STREAMS streams (at least one); a read past it draws the next."""
+    participants, the batch of each participant and of each malicious
+    client not selected (a partial-knowledge craft reads its malicious
+    clients' shards) and, in async runs, each participant's delay. Each is
+    a pure function of (seed, tag, round, client), and a block's draws of
+    one kind come from one `rngstream` pass, bitwise the per-stream
+    Generator's. A block spans as many rounds as fit in _PLAN_STREAMS
+    streams (at least one); a read past it draws the next."""
 
     def __init__(self, cfg: ExperimentConfig, shards, malicious_ids: tuple[int, ...]):
         # no reference to the world, which holds the plan: a cycle would
         # keep each finished run's data alive until a cyclic collection
         self.cfg, self.malicious_ids = cfg, malicious_ids
         self.per_round = participant_count(cfg.n_clients, cfg.participation)
-        self.proxies = (
-            cfg.attack.kind in ("agrevader", "fedpoisonmia", "adaptive")
-            and cfg.attack.knowledge == "partial"
-        )
         self.shard_sizes = np.array([s.size for s in shards])
         self.flat_shards = np.concatenate(shards)
         self.offsets = np.cumsum(self.shard_sizes) - self.shard_sizes
@@ -428,13 +423,13 @@ class _DrawPlan:
         if t in self.rounds:
             return
         cfg, mal = self.cfg, self.malicious_ids
-        streams = 1 + self.per_round * (1 + cfg.asynchronous) + len(mal) * self.proxies
+        streams = 1 + self.per_round * (1 + cfg.asynchronous) + len(mal)
         self.rounds = range(t, max(t + 1, min(cfg.rounds, t + _PLAN_STREAMS // streams)))
         select = _selections(cfg.n_clients, cfg.participation, self.rounds, cfg.seed)
         self.participants = dict(zip(self.rounds, select))
         rows = [(r, ids.tolist()) for r, ids in self.participants.items()]
         keys = [(r, k) for r, ids in rows for k in ids]
-        proxies = [(r, k) for r, ids in rows for k in mal if k not in ids] if self.proxies else []
+        proxies = [(r, k) for r, ids in rows for k in mal if k not in ids]
         self.batches = self._draw_batches(keys + proxies)
         self.delays = {}
         if cfg.asynchronous:
@@ -618,14 +613,6 @@ def _clamp_rule(rule: AggregationRule, size: int) -> AggregationRule:
     return rule
 
 
-def _shift_down(a: np.ndarray, slot: int, k: int) -> None:
-    """Move the C-contiguous `a[slot:k]` one place down, to `a[slot + 1:k + 1]`,
-    in place: as one 1-D overlapping copy, which numpy runs back to front
-    with no temporary (a 2-D one would copy the source first)."""
-    flat, width = a.reshape(-1), a.size // a.shape[0]
-    flat[(slot + 1) * width : (k + 1) * width] = flat[slot * width : k * width]
-
-
 class UpdateBuffer:
     """The latest update of each client held, compact in ascending client
     id: slots 0..k-1 hold the k clients held, so a client's slot is its
@@ -663,7 +650,7 @@ class UpdateBuffer:
             k = int(np.count_nonzero(self.held))
             for a in (self.rows, self.units, self.degenerate, self.products, self.pairs):
                 if a is not None:
-                    _shift_down(a, slot, k)
+                    a[slot + 1 : k + 1] = a[slot:k]
             if self.pairs is not None:  # its columns too; at most k * k entries
                 self.pairs[: k + 1, slot + 1 : k + 1] = self.pairs[: k + 1, slot:k]
             self.held[client] = True

@@ -353,6 +353,49 @@ class TestRunAsync:
         res = run_async(cfg)
         assert len(res.records) == 10
 
+    def test_updates_due_after_the_last_round_are_never_applied(self, monkeypatch):
+        # perfbench's async-robust atm cell at seed 0: 40 of 50 clients a
+        # round for 10 rounds dispatch 400 updates, and 290 arrive in time
+        cfg = ExperimentConfig(
+            n_clients=50, participation=0.8, rounds=10, lr=0.1, batch_size=6,
+            rule=AggregationRule("atm", trim_b=5),
+            attack=AttackStrategy("passive", mask_fraction=0.3),
+            features=64, per_class=500, asynchronous=True, tau_max=5, seed=0,
+        )
+        worlds, made, dispatched, arrivals, steps = [], [], [], [], []
+        client_updates, put, step = eng._client_updates, eng.UpdateBuffer.put, eng._step
+
+        def recording(world, t, segment, *args):
+            worlds.append(world)
+            U = client_updates(world, t, segment, *args)
+            made.append(U.shape[0])
+            dispatched.extend((t, k) for k in segment)
+            return U
+
+        def putting(buffer, client, g):  # no craft, so no attacker view: each put arrives
+            arrivals.append(client)
+            return put(buffer, client, g)
+
+        def stepping(*args):
+            steps.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(eng, "_client_updates", recording)
+        monkeypatch.setattr(eng.UpdateBuffer, "put", putting)
+        monkeypatch.setattr(eng, "_step", stepping)
+        res = run_async(cfg)
+        assert sum(made) == len(set(dispatched)) == 400
+        assert len(steps) == len(arrivals) == 290
+        # the i-th arrival of round t was dispatched in round t - staleness[i]
+        arrived = iter(arrivals)
+        applied = {
+            (r.round - s, next(arrived)) for r in res.records for s in r.diagnostics["staleness"]
+        }
+        draws = worlds[0].draws
+        late = {(t, k) for t, k in dispatched if t + draws.delay(t, k) >= cfg.rounds}
+        assert len(late) == 110
+        assert applied == set(dispatched) - late
+
 
 class TestClampRule:
     def test_wrapper_clamps_the_knobs_its_inner_kind_reads(self):

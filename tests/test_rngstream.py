@@ -144,3 +144,33 @@ def test_plan_across_block_boundaries(monkeypatch):
     ]
     assert [r.test_acc for r in blocked.records] == [r.test_acc for r in whole.records]
 
+
+
+def test_plan_draws_unselected_malicious_batches_under_any_attack():
+    # the plan draws the batch of every malicious client a round leaves
+    # out, whatever the attack reads: the same indices as the proxies a
+    # partial-knowledge craft reads
+    from dataclasses import replace
+
+    from fedarena import engine as eng
+    from fedarena.attacks import AttackStrategy
+
+    base = eng.ExperimentConfig(
+        n_clients=10, malicious_fraction=0.2, participation=0.6, rounds=6, batch_size=4,
+        features=6, per_class=40, n_mask=4, seed=5,
+    )
+    attacks = [
+        AttackStrategy("fedpoisonmia", mask_fraction=0.3, knowledge="partial"),
+        AttackStrategy("passive"),
+        AttackStrategy("fedpoisonmia", mask_fraction=0.3, knowledge="full"),
+    ]
+    worlds = [eng.build_world(replace(base, attack=attack)) for attack in attacks]
+    unselected = [
+        (t, k) for t in range(base.rounds) for k in worlds[0].malicious_ids
+        if k not in worlds[0].draws.selected(t)
+    ]
+    assert unselected
+    for t, k in unselected:
+        want = worlds[0].draws.batch(t, k)
+        for world in worlds[1:]:
+            assert np.array_equal(world.draws.batch(t, k), want)
