@@ -145,7 +145,6 @@ def test_plan_across_block_boundaries(monkeypatch):
     assert [r.test_acc for r in blocked.records] == [r.test_acc for r in whole.records]
 
 
-
 def test_plan_draws_unselected_malicious_batches_under_any_attack():
     # the plan draws the batch of every malicious client a round leaves
     # out, whatever the attack reads: the same indices as the proxies a
