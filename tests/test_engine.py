@@ -1041,6 +1041,43 @@ MODE_DIGESTS = {
 }
 
 
+# perfbench's async-robust cells at seed 0, cut to 4 rounds: the only
+# goldens whose buffer holds 50 rows, where async Krum's kept block and
+# fang's pre-scaled products act (every other golden holds at most 12)
+ASYNC_ROBUST = """n_clients = 50
+malicious_fraction = 0.1
+C = 0.8
+rounds = 4
+lr = 0.1
+batch_size = 6
+gamma = 0.3
+classes = 3
+features = 64
+per_class = 500
+spread = 0.6
+n_attack = 20
+n_mask = 16
+attack = passive
+tau_max = 5
+async = true
+seed = 0
+"""
+ASYNC_ROBUST_DIGESTS = {
+    "rule = atm\ntrim_b = 5": (
+        "b8b83157545cc573dad572337b66c0bd95c3e14a806794df9fbc0b348198c7f4",
+        "8b61a04945594be54f07beaf8e28ce588c122d6485b94d3bcdb4c6e2679fe52e",
+    ),
+    "rule = fang\nfang_mode = lfr": (
+        "872465ce2013768263fb3f20994864eb699276c39450d5b5e7c378f2d59470c0",
+        "9d60ceeeafd74f2da66d0f42bb85cc587ddb7cc5eae6c484d7321cb63ee97823",
+    ),
+    "rule = multi_krum\nkrum_f = 5": (
+        "3e8fb924afaf184fc7cff3fa378bc026427e40f667c43f6cb08b7ecfc27c18e9",
+        "25ebe28fbc8ddd951716cdc3a3d2826cbe6900ad2593ffcd030cc2b72ff01aa2",
+    ),
+}
+
+
 class TestModeGolden:
     @pytest.mark.parametrize("lines", list(MODE_DIGESTS))
     def test_outputs_match_recorded_digest(self, tmp_path, monkeypatch, lines):
@@ -1051,6 +1088,11 @@ class TestModeGolden:
             text = f"async = false\nrule = atm\ndataset = csv\ncsv_path = {path}"
         digests = run_digests(tmp_path, monkeypatch, ASYNC_KRUM + text + "\n")
         assert digests == MODE_DIGESTS[lines]
+
+    @pytest.mark.parametrize("lines", list(ASYNC_ROBUST_DIGESTS))
+    def test_async_robust_cell_matches_recorded_digest(self, tmp_path, monkeypatch, lines):
+        digests = run_digests(tmp_path, monkeypatch, ASYNC_ROBUST + lines + "\n")
+        assert digests == ASYNC_ROBUST_DIGESTS[lines]
 
 
 class TestRuleAndDataModes:
