@@ -29,7 +29,7 @@ from .errors import (
     WeightMismatch,
 )
 from .rngstream import substream
-from .vectors import _as_matrix, pairwise_angles, pairwise_sq_distances
+from .vectors import _as_matrix, pairwise_angles, pairwise_sq_distances, sq_distances_to
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,7 @@ FANG_TIE_TOL = 1e-9
 # sum, so rows whose bounds reach the lowest are rescored exactly before
 # the argmin.
 KRUM_TIE_TOL = 1e-9
+_EPS, _TINY, _MAX = (float(v) for v in (np.finfo(float).eps, np.finfo(float).tiny, np.finfo(float).max))
 
 
 def fedavg(G, weights=None) -> AggregationOutcome:
@@ -175,40 +176,47 @@ def atm(G, trim_b: int, include_self: bool = False, angles=None) -> AggregationO
     threshold = float(scores[order[n - 2 * trim_b]]) if trim_b > 0 else None
     return AggregationOutcome(
         aggregate=G[kept].mean(axis=0),
-        kept_indices=tuple(int(k) for k in kept),
+        kept_indices=tuple(kept.tolist()),
         diagnostics={"mean_angles": scores, "trim_threshold": threshold},
     )
 
 
-def multi_krum(G, num_malicious: int, count: int, sq_dists=None) -> AggregationOutcome:
+def multi_krum(G, num_malicious: int, count: int, sq_dists=None, gram=None) -> AggregationOutcome:
     """Iteratively pick the checked gradient whose n-f-1 nearest (remaining)
     neighbours are closest in squared distance, until `count` are chosen;
-    the aggregate is their mean.
+    the aggregate is their mean. Each pick is the one the per-pick sort
+    (`selftest.naive_krum_kept`) makes on `pairwise_sq_distances(G)`.
 
-    `sq_dists` is the (n, n) squared-distance block of `G` when the caller
-    keeps one (async runs update it one row per arrival); it must equal
-    `pairwise_sq_distances(G)`, so it is bitwise symmetric, and is not
-    modified.
+    The caller may hand over a block it keeps. `sq_dists` must equal
+    `pairwise_sq_distances(G)`, so it is bitwise symmetric. `gram` is the
+    (n, n) Gram block of `G`, each entry a dot product of two rows summed in
+    any order, bitwise symmetric (async runs write one row and column per
+    arrival); its squared distances are |g_i|^2 + |g_j|^2 - 2 g_i.g_j
+    (`gram_sq_distances`), each within its stated bound of the exact one.
+    Neither block is modified. When a distance or a row's bound could
+    overflow, the distances are recomputed exactly.
 
     A row's score is the sum of its `neigh` smallest distances to the
     remaining rows, sorted ascending (`_krum_scores`); ties keep the lowest
     id. Until the pick on which every remaining neighbour counts (the
     (f+1)-th), each pick sorts every remaining row of a copy of the block
-    in which the diagonal and the picked rows' columns are inf. From that
-    pick on, each remaining row carries a lower and an upper bound on its
-    score, kept in place: its sorted sum at that pick less and plus
-    KRUM_TIE_TOL times itself, each less the distances to the rows picked
-    since (one subtraction of the picked row's block row per pick; a picked
-    row's bounds are inf). Each bound rounds on its own, by at most about
-    n*eps of the row's first sorted sum, and so does the sorted sum of its
-    remaining distances; both are far below KRUM_TIE_TOL, so every row's
-    score lies within its bounds. The row with the lowest upper bound is
-    the pick unless another row's lower bound reaches that bound; then
-    every such row is rescored as the sorted sum of its distances to the
-    remaining rows (the same values in the same order as the per-pick
-    sort) before the argmin. Until every score is finite each pick is
-    scored whole. So each pick is the one the per-pick sort
-    (`selftest.naive_krum_kept`) makes.
+    in which the diagonal and the picked rows' columns are inf. From that pick
+    on, each remaining row carries a lower and an upper bound on its score,
+    kept in place: its sorted sum at that pick less and plus its slack,
+    each less the distances to the rows picked since (one subtraction of
+    the picked row's block row per pick; a picked row's bounds are inf).
+    The slack is KRUM_TIE_TOL times the sum, plus under `gram` twice the
+    sum of the row's entry bounds. Each bound rounds on its own, by at most
+    about n*eps of the row's first sorted sum, and so does each sorted sum;
+    the Gram entries of the remaining rows stray from the exact ones by at
+    most their bounds, all of which the first sum's slack counts. So every
+    row's exact score lies within its bounds, and under `gram` within its
+    sorted sum plus or minus its slack. A pick is the lowest upper bound (or
+    sum) unless another row's lower bound reaches it; then every such row is
+    rescored as the sorted sum of its exact distances to the remaining rows
+    (`sq_distances_to` rows under `gram`; the oracle's values in its order)
+    before the argmin. Until every score is finite each pick is scored
+    whole.
     """
     n = G.shape[0]
     f = int(num_malicious)
@@ -216,7 +224,17 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None) -> AggregationO
         raise InvalidKrumParams(f"n-f-1 = {n - f - 1} < 1")
     if not 1 <= count <= n:
         raise InvalidKrumParams(f"count {count} outside [1, {n}]")
-    if sq_dists is None:
+    err = None  # under `gram`: twice each row's summed entry bounds
+    if gram is not None:
+        if np.shape(gram) != (n, n):
+            raise DimensionMismatch(f"Gram block shaped {np.shape(gram)} for {n} gradients")
+        d2, err = gram_sq_distances(gram, G.shape[1])
+        err *= 2
+        err_max = err.max()
+        # a distance is at most about 4 max|g|^2, a score or bound n times that
+        if not np.diagonal(gram).max() <= _MAX / (8 * n):
+            d2, err = pairwise_sq_distances(G), None
+    elif sq_dists is None:
         d2 = pairwise_sq_distances(G)
     else:
         d2 = np.array(sq_dists, dtype=np.float64)
@@ -224,42 +242,77 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None) -> AggregationO
             raise DimensionMismatch(f"distance block shaped {d2.shape} for {n} gradients")
     np.fill_diagonal(d2, np.inf)  # sorts last, so never its own neighbour
     live = np.ones(n, dtype=bool)
+
+    def exact_scores(near, neigh):
+        rows = d2[near] if err is None else np.stack([sq_distances_to(G, G[i]) for i in near])
+        rows[:, ~live] = np.inf
+        rows[np.arange(near.size), near] = np.inf
+        return _krum_scores(rows, neigh)
+
     chosen: list[int] = []
-    bounds = None  # (2, n): each row's lower and upper score bound; inf once picked
-    while len(chosen) < count:
-        if bounds is None:
-            neigh = min(n - f - 1, n - len(chosen) - 1)
-            rows = np.flatnonzero(live)
-            scores = _krum_scores(d2[rows], neigh)
-            best = int(rows[np.argmin(scores)])
-            if neigh == rows.size - 1 and np.isfinite(scores).all():
-                bounds = np.full((2, n), np.inf)
-                lo, hi = bounds  # views, updated in place with it
-                slack = KRUM_TIE_TOL * scores
-                lo[rows] = scores - slack
-                hi[rows] = scores + slack
-        else:
-            best = int(hi.argmin())
-            # every row whose sorted sum can be the lowest is near; a lone
-            # near row is the argmin
-            near = lo <= hi[best]
-            if np.count_nonzero(near) > 1:
-                near = np.flatnonzero(near)
-                neigh = n - len(chosen) - 1  # every other remaining row
-                best = int(near[np.argmin(_krum_scores(d2[np.ix_(near, live)], neigh))])
+    while len(chosen) < count:  # sorted picks
+        neigh = min(n - f - 1, n - len(chosen) - 1)
+        rows = np.flatnonzero(live)
+        scores = _krum_scores(d2[rows], neigh)
+        best = int(rows[scores.argmin()])
+        if err is not None and rows.size > 1:
+            # no other row can reach the lowest score's upper bound when the
+            # runner-up's lower bound clears it (s - TOL |s| grows with s)
+            s1, s2 = np.partition(scores, 1)[:2]
+            if s2 - KRUM_TIE_TOL * abs(s2) - err_max <= s1 + KRUM_TIE_TOL * abs(s1) + err_max:
+                slack = KRUM_TIE_TOL * np.abs(scores) + err[rows]
+                near = rows[scores - slack <= (scores + slack).min()]
+                best = int(near[np.argmin(exact_scores(near, neigh))])
         chosen.append(best)
         live[best] = False
-        if bounds is None:
-            d2[:, best] = np.inf
-        else:
-            np.subtract(bounds, d2[best], out=bounds, where=live)
-            lo[best] = hi[best] = np.inf
+        if neigh == rows.size - 1 and np.isfinite(scores).all():
+            break
+        d2[:, best] = np.inf
+    if len(chosen) < count:  # every remaining neighbour counts: running picks
+        slack = KRUM_TIE_TOL * np.abs(scores) + (0.0 if err is None else err[rows])
+        lo, gap = np.full(n, np.inf), np.zeros(n)  # a picked row's bound is inf
+        lo[rows], gap[rows] = scores - slack, 2 * slack
+        d2[:, ~live] = 0.0  # finite, so that inf less a picked row's block row stays inf
+        np.fill_diagonal(d2, 0.0)
+        lo[best] = np.inf
+        lo -= d2[best]
+    while len(chosen) < count:
+        best = int(lo.argmin())
+        low = lo[best]
+        top = low + gap[best]  # its score's upper bound
+        lo[best] = np.inf
+        if lo[lo.argmin()] <= top:  # another row's score can reach the pick's
+            lo[best] = low
+            near = np.flatnonzero(lo <= top)
+            best = int(near[np.argmin(exact_scores(near, n - len(chosen) - 1))])
+            lo[best] = np.inf
+        chosen.append(best)
+        live[best] = False
+        lo -= d2[best]
     kept = sorted(chosen)
     return AggregationOutcome(
         aggregate=G[kept].mean(axis=0),
         kept_indices=tuple(chosen),
         diagnostics={"selection_order": tuple(chosen)},
     )
+
+
+def gram_sq_distances(gram, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The squared distances |g_i|^2 + |g_j|^2 - 2 g_i.g_j that a Gram block
+    of rows of width `dim` gives (bitwise symmetric when it is), and each
+    row's error bound. Entry (i, j) lies within
+    4 * (dim + 4) * eps * (|g_i|^2 + |g_j|^2) + dim * tiny of
+    `pairwise_sq_distances`' entry: a dot product of length dim summed in
+    any order strays by at most about dim * eps / 2 times |g_i| |g_j|, and
+    a sum of squared differences by about the same times its value, at most
+    2 (|g_i|^2 + |g_j|^2); the bound doubles the sum of those terms, and its
+    last term covers gradual underflow. A row's bound is the sum of its
+    entries' bounds."""
+    norms = np.diagonal(gram)
+    n = norms.size
+    d2 = np.add.outer(norms, norms)
+    d2 -= 2 * gram
+    return d2, (4 * (dim + 4) * _EPS) * (n * norms + norms.sum()) + n * dim * _TINY
 
 
 def _krum_scores(d2_rows, neigh: int) -> np.ndarray:
@@ -309,13 +362,14 @@ def fang_filter(
     model by the mean of the other rows, (S - g_i)/(k-1), S the sum of the
     rows held. The first layer is linear in that step, so with c =
     lr/(k-1) the candidate's first-layer pre-activation on the validation
-    examples X is Z - c * (sum P - P_i): Z = X @ W1 + b1 is the model's
+    examples X is Z - sum(c * P) + c * P_i: Z = X @ W1 + b1 is the model's
     own, P_i = X @ W1(g_i) + b1(g_i) the row's (v, h) block, and the sum
-    runs over the held rows (each `mlp.input_products`). Each later layer
-    steps its weights and bias the same way per candidate, and is one
-    stacked matmul. `val_products` is the (n, v, h) stack of the
-    blocks when the caller keeps them (async runs store one per arrival);
-    it must equal the stack this function would compute.
+    runs over the held rows (each `mlp.input_products`; `_loo_logits`).
+    Each later layer steps its weights and bias the same way per
+    candidate, and is one stacked matmul. `val_products` is the (n, v, h)
+    stack of the blocks when the caller keeps them (async runs store one
+    per arrival); it must equal the stack this function would compute, so
+    the scores are bitwise those of the fresh path.
 
     Batched scores round differently from stepping each candidate model
     (by about 1e-15 relative). So under lfr every candidate whose loss is
@@ -389,15 +443,23 @@ def _loo_logits(params: mlp.ModelParams, Z, P, later, lr: float) -> np.ndarray:
     rows' first-layer products P (k, v, h) and their later layers `later`,
     a (weights (k, fi, fo), bias (k, fo)) pair per layer after the first:
     candidate i steps by lr times the mean of the other rows, so each of
-    its layers is the model's less c * (the held rows' sum - row i's)."""
+    its layers is the model's less c * (the held rows' sum - row i's). The
+    first layer sums the scaled products c * P_i it has just made, not P
+    again; the last layer's bias is added after the class-major copy."""
     c = lr / (P.shape[0] - 1)
     a = P * c
-    a += Z - c * P.sum(axis=0)
+    a += Z - a.sum(axis=0)
+    bias = None
     for (W, b), (W_G, b_G) in zip(params.layers[1:], later):
+        if bias is not None:
+            a += bias[:, None, :]
         np.maximum(a, 0.0, out=a)
         a = a @ (W - c * (W_G.sum(axis=0) - W_G))
-        a += (b - c * (b_G.sum(axis=0) - b_G))[:, None, :]
-    return np.ascontiguousarray(a.transpose(0, 2, 1))
+        bias = b - c * (b_G.sum(axis=0) - b_G)
+    a = np.ascontiguousarray(a.transpose(0, 2, 1))
+    if bias is not None:
+        a += bias[:, :, None]
+    return a
 
 
 def _scores(logits, y, mode: str) -> np.ndarray:
@@ -470,7 +532,7 @@ def apply_rule(
         return atm(G, rule.trim_b, angles=block)
     if kind == "multi_krum":
         count = rule.krum_count if rule.krum_count > 0 else G.shape[0] - rule.krum_f
-        return multi_krum(G, rule.krum_f, count, block)
+        return multi_krum(G, rule.krum_f, count, gram=block)
     if kind == "fang":
         if params is None:
             raise InvalidConfig("fang rule needs the current model")

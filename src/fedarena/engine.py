@@ -37,7 +37,9 @@ Async semantics: each round dispatches the selected clients in id order;
 every update is due after an integer delay uniform on {0..tau_max} and
 is applied individually, re-aggregating the most recent update buffered
 per client (stale entries retained); one due after the last round is
-never applied. Arrivals queued from earlier rounds are applied before
+never applied, and unless a full-knowledge craft reads the benign rows
+(the attacker's view), never computed either; a malicious client's
+craft is always made. Arrivals queued from earlier rounds are applied before
 the current round's dispatches; a delay of zero means the update is
 applied immediately, before the next client dispatches.
 Trim-style rules clamp their parameters while the buffer is still
@@ -50,15 +52,21 @@ one, and the rule reads views of the first k rows, never a copy. Each
 row is screened for NaN and Inf once, as it arrives; a sync round's
 matrix once, before its step. Under atm the buffer also keeps
 each row's unit vector and the angles between the rows
-(`vectors.angles_to`); under multi_krum, the squared distances between
-them (`vectors.sq_distances_to`). An arrival rewrites only its client's
-row and column, at O(n*d) instead of the O(n^2*d) a recompute costs.
-Under fang it keeps each row's (v, h) first-layer product X @ W1(g) +
-b1(g) with the validation examples (`mlp.input_products`, the block fang
-scores every leave-one-out candidate from), and an arrival computes only
-its client's block. Each entry depends only on its own rows, and the
-fresh path's stacked products are bitwise the per-row ones, so a kept
-block is bitwise the recompute and no choice of atm, Krum or fang changes.
+(`vectors.angles_to`); under multi_krum, their Gram block, the dot
+products between the rows (one BLAS matrix-vector product G @ g per
+arrival). An arrival rewrites only its client's row and column, at
+O(n*d) instead of the O(n^2*d) a recompute costs. Under fang it keeps
+each row's (v, h) first-layer product X @ W1(g) + b1(g) with the
+validation examples (`mlp.input_products`, the block fang scores every
+leave-one-out candidate from), and an arrival computes only its client's
+block. Each angle and product entry depends only on its own rows, and
+the fresh path's stacked products are bitwise the per-row ones, so those
+kept blocks are bitwise the recompute. The Gram block is not: its last
+bits depend on the BLAS kernel (and its thread count), and the squared
+distances Krum reads from it, |g_i|^2 + |g_j|^2 - 2 g_i.g_j, lie within a
+stated per-entry bound of the recompute's (`aggregation.gram_sq_distances`);
+Krum rescores from exact distances every row whose score that bound lets
+reach a pick. So no choice of atm, Krum or fang changes.
 """
 
 import math
@@ -93,7 +101,7 @@ from .errors import (
     ParseError,
 )
 from .rngstream import derive_seed, integers, keyed_words, sorted_choices, substream
-from .vectors import NORM_FLOOR, _as_matrix, angles_to, sq_distances_to, unit_rows
+from .vectors import NORM_FLOOR, _as_matrix, angles_to, unit_rows
 
 HIDDEN_WIDTH = 32
 # streams a draw plan draws per block of rounds, which bounds its memory
@@ -623,10 +631,14 @@ class UpdateBuffer:
     with no kept block. Slot for slot the buffer also keeps the block the
     top-level rule `kind` reads, one client per arrival (see the module
     docstring): the angles between the rows held under atm (with each row's
-    unit vector), their squared distances under multi_krum, or under fang
-    each row's validation first-layer product, weights and bias (`products`,
-    a function of one row: `mlp.input_products` bound to the validation
-    examples)."""
+    unit vector), bitwise the recompute; their Gram block under multi_krum,
+    each entry one row's dot product with another (the diagonal their
+    squared norms) from the matrix-vector product of the rows held with the
+    arriving one, its distances within `aggregation.gram_sq_distances`'
+    bound of the recompute; or under fang each row's validation first-layer
+    product, weights and bias (`products`, a function of one row:
+    `mlp.input_products` bound to the validation examples), bitwise the
+    recompute."""
 
     def __init__(self, n_clients: int, dim: int, kind: str = "fedavg", products=None):
         self.rows = np.zeros((n_clients, dim))
@@ -666,16 +678,16 @@ class UpdateBuffer:
             return order, G, self.products[:k]
         if self.pairs is None:
             return order, G, None
-        if self.units is None:
-            row = sq_distances_to(G, self.rows[slot])
+        if self.units is None:  # the row's Gram row: one matrix-vector product
+            row = G @ self.rows[slot]
         else:
             unit, norm = unit_rows(self.rows[slot : slot + 1])
             self.units[slot] = unit[0]
             self.degenerate[slot] = norm[0] <= NORM_FLOOR
             row = angles_to(self.units[:k], self.degenerate[:k], unit[0], self.degenerate[slot])
+            row[slot] = 0.0  # a unit row's angle to itself need not round to 0
         self.pairs[slot, :k] = row
         self.pairs[:k, slot] = row
-        self.pairs[slot, slot] = 0.0  # a unit row's angle to itself need not round to 0
         return order, G, self.pairs[:k, :k]
 
 
@@ -694,6 +706,7 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     # a full-knowledge agrevader, fedpoisonmia or adaptive
     reads_view = world.attack_ctx is not None and cfg.attack.knowledge == "full"
     attacker_view = UpdateBuffer(cfg.n_clients, params.flat.size) if reads_view else None
+    crafting = () if cfg.attack.kind in ("none", "passive") else world.malicious_ids
     pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     records: list[RoundRecord] = []
 
@@ -720,12 +733,18 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
         if not ends or ends[-1] < len(clients):
             ends.append(len(clients))
         for start, end in zip([0] + ends, ends):
-            segment = clients[start:end]
+            # an update due after the last round is computed only when a craft reads it
+            sent = [
+                (k, delay)
+                for k, delay in zip(clients[start:end], delays[start:end])
+                if reads_view or k in crafting or t + delay < cfg.rounds
+            ]
+            segment = [k for k, _ in sent]
             U = _client_updates(world, t, segment, attacker_view, params, craft_observer)
-            for k, g, delay in zip(segment, U, delays[start:end]):
+            for (k, delay), g in zip(sent, U):
                 if delay == 0:
                     last_outcome = apply_arrival(t, t, k, g, staleness_log)
-                else:  # an owned copy, which pins no other row of U
+                elif t + delay < cfg.rounds:  # an owned copy, which pins no other row of U
                     pending.setdefault(t + delay, []).append((t, k, g.copy()))
         kept = last_outcome.kept_indices if last_outcome else ()
         diagnostics = {"kept": kept, "staleness": tuple(staleness_log)}

@@ -7,7 +7,14 @@ import pytest
 
 from fedarena import cli, data, mlp
 from fedarena import engine as eng
-from fedarena.aggregation import AggregationRule, apply_rule, atm, fang_filter, multi_krum
+from fedarena.aggregation import (
+    AggregationRule,
+    apply_rule,
+    atm,
+    fang_filter,
+    gram_sq_distances,
+    multi_krum,
+)
 from fedarena.attacks import AttackStrategy, passive_infer
 from fedarena.engine import (
     ExperimentConfig,
@@ -21,6 +28,7 @@ from fedarena.engine import (
 from fedarena.engine import test_accuracy as model_test_accuracy
 from fedarena.errors import DegenerateGradient, EmptyHistory, EmptySet, InvalidC, InvalidConfig
 from fedarena.rngstream import substream
+from fedarena.selftest import naive_krum_kept
 from fedarena.vectors import pairwise_angles, pairwise_sq_distances
 
 FAST = dict(
@@ -355,7 +363,9 @@ class TestRunAsync:
 
     def test_updates_due_after_the_last_round_are_never_applied(self, monkeypatch):
         # perfbench's async-robust atm cell at seed 0: 40 of 50 clients a
-        # round for 10 rounds dispatch 400 updates, and 290 arrive in time
+        # round for 10 rounds are selected, 400 updates, of which 110 are
+        # due after the last round; no craft reads them, so only the 290
+        # that arrive in time are computed
         cfg = ExperimentConfig(
             n_clients=50, participation=0.8, rounds=10, lr=0.1, batch_size=6,
             rule=AggregationRule("atm", trim_b=5),
@@ -384,7 +394,7 @@ class TestRunAsync:
         monkeypatch.setattr(eng.UpdateBuffer, "put", putting)
         monkeypatch.setattr(eng, "_step", stepping)
         res = run_async(cfg)
-        assert sum(made) == len(set(dispatched)) == 400
+        assert sum(made) == len(set(dispatched)) == 290
         assert len(steps) == len(arrivals) == 290
         # the i-th arrival of round t was dispatched in round t - staleness[i]
         arrived = iter(arrivals)
@@ -392,9 +402,10 @@ class TestRunAsync:
             (r.round - s, next(arrived)) for r in res.records for s in r.diagnostics["staleness"]
         }
         draws = worlds[0].draws
-        late = {(t, k) for t, k in dispatched if t + draws.delay(t, k) >= cfg.rounds}
-        assert len(late) == 110
-        assert applied == set(dispatched) - late
+        selected = {(t, int(k)) for t in range(cfg.rounds) for k in draws.selected(t)}
+        late = {(t, k) for t, k in selected if t + draws.delay(t, k) >= cfg.rounds}
+        assert len(selected) == 400 and len(late) == 110
+        assert applied == set(dispatched) == selected - late
 
 
 class TestClampRule:
@@ -656,6 +667,20 @@ class TestSegmentDispatch:
         assert sizes and set(sizes) == {0}
 
 
+def assert_gram_distances_within_bound(gram, G):
+    """The Gram block is bitwise symmetric, its distances lie within their
+    stated bound of `pairwise_sq_distances`' entry by entry, and each row's
+    bound is the sum of its entries'."""
+    d = G.shape[1]
+    d2, rows = gram_sq_distances(gram, d)
+    norms = np.diagonal(gram)
+    finfo = np.finfo(np.float64)
+    entry = 4 * (d + 4) * finfo.eps * np.add.outer(norms, norms) + d * finfo.tiny
+    assert np.array_equal(gram, gram.T)
+    assert np.all(np.abs(d2 - pairwise_sq_distances(G)) <= entry)
+    assert np.allclose(rows, entry.sum(axis=1), rtol=1e-12, atol=0)
+
+
 class TestUpdateBuffer:
     @pytest.mark.parametrize("d", [1, 7, 2179])
     def test_kept_distances_equal_recompute(self, rng, d):
@@ -673,18 +698,61 @@ class TestUpdateBuffer:
                 order, G, block = buf.put(client, g)
                 assert order.tolist() == sorted(held)
                 assert np.array_equal(G, np.stack([held[k] for k in sorted(held)]))
-                assert np.array_equal(block, pairwise_sq_distances(G))
+                assert_gram_distances_within_bound(block, G)
                 assert np.shares_memory(G, buf.rows) and np.shares_memory(block, buf.pairs)
                 m = order.size
                 if m < 2:
                     continue
                 f = int(rng.integers(0, m - 1))
                 count = int(rng.integers(1, m + 1))
-                cached = multi_krum(G, f, count, block)
+                cached = multi_krum(G, f, count, gram=block)
                 fresh = multi_krum(G, f, count)
                 assert cached.kept_indices == fresh.kept_indices
                 assert cached.diagnostics == fresh.diagnostics
                 assert np.array_equal(cached.aggregate, fresh.aggregate)
+
+    @pytest.mark.parametrize(
+        "case", ["duplicates", "near_ties", "polygon", "zero", "scaled_1e150", "scaled_1e160", "d1"]
+    )
+    def test_adversarial_rows_pick_as_recompute(self, rng, case):
+        # exact duplicate rows (as async crafted rows are), rows within 1e-13
+        # of one another (the Gram error swamps their distances, so picks
+        # are rescored), a nudged polygon (scores tied within 1e-13), a zero
+        # row, rows whose |g|^2 reaches 1e300 or overflows, and d = 1: every
+        # pick through the kept Gram block is the fresh recompute's and the
+        # per-pick oracle's, at every buffer size, f and count
+        n, d = 9, 1 if case == "d1" else 12
+        rows = rng.normal(size=(2 * n, d))
+        if case == "near_ties":
+            rows = rows[0] + 1e-13 * rows
+        elif case == "polygon":
+            angle = 2 * np.pi * np.arange(2 * n) / (2 * n)
+            rows = np.zeros((2 * n, d))
+            rows[:, 0], rows[:, 1] = np.cos(angle), np.sin(angle)
+            rows[3, 1] += 1e-13
+        elif case == "zero":
+            rows[[2, 11]] = 0.0
+        elif case.startswith("scaled"):
+            rows[rng.choice(2 * n, size=4, replace=False)] *= float(case[-5:])
+        buf = eng.UpdateBuffer(n, d, "multi_krum")
+        held = {}
+        arrivals = list(rng.permutation(n)) + list(rng.integers(0, n, size=n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, client in enumerate(int(c) for c in arrivals):
+                g = rows[step]
+                if case == "duplicates" and held and step % 2:
+                    g = held[list(held)[int(rng.integers(0, len(held)))]]
+                held[client] = g.copy()
+                order, G, block = buf.put(client, held[client])
+                m = order.size
+                for f in range(m - 1):
+                    for count in sorted({1, m - f, m}):
+                        cached = multi_krum(G, f, count, gram=block)
+                        fresh = multi_krum(G, f, count)
+                        assert cached.kept_indices == fresh.kept_indices
+                        assert cached.kept_indices == naive_krum_kept(G, f, count)
+                        assert cached.diagnostics == fresh.diagnostics
+                        assert cached.aggregate.tobytes() == fresh.aggregate.tobytes()
 
     @pytest.mark.parametrize("d", [1, 8, 13, 2179])
     def test_kept_angles_equal_recompute(self, rng, d):
@@ -755,11 +823,9 @@ class TestUpdateBuffer:
     VAL = np.linspace(-1, 1, 30).reshape(5, 6)  # validation features for fang's products
 
     def fresh_block(self, kind, G):
-        """The block of `G` the buffer keeps for `kind`, computed afresh."""
+        """The block of `G` the buffer keeps for atm or fang, computed afresh."""
         if kind == "atm":
             return pairwise_angles(G) if len(G) > 1 else np.zeros((1, 1))
-        if kind == "multi_krum":
-            return pairwise_sq_distances(G)
         return np.stack([mlp.input_products(self.VAL, g, self.SHAPES) for g in G])
 
     def new_buffer(self, kind, n):
@@ -789,7 +855,10 @@ class TestUpdateBuffer:
                 assert block is None
                 continue
             assert np.shares_memory(block, buf.products if kind == "fang" else buf.pairs)
-            assert np.array_equal(block, self.fresh_block(kind, G))
+            if kind == "multi_krum":  # a Gram block, its distances within their bound
+                assert_gram_distances_within_bound(block, G)
+            else:
+                assert np.array_equal(block, self.fresh_block(kind, G))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_raises_at_put(self, rng, bad):
