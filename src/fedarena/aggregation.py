@@ -243,8 +243,19 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None, gram=None) -> A
     np.fill_diagonal(d2, np.inf)  # sorts last, so never its own neighbour
     live = np.ones(n, dtype=bool)
 
+    exact = {}  # under `gram`: a row's exact distances by its bytes; equal rows, equal distances
+
     def exact_scores(near, neigh):
-        rows = d2[near] if err is None else np.stack([sq_distances_to(G, G[i]) for i in near])
+        if err is None:
+            rows = d2[near]
+        else:
+            keys = [G[i].tobytes() for i in near]
+            if len(set(keys)) == 1:  # equal rows' scores are equal sums of equal distances
+                return np.zeros(near.size)
+            for i, key in zip(near, keys):
+                if key not in exact:
+                    exact[key] = sq_distances_to(G, G[i])
+            rows = np.stack([exact[key] for key in keys])
         rows[:, ~live] = np.inf
         rows[np.arange(near.size), near] = np.inf
         return _krum_scores(rows, neigh)
