@@ -73,10 +73,10 @@ FANG_TIE_TOL = 1e-9
 
 # multi_krum's running score bounds differ from sorted sums by float
 # reordering: a row's error is below KRUM_TIE_TOL times its first sorted
-# sum, so rows whose bounds reach the lowest are rescored exactly before
-# the argmin.
+# sum (plus, from a Gram block, its distances' stated error), so rows whose
+# bounds reach the lowest are rescored exactly before the argmin.
 KRUM_TIE_TOL = 1e-9
-_EPS, _TINY, _MAX = (float(v) for v in (np.finfo(float).eps, np.finfo(float).tiny, np.finfo(float).max))
+_FLOAT = np.finfo(np.float64)
 
 
 def fedavg(G, weights=None) -> AggregationOutcome:
@@ -190,33 +190,35 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None, gram=None) -> A
     The caller may hand over a block it keeps. `sq_dists` must equal
     `pairwise_sq_distances(G)`, so it is bitwise symmetric. `gram` is the
     (n, n) Gram block of `G`, each entry a dot product of two rows summed in
-    any order, bitwise symmetric (async runs write one row and column per
-    arrival); its squared distances are |g_i|^2 + |g_j|^2 - 2 g_i.g_j
-    (`gram_sq_distances`), each within its stated bound of the exact one.
-    Neither block is modified. When a distance or a row's bound could
-    overflow, the distances are recomputed exactly.
+    any order, the block bitwise symmetric (async runs write one row and
+    column per arrival); its squared distances |g_i|^2 + |g_j|^2 -
+    2 g_i.g_j (`gram_sq_distances`) each lie within a stated bound of the
+    exact one. Neither block is modified. When a squared norm is so large
+    that a score could overflow, the distances are recomputed exactly.
 
     A row's score is the sum of its `neigh` smallest distances to the
     remaining rows, sorted ascending (`_krum_scores`); ties keep the lowest
     id. Until the pick on which every remaining neighbour counts (the
     (f+1)-th), each pick sorts every remaining row of a copy of the block
-    in which the diagonal and the picked rows' columns are inf. From that pick
-    on, each remaining row carries a lower and an upper bound on its score,
-    kept in place: its sorted sum at that pick less and plus its slack,
-    each less the distances to the rows picked since (one subtraction of
-    the picked row's block row per pick; a picked row's bounds are inf).
-    The slack is KRUM_TIE_TOL times the sum, plus under `gram` twice the
-    sum of the row's entry bounds. Each bound rounds on its own, by at most
-    about n*eps of the row's first sorted sum, and so does each sorted sum;
-    the Gram entries of the remaining rows stray from the exact ones by at
-    most their bounds, all of which the first sum's slack counts. So every
-    row's exact score lies within its bounds, and under `gram` within its
-    sorted sum plus or minus its slack. A pick is the lowest upper bound (or
-    sum) unless another row's lower bound reaches it; then every such row is
-    rescored as the sorted sum of its exact distances to the remaining rows
-    (`sq_distances_to` rows under `gram`; the oracle's values in its order)
-    before the argmin. Until every score is finite each pick is scored
-    whole.
+    in which the diagonal and the picked rows' columns are inf. A row's
+    slack is KRUM_TIE_TOL times its sum, plus under `gram` twice the sum of
+    its entry bounds: it covers the distances' errors and the rounding of
+    both sums. Under `gram` the lowest sum is the pick when the runner-up's
+    sum less its slack clears it plus its slack; otherwise every row whose
+    sum less slack reaches the lowest sum plus slack is rescored. From the
+    (f+1)-th pick on, each remaining row carries a lower bound on its
+    score, kept in place: its sum at that pick less its slack, less the
+    distances to the rows picked since (one subtraction of the picked row's
+    block row per pick; a picked row's bound is inf); its upper bound is
+    that plus twice the slack. Each bound rounds by at most about n*eps of
+    the row's first sum, far inside the slack, so every row's exact score
+    lies within its bounds. The lowest lower bound is the pick unless
+    another row's lower bound reaches its upper bound; then every such row
+    is rescored. A rescore is the sorted sum of a row's exact distances to
+    the remaining rows (the oracle's values in its order; under `gram`,
+    `sq_distances_to` rows, each distinct row's once per call, and rows
+    with equal bytes score alike) before the argmin. Until every score is
+    finite each pick is scored whole.
     """
     n = G.shape[0]
     f = int(num_malicious)
@@ -232,7 +234,7 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None, gram=None) -> A
         err *= 2
         err_max = err.max()
         # a distance is at most about 4 max|g|^2, a score or bound n times that
-        if not np.diagonal(gram).max() <= _MAX / (8 * n):
+        if not np.diagonal(gram).max() <= _FLOAT.max / (8 * n):
             d2, err = pairwise_sq_distances(G), None
     elif sq_dists is None:
         d2 = pairwise_sq_distances(G)
@@ -323,7 +325,7 @@ def gram_sq_distances(gram, dim: int) -> tuple[np.ndarray, np.ndarray]:
     n = norms.size
     d2 = np.add.outer(norms, norms)
     d2 -= 2 * gram
-    return d2, (4 * (dim + 4) * _EPS) * (n * norms + norms.sum()) + n * dim * _TINY
+    return d2, (4 * (dim + 4) * _FLOAT.eps) * (n * norms + norms.sum()) + n * dim * _FLOAT.tiny
 
 
 def _krum_scores(d2_rows, neigh: int) -> np.ndarray:
@@ -519,8 +521,8 @@ def apply_rule(
     reach fedavg only. dp and topk transform the rows (`dp_noise`,
     `topk_rows`), then run their `inner` kind on the same knobs. `block` is
     the block of `grads` a caller keeps for the kind: the pairwise angles a
-    top-level atm reads (its `angles`), the squared distances a top-level
-    multi_krum reads (its `sq_dists`), or the first-layer products a
+    top-level atm reads (its `angles`), the Gram block a top-level
+    multi_krum reads (its `gram`), or the first-layer products a
     top-level fang reads (its `val_products`); a dp/topk transform changes
     the rows, so its inner rule recomputes it."""
     G = grads.view(np.ndarray) if isinstance(grads, _Screened) else _as_matrix(grads)
