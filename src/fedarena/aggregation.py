@@ -181,20 +181,19 @@ def atm(G, trim_b: int, include_self: bool = False, angles=None) -> AggregationO
     )
 
 
-def multi_krum(G, num_malicious: int, count: int, sq_dists=None, gram=None) -> AggregationOutcome:
+def multi_krum(G, num_malicious: int, count: int, gram=None) -> AggregationOutcome:
     """Iteratively pick the checked gradient whose n-f-1 nearest (remaining)
     neighbours are closest in squared distance, until `count` are chosen;
     the aggregate is their mean. Each pick is the one the per-pick sort
     (`selftest.naive_krum_kept`) makes on `pairwise_sq_distances(G)`.
 
-    The caller may hand over a block it keeps. `sq_dists` must equal
-    `pairwise_sq_distances(G)`, so it is bitwise symmetric. `gram` is the
-    (n, n) Gram block of `G`, each entry a dot product of two rows summed in
-    any order, the block bitwise symmetric (async runs write one row and
-    column per arrival); its squared distances |g_i|^2 + |g_j|^2 -
-    2 g_i.g_j (`gram_sq_distances`) each lie within a stated bound of the
-    exact one. Neither block is modified. When a squared norm is so large
-    that a score could overflow, the distances are recomputed exactly.
+    The caller may hand over the (n, n) Gram block of `G` it keeps, `gram`,
+    each entry a dot product of two rows summed in any order, the block
+    bitwise symmetric (async runs write one row and column per arrival);
+    its squared distances |g_i|^2 + |g_j|^2 - 2 g_i.g_j
+    (`gram_sq_distances`) each lie within a stated bound of the exact one.
+    The block is not modified. When a squared norm is so large that a
+    score could overflow, the distances are recomputed exactly.
 
     A row's score is the sum of its `neigh` smallest distances to the
     remaining rows, sorted ascending (`_krum_scores`); ties keep the lowest
@@ -236,12 +235,8 @@ def multi_krum(G, num_malicious: int, count: int, sq_dists=None, gram=None) -> A
         # a distance is at most about 4 max|g|^2, a score or bound n times that
         if not np.diagonal(gram).max() <= _FLOAT.max / (8 * n):
             d2, err = pairwise_sq_distances(G), None
-    elif sq_dists is None:
-        d2 = pairwise_sq_distances(G)
     else:
-        d2 = np.array(sq_dists, dtype=np.float64)
-        if d2.shape != (n, n):
-            raise DimensionMismatch(f"distance block shaped {d2.shape} for {n} gradients")
+        d2 = pairwise_sq_distances(G)
     np.fill_diagonal(d2, np.inf)  # sorts last, so never its own neighbour
     live = np.ones(n, dtype=bool)
 

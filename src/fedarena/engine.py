@@ -37,9 +37,7 @@ Async semantics: each round dispatches the selected clients in id order;
 every update is due after an integer delay uniform on {0..tau_max} and
 is applied individually, re-aggregating the most recent update buffered
 per client (stale entries retained); one due after the last round is
-never applied, and unless a full-knowledge craft reads the benign rows
-(the attacker's view), never computed either; a malicious client's
-craft is always made. Arrivals queued from earlier rounds are applied before
+never applied. Arrivals queued from earlier rounds are applied before
 the current round's dispatches; a delay of zero means the update is
 applied immediately, before the next client dispatches.
 Trim-style rules clamp their parameters while the buffer is still
@@ -706,7 +704,6 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     # a full-knowledge agrevader, fedpoisonmia or adaptive
     reads_view = world.attack_ctx is not None and cfg.attack.knowledge == "full"
     attacker_view = UpdateBuffer(cfg.n_clients, params.flat.size) if reads_view else None
-    crafting = () if cfg.attack.kind in ("none", "passive") else world.malicious_ids
     pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     records: list[RoundRecord] = []
 
@@ -733,18 +730,12 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
         if not ends or ends[-1] < len(clients):
             ends.append(len(clients))
         for start, end in zip([0] + ends, ends):
-            # an update due after the last round is computed only when a craft reads it
-            sent = [
-                (k, delay)
-                for k, delay in zip(clients[start:end], delays[start:end])
-                if reads_view or k in crafting or t + delay < cfg.rounds
-            ]
-            segment = [k for k, _ in sent]
+            segment = clients[start:end]
             U = _client_updates(world, t, segment, attacker_view, params, craft_observer)
-            for (k, delay), g in zip(sent, U):
+            for k, g, delay in zip(segment, U, delays[start:end]):
                 if delay == 0:
                     last_outcome = apply_arrival(t, t, k, g, staleness_log)
-                elif t + delay < cfg.rounds:  # an owned copy, which pins no other row of U
+                else:  # an owned copy, which pins no other row of U
                     pending.setdefault(t + delay, []).append((t, k, g.copy()))
         kept = last_outcome.kept_indices if last_outcome else ()
         diagnostics = {"kept": kept, "staleness": tuple(staleness_log)}
