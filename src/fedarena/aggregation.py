@@ -193,7 +193,7 @@ def multi_krum(G, num_malicious: int, count: int, gram=None) -> AggregationOutco
     its squared distances |g_i|^2 + |g_j|^2 - 2 g_i.g_j
     (`gram_sq_distances`) each lie within a stated bound of the exact one.
     The block is not modified. When a squared norm is so large that a
-    score could overflow, the distances are recomputed exactly.
+    score could overflow, the exact distances are used instead.
 
     A row's score is the sum of its `neigh` smallest distances to the
     remaining rows, sorted ascending (`_krum_scores`); ties keep the lowest
@@ -225,16 +225,14 @@ def multi_krum(G, num_malicious: int, count: int, gram=None) -> AggregationOutco
         raise InvalidKrumParams(f"n-f-1 = {n - f - 1} < 1")
     if not 1 <= count <= n:
         raise InvalidKrumParams(f"count {count} outside [1, {n}]")
+    if gram is not None and np.shape(gram) != (n, n):
+        raise DimensionMismatch(f"Gram block shaped {np.shape(gram)} for {n} gradients")
     err = None  # under `gram`: twice each row's summed entry bounds
-    if gram is not None:
-        if np.shape(gram) != (n, n):
-            raise DimensionMismatch(f"Gram block shaped {np.shape(gram)} for {n} gradients")
+    # a distance is at most about 4 max|g|^2, a score or bound n times that
+    if gram is not None and np.diagonal(gram).max() <= _FLOAT.max / (8 * n):
         d2, err = gram_sq_distances(gram, G.shape[1])
         err *= 2
         err_max = err.max()
-        # a distance is at most about 4 max|g|^2, a score or bound n times that
-        if not np.diagonal(gram).max() <= _FLOAT.max / (8 * n):
-            d2, err = pairwise_sq_distances(G), None
     else:
         d2 = pairwise_sq_distances(G)
     np.fill_diagonal(d2, np.inf)  # sorts last, so never its own neighbour

@@ -677,7 +677,8 @@ class UpdateBuffer:
         if self.pairs is None:
             return order, G, None
         if self.units is None:  # the row's Gram row: one matrix-vector product
-            row = G @ self.rows[slot]
+            with np.errstate(over="ignore"):  # multi_krum recomputes exactly past overflow
+                row = G @ self.rows[slot]
         else:
             unit, norm = unit_rows(self.rows[slot : slot + 1])
             self.units[slot] = unit[0]
