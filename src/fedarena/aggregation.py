@@ -214,10 +214,10 @@ def multi_krum(G, num_malicious: int, count: int, gram=None) -> AggregationOutco
     lies within its bounds. The lowest lower bound is the pick unless
     another row's lower bound reaches its upper bound; then every such row
     is rescored. A rescore is the sorted sum of a row's exact distances to
-    the remaining rows (the oracle's values in its order; under `gram`,
-    `sq_distances_to` rows, each distinct row's once per call, and rows
-    with equal bytes score alike) before the argmin. Until every score is
-    finite each pick is scored whole.
+    the remaining rows (the oracle's values in its order: `sq_distances_to`
+    rows, as `pairwise_sq_distances` stacks them, each distinct row's once
+    per call, rows with equal bytes scoring alike) before the argmin.
+    Until every score is finite each pick is scored whole.
     """
     n = G.shape[0]
     f = int(num_malicious)
@@ -238,19 +238,16 @@ def multi_krum(G, num_malicious: int, count: int, gram=None) -> AggregationOutco
     np.fill_diagonal(d2, np.inf)  # sorts last, so never its own neighbour
     live = np.ones(n, dtype=bool)
 
-    exact = {}  # under `gram`: a row's exact distances by its bytes; equal rows, equal distances
+    exact = {}  # a row's exact distances by its bytes; equal rows, equal distances
 
     def exact_scores(near, neigh):
-        if err is None:
-            rows = d2[near]
-        else:
-            keys = [G[i].tobytes() for i in near]
-            if len(set(keys)) == 1:  # equal rows' scores are equal sums of equal distances
-                return np.zeros(near.size)
-            for i, key in zip(near, keys):
-                if key not in exact:
-                    exact[key] = sq_distances_to(G, G[i])
-            rows = np.stack([exact[key] for key in keys])
+        keys = [G[i].tobytes() for i in near]
+        if len(set(keys)) == 1:  # equal rows' scores are equal sums of equal distances
+            return np.zeros(near.size)
+        for i, key in zip(near, keys):
+            if key not in exact:
+                exact[key] = sq_distances_to(G, G[i])
+        rows = np.stack([exact[key] for key in keys])
         rows[:, ~live] = np.inf
         rows[np.arange(near.size), near] = np.inf
         return _krum_scores(rows, neigh)

@@ -201,12 +201,12 @@ def _choose(dots, norm2, bound, budget, exact, scale=1, taken=None) -> tuple[int
     A blend's objective, its largest angle to a reference, is read from its
     dots with the unit references (rows x refs), its squared norm and a
     bound on its norm from the triangle inequality, each of the blend times
-    `scale`. exact(i), blend i's per-pair value, replaces it where the
-    expansion is non-finite, cancels or lies near NORM_FLOOR (raising
-    DegenerateGradient on a non-finite or zero blend), then where it lies
-    within TIE_TOL of the budget, then where it lies within TIE_TOL of the
-    pick's, when more than one does. Rows flagged in `taken` score inf and
-    are never scored per pair.
+    `scale`. exact(i), blend i's per-pair value, replaces it in one pass
+    wherever the expansion is non-finite, cancels or lies near NORM_FLOOR
+    (raising DegenerateGradient on a non-finite or zero blend) or lies
+    within TIE_TOL of the budget; then, once the pass is done, where it
+    lies within TIE_TOL of the pick's, when more than one does. Rows
+    flagged in `taken` score inf and are never scored per pair.
     """
     sure = (
         np.isfinite(dots).all(axis=1)
@@ -223,8 +223,7 @@ def _choose(dots, norm2, bound, budget, exact, scale=1, taken=None) -> tuple[int
         for i in np.flatnonzero(which):
             objectives[i] = exact(int(i))
 
-    rescore(~sure)
-    rescore(np.abs(objectives - budget) <= TIE_TOL)
+    rescore(~sure | (np.abs(objectives - budget) <= TIE_TOL))
     feasible = objectives <= budget
     ok = bool(feasible.any())
 

@@ -98,7 +98,7 @@ from .errors import (
     InvalidConfig,
     ParseError,
 )
-from .rngstream import derive_seed, integers, keyed_words, sorted_choices, substream
+from .rngstream import derive_seed, keyed_words, sorted_choices, substream
 from .vectors import NORM_FLOOR, _as_matrix, angles_to, unit_rows
 
 HIDDEN_WIDTH = 32
@@ -274,13 +274,6 @@ def participant_count(n: int, participation: float) -> int:
     return max(1, math.ceil(participation * n - 1e-9))
 
 
-def _selections(n: int, participation: float, rounds, seed: int) -> np.ndarray:
-    """Row i: the participants of round rounds[i], np.sort(substream(seed,
-    "select", round).choice(n, ceil(C*n), replace=False))."""
-    words = keyed_words(seed, "select", [(t,) for t in rounds])
-    return sorted_choices(words, [n] * len(words), participant_count(n, participation))
-
-
 def test_accuracy(params: mlp.ModelParams, features, labels) -> float:
     if len(features) == 0:
         raise EmptySet("test set is empty")
@@ -403,11 +396,13 @@ def build_world(cfg: ExperimentConfig, load_csv=None) -> _World:
 
 class _DrawPlan:
     """A run's draws, one block of rounds at a time: each round's
-    participants, the batch of each participant and of each malicious
-    client not selected (a partial-knowledge craft reads its malicious
-    clients' shards) and, in async runs, each participant's delay. Each is
-    a pure function of (seed, tag, round, client), and a block's draws of
-    one kind come from one `rngstream` pass, bitwise the per-stream
+    participants, np.sort(substream(seed, "select", round).choice(n,
+    ceil(C*n), replace=False)); the batch of each participant and of each
+    malicious client not selected (a partial-knowledge craft reads its
+    malicious clients' shards); and, in async runs, each participant's
+    delay, substream(seed, "delay", round, client).integers(0, tau_max +
+    1), a one-element choice. Each kind of a block is one `sorted_choices`
+    pass over its `keyed_words` streams, bitwise the per-stream
     Generator's. A block spans as many rounds as fit in _PLAN_STREAMS
     streams (at least one); a read past it draws the next."""
 
@@ -431,7 +426,8 @@ class _DrawPlan:
         cfg, mal = self.cfg, self.malicious_ids
         streams = 1 + self.per_round * (1 + cfg.asynchronous) + len(mal)
         self.rounds = range(t, max(t + 1, min(cfg.rounds, t + _PLAN_STREAMS // streams)))
-        select = _selections(cfg.n_clients, cfg.participation, self.rounds, cfg.seed)
+        words = keyed_words(cfg.seed, "select", [(r,) for r in self.rounds])
+        select = sorted_choices(words, [cfg.n_clients] * len(words), self.per_round)
         self.participants = dict(zip(self.rounds, select))
         rows = [(r, ids.tolist()) for r, ids in self.participants.items()]
         keys = [(r, k) for r, ids in rows for k in ids]
@@ -439,7 +435,8 @@ class _DrawPlan:
         self.batches = self._draw_batches(keys + proxies)
         self.delays = {}
         if cfg.asynchronous:
-            drawn = integers(keyed_words(cfg.seed, "delay", keys), [cfg.tau_max + 1] * len(keys))
+            words = keyed_words(cfg.seed, "delay", keys)
+            drawn = sorted_choices(words, [cfg.tau_max + 1] * len(keys), 1)[:, 0]
             self.delays = dict(zip(keys, drawn.tolist()))
 
     def _draw_batches(self, keys) -> dict[tuple[int, int], np.ndarray]:

@@ -9,16 +9,16 @@ The training loops read many small streams: each round's participants,
 a batch per client per round and, in async runs, a delay per
 participant. A numpy Generator per stream costs more to build than its
 few draws, so the engine draws a block of rounds at a time, each kind in
-one vectorised pass over many streams: `sorted_choices` and `integers`,
-fed by `keyed_words`. Each returns what the stream's own Generator
-would, bit for bit. They run numpy's `SeedSequence` mixing (grouped by
+one vectorised pass over many streams of one kernel, `sorted_choices`,
+fed by `keyed_words` (a delay is a one-element choice, which draws as
+`Generator.integers` does). It returns what each stream's own Generator
+would, bit for bit. It runs numpy's `SeedSequence` mixing (grouped by
 entropy length), `PCG64`'s seeding and XSL-RR output in fixed-width
-uint64 arithmetic, the 32-bit Lemire bound of `Generator.integers` and
-`Generator.choice`, and Floyd's selection of `choice(..., replace=False)`.
-A stream that reaches another of numpy's branches is drawn through its
-own Generator instead: a draw Lemire rejects (numpy draws again), a
-tail-shuffle selection (pop > 10000 and size > pop // 50) and a range of
-2**32 - 1 or more.
+uint64 arithmetic, the 32-bit Lemire bound of `Generator.choice`, and
+Floyd's selection of `choice(..., replace=False)`. A stream that reaches
+another of numpy's branches is drawn through its own Generator instead: a
+draw Lemire rejects (numpy draws again), a tail-shuffle selection (pop >
+10000 and size > pop // 50) and a range of 2**32 - 1 or more.
 """
 
 import hashlib
@@ -49,16 +49,11 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def stream_words(seed: int, *tags) -> list[int]:
-    """The entropy words of the stream keyed by (seed, tags): the uint32
-    words numpy makes of [seed, derive_seed(seed, *tags)]."""
-    seed = int(seed)
-    return _words(seed) + _words(derive_seed(seed, *tags))
-
-
 def keyed_words(seed: int, tag, keys) -> list[list[int]]:
-    """`stream_words(seed, tag, *key)` for each tuple `key` of `keys`, with
-    the blake2b state of the shared (seed, tag) prefix hashed once."""
+    """For each tuple `key` of `keys`, the entropy words of the stream keyed
+    by (seed, tag, *key): the uint32 words numpy makes of [seed,
+    derive_seed(seed, tag, *key)], with the blake2b state of the shared
+    (seed, tag) prefix hashed once."""
     seed = int(seed)
     head = _words(seed)
     prefix = hashlib.blake2b(repr(seed).encode() + _tag_bytes((tag,)), digest_size=8)
@@ -71,14 +66,14 @@ def keyed_words(seed: int, tag, keys) -> list[list[int]]:
     return out
 
 
-def substream(seed: int, *tags) -> np.random.Generator:
-    """Return a Generator keyed by (seed, tags), stable across processes.
+def substream(seed: int, tag, *key) -> np.random.Generator:
+    """Return a Generator keyed by (seed, tag, *key), stable across processes.
 
-    It is np.random.default_rng([seed, derive_seed(seed, *tags)]), with the
-    entropy handed over as the uint32 words numpy would split it into,
+    It is np.random.default_rng([seed, derive_seed(seed, tag, *key)]), with
+    the entropy handed over as the uint32 words numpy would split it into,
     which skips numpy's per-integer coercion.
     """
-    return _generator(stream_words(seed, *tags))
+    return _generator(keyed_words(seed, tag, [key])[0])
 
 
 def _generator(words) -> np.random.Generator:
@@ -224,7 +219,8 @@ def _lemire(values: np.ndarray, rng: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def sorted_choices(entropy, pops, size: int) -> np.ndarray:
     """Row i is np.sort(Generator.choice(pops[i], size, replace=False)) of
     the Generator seeded by the entropy words `entropy[i]` (see
-    `stream_words`), as an (n, size) int64 array."""
+    `keyed_words`), as an (n, size) int64 array; at size 1, Floyd's one
+    draw, it is Generator.integers(0, pops[i])."""
     pops = np.asarray(pops, dtype=np.int64)
     if size < 0 or np.any(pops < size):
         raise ValueError(f"expected 0 <= size <= pop, got size {size}")
@@ -248,20 +244,4 @@ def sorted_choices(entropy, pops, size: int) -> np.ndarray:
     out[fast] = np.sort(chosen, axis=1)
     for i in np.flatnonzero(slow).tolist() + fast[rejected.any(axis=1)].tolist():
         out[i] = np.sort(_generator(entropy[i]).choice(pops[i], size, replace=False))
-    return out
-
-
-def integers(entropy, highs) -> np.ndarray:
-    """Per stream i (entropy words `entropy[i]`), the int64
-    Generator.integers(0, highs[i]) of the Generator seeded by those words."""
-    highs = np.asarray(highs, dtype=np.int64)
-    if np.any(highs < 1):
-        raise ValueError("expected high >= 1 for every stream")
-    slow = highs - 1 >= _M32
-    fast = np.flatnonzero(~slow)
-    values = _pcg64_uint32s([entropy[i] for i in fast], 1)[:, 0]
-    out = np.empty(highs.size, dtype=np.int64)
-    out[fast], rejected = _lemire(values, (highs[fast] - 1).astype(_U64))
-    for i in np.flatnonzero(slow).tolist() + fast[rejected].tolist():
-        out[i] = _generator(entropy[i]).integers(0, highs[i])
     return out

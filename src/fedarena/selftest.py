@@ -12,7 +12,7 @@ import numpy as np
 from . import mlp
 from .aggregation import atm, fang_filter, multi_krum
 from .attacks import greedy_mask_select, mask_budget, optimize_alpha, reference_geometry
-from .rngstream import derive_seed, integers, sorted_choices, stream_words
+from .rngstream import derive_seed, keyed_words, sorted_choices
 from .theory import AngleSample, TruncatedGaussian, deviation_bound, lemma_order_stats_check, monte_carlo_deviation
 from .vectors import angle_between, pairwise_sq_distances
 
@@ -312,13 +312,14 @@ def _check_bound():
 
 
 def _check_draws():
-    """The vectorised draws against each stream's own numpy Generator, so a
-    numpy whose Generator.choice or integers draws differently fails here
-    instead of silently moving every output."""
+    """The vectorised draw kernel against each stream's own numpy Generator,
+    as a choice and as the one-element choice that stands for
+    Generator.integers, so a numpy whose Generator draws differently fails
+    here instead of silently moving every output."""
     rng = np.random.default_rng(11)
     seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64] + rng.integers(0, 2**63, size=5).tolist()
     keys = [(seed, t, k) for seed in seeds for t, k in rng.integers(0, 1000, size=(30, 2)).tolist()]
-    words = [stream_words(seed, "draws", t, k) for seed, t, k in keys]
+    words = [keyed_words(seed, "draws", [(t, k)])[0] for seed, t, k in keys]
 
     def stream(seed, t, k):  # numpy's own seeding of the same stream
         return np.random.default_rng([seed, derive_seed(seed, "draws", t, k)])
@@ -329,7 +330,7 @@ def _check_draws():
             want = np.sort(stream(*key).choice(pop, size, replace=False))
             assert np.array_equal(row, want), f"choice({pop}, {size}) differs from numpy's"
     highs = [1, 6, 3 * 2**30 + 1, 2**32 - 1] + rng.integers(1, 2**32, size=len(keys) - 4).tolist()
-    for key, high, value in zip(keys, highs, integers(words, highs)):
+    for key, high, value in zip(keys, highs, sorted_choices(words, highs, 1)[:, 0]):
         assert value == stream(*key).integers(0, high), f"integers(0, {high}) differs from numpy's"
 
 

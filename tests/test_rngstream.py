@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedarena import rngstream
-from fedarena.rngstream import derive_seed, integers, keyed_words, sorted_choices, stream_words, substream
+from fedarena.rngstream import _words, derive_seed, keyed_words, sorted_choices, substream
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 TAGS = [("batch", t, k) for t in range(25) for k in range(8)] + [
@@ -10,7 +10,6 @@ TAGS = [("batch", t, k) for t in range(25) for k in range(8)] + [
     ("flip",),
     ("agg", (4, 2)),
     ("delay", 0, 1),
-    (),
 ]
 
 
@@ -48,12 +47,23 @@ def raw_stream(words):
     return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
+def stream_words(seed, *tags):
+    """The uint32 words numpy makes of [seed, derive_seed(seed, *tags)]."""
+    return _words(seed) + _words(derive_seed(seed, *tags))
+
+
 def test_keyed_words_are_stream_words():
     keys = [(t, k) for t in range(30) for k in range(4)]
     for seed in WORD_SEEDS:
         assert keyed_words(seed, "batch", keys) == [stream_words(seed, "batch", *key) for key in keys]
         assert keyed_words(seed, "select", [(3,)]) == [stream_words(seed, "select", 3)]
+        assert keyed_words(seed, "split", [()]) == [stream_words(seed, "split")]
     assert {len(stream_words(seed, "batch", 0, 0)) for seed in WORD_SEEDS} == {3, 4, 5}
+
+
+def one_choices(words, high):
+    """The one-element choice on [0, high) of each stream: its delay draw."""
+    return sorted_choices(words, [high] * len(words), 1)[:, 0]
 
 
 @pytest.mark.parametrize(
@@ -92,15 +102,16 @@ def test_rejection_falls_back_bitwise():
     rng = np.full(len(words), 3 * 2**30, dtype=np.uint64)
     _, rejected = rngstream._lemire(rngstream._pcg64_uint32s(words, 1)[:, 0], rng)
     assert 0 < rejected.sum() < len(words)
-    got = integers(words, [3 * 2**30 + 1] * len(words))
+    got = one_choices(words, 3 * 2**30 + 1)
     for (seed, t, k), value in zip(KEYS, got):
         assert value == numpy_stream(seed, "delay", t, k).integers(0, 3 * 2**30 + 1)
 
 
 @pytest.mark.parametrize("high", [1, 2, 6, 1001, 2**31, 2**32 - 1, 2**32, 2**33])
 def test_integers_match_numpy(high):
+    # a one-element choice draws as Generator.integers(0, high)
     words = [stream_words(seed, "delay", t, k) for seed, t, k in KEYS] + RAW
-    got = integers(words, [high] * len(words))
+    got = one_choices(words, high)
     want = [numpy_stream(seed, "delay", t, k).integers(0, high) for seed, t, k in KEYS]
     want += [raw_stream(w).integers(0, high) for w in RAW]
     assert got.dtype == np.int64 and got.tolist() == want
@@ -109,20 +120,20 @@ def test_integers_match_numpy(high):
 def test_kernels_reject_impossible_draws():
     with pytest.raises(ValueError, match="size <= pop"):
         sorted_choices([[1, 2]], [3], 4)
-    with pytest.raises(ValueError, match="high >= 1"):
-        integers([[1, 2]], [0])
 
 
-def test_plan_across_block_boundaries(monkeypatch):
+@pytest.mark.parametrize("tau_max", [0, 3, 3 * 2**30])
+def test_plan_across_block_boundaries(monkeypatch, tau_max):
     # 9 streams a round (1 selection, 4 delays, 4 batches): blocks of 3
     # rounds; every draw matches its own Generator across the boundaries,
-    # and the run matches one drawn in default blocks
+    # and the run matches one drawn in default blocks. At tau_max 0 numpy
+    # draws no delay; at 3 * 2**30 Lemire rejects about a quarter of them
     from fedarena import engine as eng
     from fedarena.attacks import AttackStrategy
 
     cfg = eng.ExperimentConfig(
         n_clients=5, participation=0.8, rounds=10, batch_size=4, per_class=20,
-        features=6, asynchronous=True, tau_max=3, attack=AttackStrategy("none"), seed=3,
+        features=6, asynchronous=True, tau_max=tau_max, attack=AttackStrategy("none"), seed=3,
     )
     whole = eng.run(cfg)
     monkeypatch.setattr(eng, "_PLAN_STREAMS", 30)
@@ -136,7 +147,8 @@ def test_plan_across_block_boundaries(monkeypatch):
             shard = world.shards[k]
             batch = np.sort(numpy_stream(cfg.seed, "batch", t, k).choice(shard, 4, replace=False))
             assert np.array_equal(world.draws.batch(t, k), batch)
-            assert world.draws.delay(t, k) == numpy_stream(cfg.seed, "delay", t, k).integers(0, 4)
+            delay = numpy_stream(cfg.seed, "delay", t, k).integers(0, tau_max + 1)
+            assert world.draws.delay(t, k) == delay
     blocked = eng.run(cfg)
     assert [r.participants for r in blocked.records] == [r.participants for r in whole.records]
     assert [r.diagnostics["staleness"] for r in blocked.records] == [
