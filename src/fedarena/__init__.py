@@ -4,7 +4,7 @@ poisoning membership-inference attacks and angle-based robust aggregation."""
 from .aggregation import AggregationOutcome, AggregationRule
 from .attacks import AttackerContext, AttackStrategy, CraftResult
 from .data import AttackerData, Dataset, Partition
-from .engine import ExperimentConfig, ExperimentResult, RoundRecord, run, run_async, run_sync
+from .engine import ExperimentConfig, ExperimentResult, RoundRecord, Step, run, run_async, run_sync
 from .mlp import ModelParams
 from .theory import AngleSample, TruncatedGaussian
 
@@ -24,6 +24,7 @@ __all__ = [
     "ModelParams",
     "Partition",
     "RoundRecord",
+    "Step",
     "TruncatedGaussian",
     "run",
     "run_async",

@@ -184,7 +184,8 @@ def atm(G, trim_b: int, include_self: bool = False, angles=None) -> AggregationO
 def multi_krum(G, num_malicious: int, count: int, gram=None) -> AggregationOutcome:
     """Iteratively pick the checked gradient whose n-f-1 nearest (remaining)
     neighbours are closest in squared distance, until `count` are chosen;
-    the aggregate is their mean. Each pick is the one the per-pick sort
+    the aggregate is their mean, and `kept_indices` lists them in pick
+    order. Each pick is the one the per-pick sort
     (`selftest.naive_krum_kept`) makes on `pairwise_sq_distances(G)`.
 
     The caller may hand over the (n, n) Gram block of `G` it keeps, `gram`,
@@ -296,7 +297,6 @@ def multi_krum(G, num_malicious: int, count: int, gram=None) -> AggregationOutco
     return AggregationOutcome(
         aggregate=G[kept].mean(axis=0),
         kept_indices=tuple(chosen),
-        diagnostics={"selection_order": tuple(chosen)},
     )
 
 

@@ -267,7 +267,7 @@ def write_outputs(out_dir: Path, values: dict, result: ExperimentResult) -> dict
         correct = int(np.sum(r.membership_preds == truth))
         rows.append(
             f"{r.round},{_fmt9(r.test_acc)},{correct},{truth.size},"
-            f"{len(r.diagnostics.get('kept', ()))}"
+            f"{len(r.steps[-1].kept) if r.steps else 0}"
         )
     (out_dir / "rounds.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     summary = {

@@ -31,7 +31,7 @@ the round and the references. Sync therefore crafts once per round,
 async once per segment. A sync round steps on its matrix; an async
 buffer copies each row it takes, and the queue of delayed arrivals holds
 owned copies, so nothing held past a segment pins its matrix. Both loops
-step the model through `_step`.
+step the model through `_step`, each step a `Step` of its round's record.
 
 Async semantics: each round dispatches the selected clients in id order;
 every update is due after an integer delay uniform on {0..tau_max} and
@@ -139,12 +139,21 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
+class Step:
+    """One model step: a sync round, or one async arrival."""
+
+    client: int | None  # the arriving client; None for a sync round
+    kept: tuple[int, ...]  # the ids the rule kept, in its order (Multi-Krum's picks)
+    staleness: int  # rounds since the client's dispatch; 0 for a sync round
+
+
+@dataclass(frozen=True)
 class RoundRecord:
     round: int
     test_acc: float
     membership_preds: np.ndarray  # bool per eval sample
     participants: tuple[int, ...]
-    diagnostics: dict = field(default_factory=dict)
+    steps: tuple[Step, ...] = ()  # in the order they stepped the model
 
 
 @dataclass(frozen=True)
@@ -155,6 +164,7 @@ class ExperimentResult:
     attack_prec: float
     attack_rec: float
     final_test_acc: float
+    params: mlp.ModelParams  # the final model
 
 
 def _rows_kind(rule: AggregationRule) -> str:
@@ -544,10 +554,10 @@ def _client_updates(world: _World, t: int, segment, view, params, craft_observer
 def _step(world: _World, rule, params, order, G, seed_tag, block=None):
     """Aggregate the screened rows `G` of clients `order` (each row finite,
     checked once: `_as_matrix` in run_sync, `UpdateBuffer.put` in run_async)
-    and apply the aggregate to `params`; returns the new model and the
-    AggregationOutcome. `block` is the buffer's block for the rule (see
-    `apply_rule`). The step's seed is derived for dp only, the one rule that
-    draws from it."""
+    and apply the aggregate to `params`; returns the new model and the ids
+    of the clients the rule kept, `order[kept_indices]` in the rule's order.
+    `block` is the buffer's block for the rule (see `apply_rule`). The
+    step's seed is derived for dp only, the one rule that draws from it."""
     outcome = apply_rule(
         rule,
         G.view(_Screened),
@@ -559,21 +569,22 @@ def _step(world: _World, rule, params, order, G, seed_tag, block=None):
         lr=world.cfg.lr,
         block=block,
     )
-    return mlp.apply_update(params, outcome.aggregate, world.cfg.lr), outcome
+    kept = tuple(order[list(outcome.kept_indices)].tolist())
+    return mlp.apply_update(params, outcome.aggregate, world.cfg.lr), kept
 
 
-def _record(world: _World, params, round_idx, participants, diagnostics) -> RoundRecord:
+def _record(world: _World, params, round_idx, participants, steps) -> RoundRecord:
     preds = passive_infer(params, world.attacker.attack_features, world.attacker.attack_labels)
     return RoundRecord(
         round=round_idx,
         test_acc=test_accuracy(params, world.test.features, world.test.labels),
         membership_preds=preds,
         participants=tuple(int(k) for k in participants),
-        diagnostics=diagnostics,
+        steps=tuple(steps),
     )
 
 
-def _finish(world: _World, records: list[RoundRecord]) -> ExperimentResult:
+def _finish(world: _World, records: list[RoundRecord], params) -> ExperimentResult:
     truth = world.attacker.member_flags
     acc, prec, rec = membership_metrics(records, truth)
     return ExperimentResult(
@@ -583,11 +594,12 @@ def _finish(world: _World, records: list[RoundRecord]) -> ExperimentResult:
         attack_prec=prec,
         attack_rec=rec,
         final_test_acc=records[-1].test_acc,
+        params=params,
     )
 
 
 def run_sync(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
-    """Synchronous rounds: all selected clients report, one aggregate step."""
+    """Synchronous rounds: all selected clients report, one aggregate `Step`."""
     world = build_world(cfg)
     params = world.params0
     records: list[RoundRecord] = []
@@ -596,9 +608,9 @@ def run_sync(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
         # one segment: the craft references this round's benign rows
         U = _client_updates(world, t, participants.tolist(), None, params, craft_observer)
         G = _as_matrix(U)
-        params, outcome = _step(world, cfg.rule, params, participants, G, t)
-        records.append(_record(world, params, t, participants, {"kept": outcome.kept_indices}))
-    return _finish(world, records)
+        params, kept = _step(world, cfg.rule, params, participants, G, t)
+        records.append(_record(world, params, t, participants, [Step(None, kept, 0)]))
+    return _finish(world, records, params)
 
 
 def _clamp_rule(rule: AggregationRule, size: int) -> AggregationRule:
@@ -689,7 +701,8 @@ class UpdateBuffer:
 
 def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     """Event-queue simulation: updates arrive with integer delays and each
-    arrival re-aggregates the per-client buffer and steps the model."""
+    arrival re-aggregates the per-client buffer and steps the model, one
+    `Step` per arrival in its round's record (a round may have none)."""
     world = build_world(cfg)
     params = world.params0
     # only a top-level atm, multi_krum or fang reads a kept block; dp|topk
@@ -705,21 +718,19 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
     pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     records: list[RoundRecord] = []
 
-    def apply_arrival(t_now: int, t_dispatch: int, client: int, g: np.ndarray, staleness_log):
+    def apply_arrival(t_now: int, t_dispatch: int, client: int, g: np.ndarray, steps):
         nonlocal params
         order, G, block = buffer.put(client, g)
         rule = _clamp_rule(cfg.rule, order.size)
-        params, outcome = _step(world, rule, params, order, G, (t_now, len(staleness_log)), block)
-        staleness_log.append(t_now - t_dispatch)
-        return outcome
+        params, kept = _step(world, rule, params, order, G, (t_now, len(steps)), block)
+        steps.append(Step(client, kept, t_now - t_dispatch))
 
     for t in range(cfg.rounds):
-        staleness_log: list[int] = []
-        last_outcome = None
+        steps: list[Step] = []
         # rounds run in order and each segment dispatches in ascending id, so
         # each list is already in (dispatch round, client) order
         for t_disp, client, g in pending.pop(t, []):
-            last_outcome = apply_arrival(t, t_disp, client, g, staleness_log)
+            apply_arrival(t, t_disp, client, g, steps)
         participants = world.draws.selected(t)
         clients = participants.tolist()
         delays = [world.draws.delay(t, k) for k in clients]
@@ -732,20 +743,18 @@ def run_async(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
             U = _client_updates(world, t, segment, attacker_view, params, craft_observer)
             for k, g, delay in zip(segment, U, delays[start:end]):
                 if delay == 0:
-                    last_outcome = apply_arrival(t, t, k, g, staleness_log)
+                    apply_arrival(t, t, k, g, steps)
                 else:  # an owned copy, which pins no other row of U
                     pending.setdefault(t + delay, []).append((t, k, g.copy()))
-        kept = last_outcome.kept_indices if last_outcome else ()
-        diagnostics = {"kept": kept, "staleness": tuple(staleness_log)}
-        records.append(_record(world, params, t, participants, diagnostics))
-    return _finish(world, records)
+        records.append(_record(world, params, t, participants, steps))
+    return _finish(world, records, params)
 
 
 def run(cfg: ExperimentConfig, craft_observer=None) -> ExperimentResult:
-    """Run the config sync or async. `craft_observer(round, CraftResult,
-    references)` fires once per fedpoisonmia craft, which is once per
-    dispatch segment with a malicious client (see the module docstring),
-    not once per malicious client."""
+    """Run the config sync or async: each record lists its round's `steps`,
+    `params` is the final model. `craft_observer(round, CraftResult,
+    references)` fires once per fedpoisonmia craft: once per dispatch
+    segment with a malicious client (see the module docstring)."""
     if cfg.asynchronous:
         return run_async(cfg, craft_observer)
     return run_sync(cfg, craft_observer)

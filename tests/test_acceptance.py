@@ -24,7 +24,7 @@ from fedarena.attacks import (
     greedy_mask_select,
     reference_geometry,
 )
-from fedarena.engine import ExperimentConfig, run_sync
+from fedarena.engine import ExperimentConfig, num_malicious, run_sync
 from fedarena.selftest import naive_atm_kept
 from fedarena.theory import (
     AngleSample,
@@ -66,9 +66,17 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
+def crafted_kept_share(cfg, result):
+    """The share of the malicious clients' dispatches that a step of their
+    round kept: in a sync run, the crafted updates the rule let through."""
+    malicious = range(cfg.n_clients - num_malicious(cfg), cfg.n_clients)
+    dispatched = [(r, k) for r in result.records for k in r.participants if k in malicious]
+    return sum(any(k in s.kept for s in r.steps) for r, k in dispatched) / len(dispatched)
+
+
 @pytest.fixture(scope="session")
 def attack_matrix():
-    """All training runs shared by criteria 7, 8, and 9, plus the
+    """All training runs shared by criteria 7, 8, 9 and 13, plus the
     feasibility-certificate audit over every crafted gradient."""
     certificates = {"checked": 0, "violations": 0}
 
@@ -81,6 +89,7 @@ def attack_matrix():
 
     medians = {}
     timings = {}
+    kept_shares = {}  # rule -> per seed, of the fedpoisonmia runs
     for rule_name, attack_kind in itertools.product(RULES, ("passive", "fedpoisonmia")):
         t0 = time.time()
         accs = []
@@ -91,11 +100,20 @@ def attack_matrix():
                 seed=seed,
                 **DESK,
             )
-            obs = observer if attack_kind == "fedpoisonmia" else None
-            accs.append(run_sync(cfg, craft_observer=obs).attack_acc)
+            if attack_kind == "passive":
+                accs.append(run_sync(cfg).attack_acc)
+                continue
+            result = run_sync(cfg, craft_observer=observer)
+            accs.append(result.attack_acc)
+            kept_shares.setdefault(rule_name, []).append(crafted_kept_share(cfg, result))
         medians[(rule_name, attack_kind)] = float(np.median(accs))
         timings[(rule_name, attack_kind)] = time.time() - t0
-    return {"medians": medians, "timings": timings, "certificates": certificates}
+    return {
+        "medians": medians,
+        "timings": timings,
+        "certificates": certificates,
+        "kept_shares": kept_shares,
+    }
 
 
 def test_criterion_01_deviation_bound_grid():
@@ -361,3 +379,12 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
     ok = ok and thread_same
     details.append(f"threads 0 vs 3 metric-identical: {thread_same}")
     report(12, "determinism", ok, "; ".join(details))
+
+
+def test_criterion_13_defense_keeps_fewer_crafted_updates(attack_matrix):
+    shares = attack_matrix["kept_shares"]
+    ok = all(s == 1.0 for s in shares["fedavg"]) and all(s < 0.5 for s in shares["atm"])
+    detail = ", ".join(
+        f"{rule} kept " + "/".join(f"{s:.3f}" for s in shares[rule]) for rule in ("fedavg", "atm")
+    )
+    report(13, "defense-keeps-fewer-crafted-updates", ok, detail)

@@ -236,7 +236,6 @@ class TestMultiKrum:
             out = multi_krum(G, f, count)
             with np.errstate(over="ignore"):
                 assert out.kept_indices == oracle(G, f, count)
-            assert out.diagnostics["selection_order"] == out.kept_indices
 
     def test_matches_per_pick_oracle(self, rng):
         # exact distance ties, duplicated, integer, all-identical,

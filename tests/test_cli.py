@@ -417,10 +417,17 @@ class TestRunCommand:
         assert len(rows) == 10
         assert {row.split(",")[4] for row in rows} == {str(kept)}
 
-    @pytest.mark.parametrize("rule", ["atm", "multi_krum", "fang"])
-    def test_async_kept_count_is_kept_ids(self, tmp_path, rule):
+    @pytest.mark.parametrize(
+        "rule, asynchronous",
+        [("atm", True), ("multi_krum", True), ("fang", True), ("multi_krum", False)],
+        ids=["atm", "multi_krum", "fang", "sync-multi_krum"],
+    )
+    def test_async_kept_count_is_kept_ids(self, tmp_path, rule, asynchronous):
+        # kept_count is the length of the round's last step's kept ids, and
+        # a step keeps only ids of the round's participants (sync) or of the
+        # clients that have arrived so far (async)
         text = SMOKE.replace("n_clients = 4", "n_clients = 8")
-        text += f"async = true\ntau_max = 2\nrule = {rule}\n"
+        text += f"async = {str(asynchronous).lower()}\ntau_max = 2\nrule = {rule}\n"
         cfg = tmp_path / "cfg"
         cfg.write_text(text)
         out = tmp_path / "out"
@@ -428,8 +435,15 @@ class TestRunCommand:
         rows = (out / "rounds.csv").read_text().strip().splitlines()[1:]
         records = engine.run(cli.to_experiment_config(cli.parse_config_text(text))).records
         counts = [int(row.split(",")[4]) for row in rows]
-        assert counts == [len(r.diagnostics["kept"]) for r in records]
-        assert len(set(counts)) > 1  # the buffer fills over the run
+        assert counts == [len(r.steps[-1].kept) if r.steps else 0 for r in records]
+        arrived = set()
+        for r in records:
+            if not asynchronous:
+                assert [(s.client, s.staleness) for s in r.steps] == [(None, 0)]
+            for s in r.steps:
+                arrived.add(s.client)
+                assert s.kept and set(s.kept) <= (arrived if asynchronous else set(r.participants))
+        assert len(set(counts)) > 1 or not asynchronous  # the buffer fills over the run
 
     def test_manifest_reproduces_run(self, tmp_path):
         cfg = tmp_path / "cfg"
